@@ -51,6 +51,7 @@ import sys
 from typing import Iterator, List, Optional
 
 from . import models as model_zoo
+from .campaign import KERNELS
 from .tour.methods import SUITE_METHODS
 
 # The shared registry object (not a copy): tests and plugins that add
@@ -305,18 +306,42 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-def _report_resume(stats, paths) -> None:
-    """Run-dir accounting on stderr (stdout keeps the report only)."""
+def _campaign_result(args: argparse.Namespace, run, run_resumable,
+                     *params, **kwargs):
+    """Run one campaign the way the flags ask: ``run`` in memory, or
+    ``run_resumable`` journaled under ``--run-dir`` (continued with
+    ``--resume``; the run-dir accounting goes to stderr, stdout keeps
+    the report only).  Returns the campaign result, or None after
+    reporting an unusable run directory."""
+    options = dict(
+        jobs=args.jobs, timeout=args.timeout, retries=args.retries,
+        kernel=args.kernel, lanes=args.lanes, **kwargs,
+    )
+    if not args.run_dir:
+        return run(*params, **options)
+    from .runtime import RunDirError
+
+    try:
+        journaled = run_resumable(
+            *params, run_dir=args.run_dir, resume=args.resume,
+            slice_size=args.journal_slice, **options,
+        )
+    except RunDirError as exc:
+        print(exc, file=sys.stderr)
+        return None
+    stats = journaled.stats
     print(
-        f"run dir {paths.run_dir}: replayed {stats.replayed} journaled "
-        f"verdicts ({stats.provisional} provisional, {stats.dropped} "
-        f"corrupt lines dropped), simulated {stats.executed}",
+        f"run dir {journaled.paths.run_dir}: replayed {stats.replayed} "
+        f"journaled verdicts ({stats.provisional} provisional, "
+        f"{stats.dropped} corrupt lines dropped), simulated "
+        f"{stats.executed}",
         file=sys.stderr,
     )
+    return journaled.result
 
 
-def _run_suite_campaign_cli(args: argparse.Namespace, machine) -> int:
-    """Run a W/Wp/HSI suite campaign for ``repro campaign --suite ...``.
+def _suite_campaign(args: argparse.Namespace, machine):
+    """A W/Wp/HSI suite campaign for ``repro campaign --suite ...``.
 
     The suite is lowered to one flat reset-separated input sequence
     over the reset harness, so it rides the exact same executor paths
@@ -324,6 +349,7 @@ def _run_suite_campaign_cli(args: argparse.Namespace, machine) -> int:
     """
     from .core import suite_completeness_report
     from .faults import run_campaign
+    from .runtime import run_campaign_resumable
     from .tour import FaultDomain, SuiteError, generate_suite
 
     try:
@@ -334,54 +360,23 @@ def _run_suite_campaign_cli(args: argparse.Namespace, machine) -> int:
         ex = suite.executable(machine)
     except SuiteError as exc:
         print(f"cannot generate {args.suite} suite: {exc}", file=sys.stderr)
-        return 2
+        return None, (), {}
     report = suite_completeness_report(machine, args.suite, suite.m)
-    if args.run_dir:
-        from .runtime import RunDirError, run_campaign_resumable
-
-        try:
-            run = run_campaign_resumable(
-                ex.machine, ex.inputs,
-                faults=list(ex.faults),
-                run_dir=args.run_dir,
-                resume=args.resume,
-                jobs=args.jobs,
-                timeout=args.timeout,
-                retries=args.retries,
-                kernel=args.kernel,
-                lanes=args.lanes,
-                slice_size=args.journal_slice,
-            )
-        except RunDirError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        result = run.result
-        _report_resume(run.stats, run.paths)
-    else:
-        result = run_campaign(
-            ex.machine, ex.inputs,
-            faults=list(ex.faults),
-            jobs=args.jobs,
-            timeout=args.timeout,
-            retries=args.retries,
-            kernel=args.kernel,
-            lanes=args.lanes,
-        )
-    if args.json:
-        payload = result.to_json_dict()
-        payload["suite"] = suite.to_json_dict()
-        payload["completeness"] = report.to_json_dict()
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"model: {machine}")
-        print(
-            f"{args.suite} suite (m={suite.m}): "
-            f"{suite.num_sequences} sequences, "
-            f"{suite.total_steps} steps, jobs={args.jobs}"
-        )
-        print(report.explain())
-        print(result)
-    return _campaign_exit(result.coverage == 1.0, result.degraded)
+    result = _campaign_result(
+        args, run_campaign, run_campaign_resumable,
+        ex.machine, ex.inputs, faults=list(ex.faults),
+    )
+    header = (
+        f"model: {machine}",
+        f"{args.suite} suite (m={suite.m}): {suite.num_sequences} "
+        f"sequences, {suite.total_steps} steps, jobs={args.jobs}",
+        report.explain(),
+    )
+    extra = {
+        "suite": suite.to_json_dict(),
+        "completeness": report.to_json_dict(),
+    }
+    return result, header, extra
 
 
 def _parse_lanes(value) -> "int | None":
@@ -398,134 +393,107 @@ def _parse_lanes(value) -> "int | None":
     return lanes
 
 
-def cmd_campaign(args: argparse.Namespace) -> int:
-    if args.resume and not args.run_dir:
-        print("--resume requires --run-dir", file=sys.stderr)
-        return 2
+def _lanes_arg(args: argparse.Namespace) -> bool:
+    """Normalize ``args.lanes`` in place with :func:`_parse_lanes`;
+    False, after a usage message on stderr, for a bad value."""
     try:
         args.lanes = _parse_lanes(args.lanes)
     except ValueError as exc:
         print(f"bad --lanes value: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _chaos_arg(args: argparse.Namespace, parse) -> bool:
+    """Replace ``args.chaos`` by its plan, ``parse(spec)`` (None when
+    absent); False, after a usage message on stderr, for a bad spec.
+    Each command brings its own grammar: executor tasks or shards."""
+    try:
+        args.chaos = parse(args.chaos) if args.chaos else None
+    except ValueError as exc:
+        print(f"bad --chaos spec: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def cmd_campaign(args: argparse.Namespace) -> int:
+    if args.resume and not args.run_dir:
+        print("--resume requires --run-dir", file=sys.stderr)
         return 2
-    chaos_plan = None
-    if args.chaos:
-        from .runtime import parse_plan
+    from .runtime import chaos_scope, parse_plan
 
-        try:
-            chaos_plan = parse_plan(args.chaos)
-        except ValueError as exc:
-            print(f"bad --chaos spec: {exc}", file=sys.stderr)
-            return 2
-    from .runtime import RunDirError, chaos_scope
-
-    if args.target == "dlx":
-        if args.suite != "tour":
-            print(
-                "--suite w/wp/hsi needs an explicit Mealy specification; "
-                "the dlx target replays directed programs, so only "
-                "--suite tour applies",
-                file=sys.stderr,
-            )
-            return 2
-        from .dlx.programs import DIRECTED_PROGRAMS
-        from .validation import run_bug_campaign
-
-        tests = [(list(p), None, None) for p in DIRECTED_PROGRAMS.values()]
-        test_name = f"directed programs (jobs={args.jobs})"
-        with _observability(args), chaos_scope(chaos_plan):
-            if args.run_dir:
-                from .runtime import run_bug_campaign_resumable
-
-                try:
-                    run = run_bug_campaign_resumable(
-                        tests,
-                        test_name=test_name,
-                        run_dir=args.run_dir,
-                        resume=args.resume,
-                        jobs=args.jobs,
-                        timeout=args.timeout,
-                        retries=args.retries,
-                        kernel=args.kernel,
-                        lanes=args.lanes,
-                        slice_size=args.journal_slice,
-                    )
-                except RunDirError as exc:
-                    print(exc, file=sys.stderr)
-                    return 2
-                campaign = run.result
-                _report_resume(run.stats, run.paths)
-            else:
-                campaign = run_bug_campaign(
-                    tests,
-                    test_name=test_name,
-                    jobs=args.jobs,
-                    timeout=args.timeout,
-                    retries=args.retries,
-                    kernel=args.kernel,
-                    lanes=args.lanes,
-                )
-            if args.json:
-                print(json.dumps(campaign.to_json_dict(), indent=2,
-                                 sort_keys=True))
-            else:
-                print(campaign)
-        return _campaign_exit(campaign.coverage == 1.0, campaign.degraded)
-    from .faults import run_campaign
-    from .tour import transition_tour
-
-    builder = CANONICAL_MODELS.get(args.target)
-    if builder is None:
+    if not (_lanes_arg(args) and _chaos_arg(args, parse_plan)):
+        return 2
+    if args.target == "dlx" and args.suite != "tour":
+        print(
+            "--suite w/wp/hsi needs an explicit Mealy specification; "
+            "the dlx target replays directed programs, so only "
+            "--suite tour applies",
+            file=sys.stderr,
+        )
+        return 2
+    if args.target != "dlx" and args.target not in CANONICAL_MODELS:
         print(
             f"unknown campaign target {args.target!r}; choose 'dlx' or one "
             f"of {', '.join(sorted(CANONICAL_MODELS))}",
             file=sys.stderr,
         )
         return 2
-    with _observability(args), chaos_scope(chaos_plan):
-        machine = builder()
-        if args.suite != "tour":
-            return _run_suite_campaign_cli(args, machine)
-        tour = transition_tour(machine, method=args.method)
-        if args.run_dir:
-            from .runtime import run_campaign_resumable
-
-            try:
-                run = run_campaign_resumable(
-                    machine, tour.inputs,
-                    run_dir=args.run_dir,
-                    resume=args.resume,
-                    jobs=args.jobs,
-                    timeout=args.timeout,
-                    retries=args.retries,
-                    kernel=args.kernel,
-                    lanes=args.lanes,
-                    slice_size=args.journal_slice,
-                )
-            except RunDirError as exc:
-                print(exc, file=sys.stderr)
-                return 2
-            result = run.result
-            _report_resume(run.stats, run.paths)
+    # Each campaign flavour returns (result, text header lines, extra
+    # JSON keys); a None result means a usage error was reported.
+    with _observability(args), chaos_scope(args.chaos):
+        if args.target == "dlx":
+            result, header, extra = _dlx_campaign(args)
+        elif args.suite != "tour":
+            machine = CANONICAL_MODELS[args.target]()
+            result, header, extra = _suite_campaign(args, machine)
         else:
-            result = run_campaign(
-                machine, tour.inputs, jobs=args.jobs,
-                timeout=args.timeout, retries=args.retries,
-                kernel=args.kernel, lanes=args.lanes,
-            )
+            machine = CANONICAL_MODELS[args.target]()
+            result, header, extra = _tour_campaign(args, machine)
+        if result is None:
+            return 2
         if args.json:
-            print(json.dumps(result.to_json_dict(), indent=2,
-                             sort_keys=True))
+            payload = result.to_json_dict()
+            payload.update(extra)
+            print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            print(f"model: {machine}")
-            print(
-                f"{args.method} tour: {len(tour)} inputs, "
-                f"jobs={args.jobs}"
-            )
-            print(result)
-    # Like the dlx path: incomplete error coverage is a validation
-    # gap, and the exit status says so; a degraded-but-complete run
-    # gets its own status so CI can tell the difference.
+            for line in header + (str(result),):
+                print(line)
+    # Incomplete error coverage is a validation gap, and the exit
+    # status says so; a degraded-but-complete run gets its own status
+    # so CI can tell the difference.
     return _campaign_exit(result.coverage == 1.0, result.degraded)
+
+
+def _dlx_campaign(args: argparse.Namespace):
+    """The DLX bug-catalog campaign over the directed programs."""
+    from .dlx.programs import DIRECTED_PROGRAMS
+    from .runtime import run_bug_campaign_resumable
+    from .validation import run_bug_campaign
+
+    tests = [(list(p), None, None) for p in DIRECTED_PROGRAMS.values()]
+    result = _campaign_result(
+        args, run_bug_campaign, run_bug_campaign_resumable,
+        tests, test_name=f"directed programs (jobs={args.jobs})",
+    )
+    return result, (), {}
+
+
+def _tour_campaign(args: argparse.Namespace, machine):
+    """A transition-tour campaign over every single fault."""
+    from .faults import run_campaign
+    from .runtime import run_campaign_resumable
+    from .tour import transition_tour
+
+    tour = transition_tour(machine, method=args.method)
+    result = _campaign_result(
+        args, run_campaign, run_campaign_resumable, machine, tour.inputs,
+    )
+    header = (
+        f"model: {machine}",
+        f"{args.method} tour: {len(tour)} inputs, jobs={args.jobs}",
+    )
+    return result, header, {}
 
 
 def cmd_bench_suite(args: argparse.Namespace) -> int:
@@ -539,10 +507,7 @@ def cmd_bench_suite(args: argparse.Namespace) -> int:
     if args.resume and not args.run_root:
         print("--resume requires --run-root", file=sys.stderr)
         return 2
-    try:
-        args.lanes = _parse_lanes(args.lanes)
-    except ValueError as exc:
-        print(f"bad --lanes value: {exc}", file=sys.stderr)
+    if not _lanes_arg(args):
         return 2
     from .corpus import CorpusError, load_corpus
     from .corpus.suite import run_bench_suite
@@ -830,24 +795,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_shard_worker(args: argparse.Namespace) -> int:
     """Run one shard-worker loop against a campaign service."""
+    from .runtime import parse_shard_plan
     from .service import ShardWorker
 
-    chaos = None
-    if args.chaos:
-        from .runtime import parse_shard_plan
-
-        try:
-            chaos = parse_shard_plan(args.chaos)
-        except ValueError as exc:
-            print(f"bad --chaos spec: {exc}", file=sys.stderr)
-            return 2
+    if not _chaos_arg(args, parse_shard_plan):
+        return 2
     worker = ShardWorker(
         args.url,
         worker_id=args.worker_id,
         poll=args.poll,
         max_shards=args.max_shards,
         max_idle_seconds=args.max_idle,
-        chaos=chaos,
+        chaos=args.chaos,
     )
     try:
         return worker.run()
@@ -863,10 +822,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         wait_for_campaign,
     )
 
-    try:
-        lanes = _parse_lanes(args.lanes)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    if not _lanes_arg(args):
         return 2
     spec = {
         "target": args.target,
@@ -874,7 +830,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         "suite": args.suite,
         "extra_states": args.extra_states,
         "kernel": args.kernel,
-        "lanes": lanes,
+        "lanes": args.lanes,
         "timeout": args.timeout,
     }
     try:
@@ -922,6 +878,79 @@ def cmd_submit(args: argparse.Namespace) -> int:
     )
 
 
+def _add_campaign_flags(
+    parser: argparse.ArgumentParser, executor: bool = True
+) -> None:
+    """The campaign flags ``campaign``, ``bench-suite`` and ``submit``
+    share; ``executor`` adds the local-executor ones (``--jobs``,
+    ``--retries``).  ``--lanes`` stays a string here: commands
+    normalize it with :func:`_lanes_arg`."""
+    parser.add_argument(
+        "--method", choices=("cpp", "greedy"), default="cpp",
+        help="tour construction for --suite tour",
+    )
+    parser.add_argument(
+        "--suite",
+        choices=("tour",) + SUITE_METHODS,
+        default="tour",
+        help="test-set construction: 'tour' replays a transition tour "
+        "(catches all output errors, Theorem 1), 'w'/'wp'/'hsi' "
+        "generate complete suites that also catch transfer errors for "
+        "any implementation in the m-state fault domain; suites run "
+        "through a reset harness on the same executor",
+    )
+    parser.add_argument(
+        "--extra-states",
+        type=int,
+        default=0,
+        metavar="K",
+        help="widen the fault domain to m = n + K implementation "
+        "states for --suite w/wp/hsi (suite length grows with K)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="per-fault wall-clock timeout in seconds; a timed-out "
+        "mutant is recorded as detected-by-crash",
+    )
+    parser.add_argument(
+        "--kernel",
+        choices=KERNELS,
+        default="compiled",
+        help="simulation kernel: 'compiled' replays faults against "
+        "dense-table/word-parallel compilations in lane-packed "
+        "batches (width set by --lanes), 'interp' walks the machines "
+        "per fault (the differential oracle); verdicts are "
+        "byte-identical, and the kernel is part of a campaign's "
+        "identity",
+    )
+    parser.add_argument(
+        "--lanes",
+        default="auto",
+        metavar="N",
+        help="total simulation lanes per word-parallel pass (golden "
+        "lane 0 plus N-1 mutants; Python ints are arbitrary "
+        "precision, so any N >= 2 works); 'auto' picks the kernel "
+        "default of 1024.  Verdicts are byte-identical at any width",
+    )
+    if not executor:
+        return
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes (results are identical at any count)",
+    )
+    parser.add_argument(
+        "--retries",
+        type=int,
+        default=0,
+        help="per-task retry budget before a task is quarantined and "
+        "re-run on the interpreter oracle",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -961,7 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tour.add_argument(
         "--kernel",
-        choices=("interp", "compiled"),
+        choices=KERNELS,
         default="compiled",
         help="simulation kernel for --campaign (verdicts are "
         "identical; 'interp' is the differential oracle)",
@@ -989,71 +1018,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="'dlx' for the pipeline bug-catalog sweep, or one of "
         + ", ".join(sorted(CANONICAL_MODELS)),
     )
-    camp.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (results are identical at any count)",
-    )
-    camp.add_argument(
-        "--method", choices=("cpp", "greedy"), default="cpp"
-    )
-    camp.add_argument(
-        "--suite",
-        choices=("tour",) + SUITE_METHODS,
-        default="tour",
-        help="test-set construction: 'tour' replays a transition tour "
-        "(catches all output errors, Theorem 1), 'w'/'wp'/'hsi' "
-        "generate complete suites that also catch transfer errors for "
-        "any implementation in the m-state fault domain; suites run "
-        "through a reset harness on the same executor",
-    )
-    camp.add_argument(
-        "--extra-states",
-        type=int,
-        default=0,
-        metavar="K",
-        help="widen the fault domain to m = n + K implementation "
-        "states for --suite w/wp/hsi (suite length grows with K)",
-    )
-    camp.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-fault wall-clock timeout in seconds; a timed-out "
-        "mutant is recorded as detected-by-crash",
-    )
-    camp.add_argument(
-        "--kernel",
-        choices=("interp", "compiled"),
-        default="compiled",
-        help="simulation kernel: 'compiled' replays faults against "
-        "dense-table/word-parallel compilations in lane-packed "
-        "batches (width set by --lanes), 'interp' walks the machines "
-        "per fault (the differential oracle); verdicts are "
-        "byte-identical",
-    )
-    camp.add_argument(
-        "--lanes",
-        default="auto",
-        metavar="N",
-        help="total simulation lanes per word-parallel pass (golden "
-        "lane 0 plus N-1 mutants; Python ints are arbitrary "
-        "precision, so any N >= 2 works); 'auto' picks the kernel "
-        "default of 1024.  Verdicts are byte-identical at any width",
-    )
+    _add_campaign_flags(camp)
     camp.add_argument(
         "--json",
         action="store_true",
         help="print the campaign result as one JSON object "
         "(coverage, per-class breakdown, undetected fault names)",
-    )
-    camp.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="per-task retry budget before a task is quarantined and "
-        "re-run on the interpreter oracle",
     )
     camp.add_argument(
         "--run-dir",
@@ -1099,59 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
         "honouring a manifest.json when present) or the path of a "
         "manifest file",
     )
-    suite.add_argument(
-        "--suite",
-        choices=("tour",) + SUITE_METHODS,
-        default="tour",
-        help="campaign per circuit: 'tour' surveys transition-tour "
-        "error coverage (escapes are data, not failures), 'w'/'wp'/"
-        "'hsi' run the complete suites (any coverage gap fails)",
-    )
-    suite.add_argument(
-        "--method", choices=("cpp", "greedy"), default="cpp",
-        help="tour construction for --suite tour",
-    )
-    suite.add_argument(
-        "--extra-states",
-        type=int,
-        default=0,
-        metavar="K",
-        help="widen the fault domain to m = n + K implementation "
-        "states for --suite w/wp/hsi",
-    )
-    suite.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes per circuit campaign (the table is "
-        "byte-identical at any count)",
-    )
-    suite.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-fault wall-clock timeout in seconds",
-    )
-    suite.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="per-task retry budget before quarantine",
-    )
-    suite.add_argument(
-        "--kernel",
-        choices=("interp", "compiled"),
-        default="compiled",
-        help="simulation kernel (verdicts are byte-identical; the "
-        "kernel is part of the store identity)",
-    )
-    suite.add_argument(
-        "--lanes",
-        default="auto",
-        metavar="N",
-        help="total simulation lanes per word-parallel pass "
-        "('auto' picks the kernel default)",
-    )
+    _add_campaign_flags(suite)
     suite.add_argument(
         "--max-states",
         type=int,
@@ -1392,22 +1310,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="'dlx' for the pipeline bug-catalog sweep, or one of "
         + ", ".join(sorted(CANONICAL_MODELS)),
     )
-    submit.add_argument(
-        "--method", choices=("cpp", "greedy"), default="cpp"
-    )
-    submit.add_argument(
-        "--suite",
-        choices=("tour",) + SUITE_METHODS,
-        default="tour",
-    )
-    submit.add_argument(
-        "--extra-states", type=int, default=0, metavar="K"
-    )
-    submit.add_argument("--timeout", type=float, default=None)
-    submit.add_argument(
-        "--kernel", choices=("interp", "compiled"), default="compiled"
-    )
-    submit.add_argument("--lanes", default="auto", metavar="N")
+    _add_campaign_flags(submit, executor=False)
     submit.add_argument(
         "--json",
         action="store_true",

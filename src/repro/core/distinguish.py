@@ -178,11 +178,9 @@ def analyze_forall_k(
     the kernel is differentially tested against.  Reports are
     identical (same ``k``, ``residual_pairs`` and ``rounds``).
     """
-    if kernel not in ("interp", "compiled"):
-        raise ValueError(
-            f"unknown kernel {kernel!r}: expected one of "
-            f"('interp', 'compiled')"
-        )
+    from ..campaign import check_kernel
+
+    check_kernel(kernel)
     _require_complete(machine)
     if kernel == "compiled":
         from ..kernel import analyze_forall_k_kernel
@@ -341,11 +339,9 @@ def distinguishability_matrix(
     space through the dense kernel; ``"interp"`` uses the shared-table
     reference.  Matrices are identical either way.
     """
-    if kernel not in ("interp", "compiled"):
-        raise ValueError(
-            f"unknown kernel {kernel!r}: expected one of "
-            f"('interp', 'compiled')"
-        )
+    from ..campaign import check_kernel
+
+    check_kernel(kernel)
     if kernel == "compiled":
         from ..kernel import distinguishability_matrix_kernel
 

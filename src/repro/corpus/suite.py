@@ -226,16 +226,17 @@ class BenchSuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def _build_test(
-    entry: CorpusEntry,
+def build_test(
+    machine: Any,
     suite: str,
     method: str,
     extra_states: int,
-):
-    """(machine-to-run, test inputs, fault population, test summary)
-    for one circuit, or a SuiteError for machines the construction
-    does not apply to."""
-    machine = entry.machine
+) -> Tuple[Any, Tuple, List]:
+    """(machine to run, test inputs, fault population) for a transition
+    tour or a W/Wp/HSI suite of ``machine``; raises SuiteError where
+    the construction does not apply.  The campaign service resolves
+    its specs through here too, so both address a campaign by the same
+    identity."""
     if suite == "tour":
         tour = transition_tour(machine, method=method)
         return machine, tuple(tour.inputs), all_single_faults(machine)
@@ -307,9 +308,8 @@ def run_bench_suite(
     return report
 
 
-def _skip_row(
-    entry: CorpusEntry, suite: str, verdict: str, detail: str
-) -> CircuitRow:
+def _row(entry: CorpusEntry, suite: str, **fields: Any) -> CircuitRow:
+    """``entry``'s table row: its structural stats plus ``fields``."""
     stats = entry.stats
     return CircuitRow(
         name=entry.name,
@@ -318,13 +318,16 @@ def _skip_row(
         alphabet=stats.get("inputs", 0),
         transitions=stats.get("transitions", 0),
         suite=suite,
-        test_length=0,
-        faults=0,
-        detected=0,
-        escaped=0,
-        coverage=0.0,
-        verdict=verdict,
-        detail=detail,
+        **fields,
+    )
+
+
+def _skip_row(
+    entry: CorpusEntry, suite: str, verdict: str, detail: str
+) -> CircuitRow:
+    return _row(
+        entry, suite, test_length=0, faults=0, detected=0, escaped=0,
+        coverage=0.0, verdict=verdict, detail=detail,
     )
 
 
@@ -347,8 +350,8 @@ def _run_circuit(
         verdict = "error" if entry.kind == "bad" else "skipped"
         return _skip_row(entry, suite, verdict, entry.error or "")
     try:
-        run_machine, test, population = _build_test(
-            entry, suite, method, extra_states
+        run_machine, test, population = build_test(
+            entry.machine, suite, method, extra_states
         )
     except SuiteError as exc:
         return _skip_row(entry, suite, "skipped", str(exc))
@@ -375,32 +378,23 @@ def _run_circuit(
         coverage = float(stored["coverage"])
         cached = True
     else:
+        options = dict(
+            faults=list(population), jobs=jobs, timeout=timeout,
+            retries=retries, kernel=kernel, lanes=lanes,
+        )
         if run_root is not None:
             from ..runtime import run_campaign_resumable
 
             run = run_campaign_resumable(
                 run_machine, test,
-                faults=list(population),
                 run_dir=os.path.join(run_root, entry.name),
                 resume=resume,
-                jobs=jobs,
-                timeout=timeout,
-                retries=retries,
-                kernel=kernel,
-                lanes=lanes,
+                **options,
             )
             result = run.result
             executed = run.stats.executed
         else:
-            result = run_campaign(
-                run_machine, test,
-                faults=list(population),
-                jobs=jobs,
-                timeout=timeout,
-                retries=retries,
-                kernel=kernel,
-                lanes=lanes,
-            )
+            result = run_campaign(run_machine, test, **options)
             executed = result.total
         detected = len(result.detected)
         escaped = len(result.escaped)
@@ -417,14 +411,8 @@ def _run_circuit(
         escaped=escaped,
         coverage=round(coverage, 6),
     )
-    stats = entry.stats
-    return CircuitRow(
-        name=entry.name,
-        kind=entry.kind,
-        states=stats.get("states", 0),
-        alphabet=stats.get("inputs", 0),
-        transitions=stats.get("transitions", 0),
-        suite=suite,
+    return _row(
+        entry, suite,
         test_length=len(test),
         faults=len(population),
         detected=detected,

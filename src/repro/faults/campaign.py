@@ -15,10 +15,10 @@ machines the escapes are expected and diagnostic.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..campaign import Campaign, check_kernel, record_index, settle
 from ..core.errors import OutputError, TransferError
 from ..core.mealy import Input, MealyMachine
 from ..obs import (
@@ -28,7 +28,6 @@ from ..obs import (
     replay_with_telemetry,
     span,
 )
-from ..obs.events import emit_event, get_bus
 from ..core.theorems import CompletenessCertificate
 from ..parallel import (
     CampaignCache,
@@ -37,7 +36,6 @@ from ..parallel import (
     machine_fingerprint,
     parallel_map,
     parallel_map_batched,
-    run_task_inline,
 )
 from .inject import Fault, all_single_faults
 from .simulate import Detection, detect_fault, detection_latency, pad_inputs
@@ -46,13 +44,6 @@ from .simulate import Detection, detect_fault, detection_latency, pad_inputs
 class CampaignExecutionError(RuntimeError):
     """A campaign task failed (after retries) instead of returning a
     verdict; raised rather than silently mislabelling the fault."""
-
-
-#: Bounded exponential backoff for quarantined-fault oracle re-runs:
-#: up to DEGRADE_ATTEMPTS attempts, sleeping DEGRADE_BACKOFF,
-#: 2*DEGRADE_BACKOFF, ... between them.
-DEGRADE_ATTEMPTS = 3
-DEGRADE_BACKOFF = 0.02
 
 
 @dataclass(frozen=True)
@@ -173,44 +164,6 @@ def _detect_batch_task(
     return detect_faults_compiled(spec, inputs, batch)
 
 
-_KERNELS = ("interp", "compiled")
-
-
-def _check_kernel(kernel: str) -> None:
-    if kernel not in _KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}: expected one of {_KERNELS}"
-        )
-
-
-def _rerun_on_oracle(
-    spec: MealyMachine, test: Tuple[Input, ...], fault: Fault
-) -> bool:
-    """Replay one quarantined fault on the in-process interpreter.
-
-    Bounded exponential backoff absorbs transient failures (a chaos-
-    killed worker, an OOM blip); a deterministic failure -- an invalid
-    fault, an undefined step -- exhausts the attempts and raises with
-    the same message the direct interpreter path produces, because
-    the re-run goes through :func:`run_task_inline` and therefore the
-    identical executor frames.
-    """
-    delay = DEGRADE_BACKOFF
-    error: Optional[str] = None
-    for attempt in range(DEGRADE_ATTEMPTS):
-        if attempt:
-            time.sleep(delay)
-            delay *= 2
-            get_registry().counter("runtime.degrade_retries_total").inc()
-        outcome = run_task_inline(_detect_task, (spec, test), fault)
-        if outcome.ok:
-            return bool(outcome.value)
-        error = outcome.error
-    raise CampaignExecutionError(
-        f"fault {fault} failed to simulate: {error}"
-    )
-
-
 def sweep_verdicts(
     spec: MealyMachine,
     test: Tuple[Input, ...],
@@ -224,23 +177,21 @@ def sweep_verdicts(
 ) -> List[FaultVerdict]:
     """One :class:`FaultVerdict` per fault, in submission order.
 
-    The execution core shared by :func:`run_campaign` and the
-    journaled runtime (:mod:`repro.runtime.runner`).  A task that
-    fails -- a poisoned compiled kernel, a worker crash the pool
-    fallback could not hide, an exception that survived ``retries``
-    -- does not abort the sweep: the affected faults are quarantined
-    and re-run on the interpreter oracle (with bounded exponential
-    backoff), their verdicts are marked ``degraded``, and a
-    degradation event lands in the ``runtime.*`` metrics namespace.
-    Only a fault the oracle itself cannot simulate raises
-    :class:`CampaignExecutionError`.
+    The FSM sweep every campaign driver fills its verdict slots from
+    (through :class:`FsmKind`).  A task that fails -- a poisoned
+    compiled kernel, a worker crash the pool fallback could not hide,
+    an exception that survived ``retries`` -- does not abort the
+    sweep: the affected faults are quarantined and re-run on the
+    interpreter oracle (see :func:`repro.campaign.settle`), and their
+    verdicts are marked ``degraded``.  Only a fault the oracle itself
+    cannot simulate raises :class:`CampaignExecutionError`.
 
     ``lanes`` sizes the compiled kernel's fault batches (the lane-
     packed Mealy kernel adjudicates one batch against the precomputed
     spec trajectory); ``None``/``"auto"`` selects the kernel default.
     Verdicts are byte-identical at any width.
     """
-    _check_kernel(kernel)
+    check_kernel(kernel)
     faults = list(faults)
     if not faults:
         return []
@@ -261,53 +212,155 @@ def sweep_verdicts(
     wall = get_registry().histogram(
         "campaign.fault_wall_seconds", buckets=SECONDS_BUCKETS
     )
-    verdicts: List[Optional[FaultVerdict]] = [None] * len(faults)
-    quarantined: List[int] = []
-    for i, outcome in enumerate(outcomes):
-        error, value = outcome.error, outcome.value
-        if error is None and not outcome.timed_out and kernel == "compiled":
-            tag, payload = value
-            if tag == "err":
-                error = payload
-            else:
-                value = payload
-        if error is not None:
-            quarantined.append(i)
-            continue
-        wall.observe(outcome.elapsed)
-        if outcome.timed_out:
-            verdicts[i] = FaultVerdict(detected=True, timed_out=True)
-        else:
-            verdicts[i] = FaultVerdict(detected=bool(value))
-    if quarantined:
+    verdicts = settle(
+        outcomes, faults,
+        batched=kernel == "compiled",
+        make=lambda value, degraded: FaultVerdict(
+            detected=bool(value), degraded=degraded
+        ),
+        timed_out=lambda: FaultVerdict(detected=True, timed_out=True),
+        oracle=_detect_task,
+        shared=(spec, test),
+        describe=lambda fault: {"fault": repr(fault)},
+        failure=lambda fault, error: CampaignExecutionError(
+            f"fault {fault} failed to simulate: {error}"
+        ),
+    )
+    for outcome, verdict in zip(outcomes, verdicts):
+        if not verdict.degraded:
+            wall.observe(outcome.elapsed)
+    return verdicts
+
+
+#: Faults whose latency we aggregate, by class label.
+_FAULT_CLASSES = ((OutputError, "output"), (TransferError, "transfer"))
+
+
+class FsmKind:
+    """The single faults of a Mealy specification as a campaign fault
+    domain: slot ``i`` holds the :class:`FaultVerdict` of ``faults[i]``
+    under the test ``test`` (see :class:`repro.campaign.Campaign`)."""
+
+    name = "fsm"
+
+    def __init__(
+        self,
+        spec: MealyMachine,
+        test: Sequence[Input],
+        faults: Sequence[Fault],
+    ) -> None:
+        self.spec = spec
+        self.test = tuple(test)
+        self.faults = tuple(faults)
+        self.total = len(self.faults)
+
+    def sweep(self, indices: List[int], **options: Any) -> List[FaultVerdict]:
+        return sweep_verdicts(
+            self.spec, self.test, [self.faults[i] for i in indices],
+            **options,
+        )
+
+    def record(self, index: int, verdict: FaultVerdict) -> Dict[str, Any]:
+        return {
+            "i": index,
+            "detected": verdict.detected,
+            "timed_out": verdict.timed_out,
+            "degraded": verdict.degraded,
+        }
+
+    def parse(self, record: Any) -> Optional[Tuple[int, FaultVerdict]]:
+        index = record_index(record, self.total)
+        if index is None:
+            return None
+        return index, FaultVerdict(
+            detected=bool(record.get("detected")),
+            timed_out=bool(record.get("timed_out")),
+            degraded=bool(record.get("degraded")),
+        )
+
+    def cache_keys(self) -> List[Tuple]:
+        mfp = machine_fingerprint(self.spec)
+        tfp = inputs_fingerprint(self.test)
+        return [("fsm", mfp, tfp, fault) for fault in self.faults]
+
+    def result(self, slots: Sequence[FaultVerdict]) -> CampaignResult:
+        return CampaignResult(
+            machine_name=self.spec.name,
+            test_length=len(self.test),
+            detected=tuple(
+                f for f, v in zip(self.faults, slots) if v.detected
+            ),
+            escaped=tuple(
+                f for f, v in zip(self.faults, slots) if not v.detected
+            ),
+            degraded=any(v.degraded for v in slots),
+        )
+
+    def fold(
+        self, slots: Sequence[FaultVerdict], result: CampaignResult
+    ) -> None:
+        """Fold a finished campaign into the metrics registry.
+
+        Runs entirely in the parent process *after* verdict assembly,
+        from data that is identical at any ``jobs`` setting -- which is
+        what keeps the coverage/latency aggregates byte-identical
+        between serial and parallel sweeps.  The extra per-detected-
+        fault latency re-simulation only happens when a live registry
+        is installed.
+        """
         reg = get_registry()
-        reg.counter("runtime.degradations_total").inc()
-        reg.counter("runtime.quarantined_tasks_total").inc(len(quarantined))
-        for i in quarantined:
-            emit_event(
-                "worker.degraded",
-                fault=repr(faults[i]),
-                action="oracle-rerun",
-            )
-            verdicts[i] = FaultVerdict(
-                detected=_rerun_on_oracle(spec, test, faults[i]),
-                degraded=True,
-            )
-    # The verdict stream: emitted in submission order from the fully
-    # assembled list, so the payload sequence is byte-identical at any
-    # jobs/kernel setting (the bus determinism contract).  The
-    # environment-dependent `degraded` flag stays out of the payload;
-    # degradation travels via worker.degraded above.
-    bus = get_bus()
-    if bus.enabled:
-        for fault, verdict in zip(faults, verdicts):
-            bus.emit(
-                "fault.verdict",
-                fault=repr(fault),
-                detected=verdict.detected,
-                timed_out=verdict.timed_out,
-            )
-    return verdicts  # type: ignore[return-value] - all slots filled
+        if not reg.enabled:
+            return
+        spec, test = self.spec, self.test
+        for cls, label in _FAULT_CLASSES:
+            det = sum(1 for f in result.detected if isinstance(f, cls))
+            esc = sum(1 for f in result.escaped if isinstance(f, cls))
+            reg.counter("campaign.faults_detected", cls=label).inc(det)
+            reg.counter("campaign.faults_escaped", cls=label).inc(esc)
+        reg.gauge("campaign.coverage", machine=spec.name).set(
+            round(result.coverage, 6)
+        )
+        reg.gauge("campaign.test_length", machine=spec.name).set(len(test))
+        timeouts = sum(1 for v in slots if v.timed_out)
+        if timeouts:
+            reg.counter("campaign.timeouts_total").inc(timeouts)
+        # Detection latency (excitation -> divergence, in steps): the
+        # empirical Requirement 2 k-bound.  Timed-out verdicts have no
+        # meaningful latency and are skipped.
+        latencies = {label: [] for _cls, label in _FAULT_CLASSES}
+        for fault, verdict in zip(self.faults, slots):
+            if not verdict.detected or verdict.timed_out:
+                continue
+            latency = detection_latency(spec, fault, test)
+            if latency is None:
+                continue
+            for cls, label in _FAULT_CLASSES:
+                if isinstance(fault, cls):
+                    latencies[label].append(latency)
+                    break
+        record_detection_latencies(latencies, registry=reg)
+        # Per-transition visit counts and first-visit steps of the test
+        # set itself (the coverage side of the coverage-vs-error
+        # relation).
+        replay_with_telemetry(
+            spec,
+            test,
+            snapshot_every=max(1, len(test) // 10) if test else 0,
+            registry=reg,
+        )
+
+    def started(self) -> Dict[str, Any]:
+        return {
+            **self.title(),
+            "faults": self.total,
+            "test_length": len(self.test),
+        }
+
+    def title(self) -> Dict[str, Any]:
+        return {"machine": self.spec.name}
+
+    def describe(self, index: int) -> Dict[str, Any]:
+        return {"fault": repr(self.faults[index])}
 
 
 def run_campaign(
@@ -345,132 +398,22 @@ def run_campaign(
     degradation -- see :func:`sweep_verdicts`); the result's
     ``degraded`` flag records that it happened.
     """
-    _check_kernel(kernel)
+    check_kernel(kernel)
     population = (
         all_single_faults(spec) if faults is None else list(faults)
     )
-    test = tuple(inputs)
-    verdicts: List[Optional[bool]] = [None] * len(population)
-    keys: List[Optional[Tuple]] = [None] * len(population)
-    timed_out: set = set()
+    campaign = Campaign(FsmKind(spec, inputs, population))
     with span(
         "campaign.run",
         machine=spec.name,
         faults=len(population),
-        test_length=len(test),
+        test_length=len(campaign.kind.test),
         jobs=jobs,
     ):
-        emit_event(
-            "campaign.started",
-            machine=spec.name,
-            faults=len(population),
-            test_length=len(test),
+        return campaign.run(
+            cache, jobs=jobs, timeout=timeout, retries=retries,
+            kernel=kernel, lanes=lanes,
         )
-        if cache is not None:
-            mfp = machine_fingerprint(spec)
-            tfp = inputs_fingerprint(test)
-            for i, fault in enumerate(population):
-                keys[i] = ("fsm", mfp, tfp, fault)
-                hit = cache.lookup(keys[i])
-                if hit is not CampaignCache.MISSING:
-                    verdicts[i] = hit
-        pending = [i for i, v in enumerate(verdicts) if v is None]
-        degraded = False
-        if pending:
-            swept = sweep_verdicts(
-                spec, test, [population[i] for i in pending],
-                jobs=jobs, timeout=timeout, retries=retries, kernel=kernel,
-                lanes=lanes,
-            )
-            for i, fv in zip(pending, swept):
-                verdicts[i] = fv.detected
-                if fv.timed_out:
-                    timed_out.add(i)
-                if fv.degraded:
-                    degraded = True
-                # Timeouts are environment-dependent; never memoize them.
-                if cache is not None and not fv.timed_out:
-                    cache.store(keys[i], fv.detected)
-        detected = tuple(f for f, v in zip(population, verdicts) if v)
-        escaped = tuple(f for f, v in zip(population, verdicts) if not v)
-        result = CampaignResult(
-            machine_name=spec.name,
-            test_length=len(test),
-            detected=detected,
-            escaped=escaped,
-            degraded=degraded,
-        )
-        _record_campaign_metrics(
-            spec, test, population, verdicts, timed_out, result
-        )
-        emit_event(
-            "campaign.finished",
-            machine=spec.name,
-            detected=len(detected),
-            escaped=len(escaped),
-            coverage=round(result.coverage, 6),
-        )
-    return result
-
-
-#: Faults whose latency we aggregate, by class label.
-_FAULT_CLASSES = ((OutputError, "output"), (TransferError, "transfer"))
-
-
-def _record_campaign_metrics(
-    spec: MealyMachine,
-    test: Tuple[Input, ...],
-    population: Sequence[Fault],
-    verdicts: Sequence[Optional[bool]],
-    timed_out: set,
-    result: CampaignResult,
-) -> None:
-    """Fold a finished campaign into the metrics registry.
-
-    Runs entirely in the parent process *after* verdict assembly, from
-    data that is identical at any ``jobs`` setting -- which is what
-    keeps the coverage/latency aggregates byte-identical between
-    serial and parallel sweeps.  The extra per-detected-fault latency
-    re-simulation only happens when a live registry is installed.
-    """
-    reg = get_registry()
-    if not reg.enabled:
-        return
-    machine = spec.name
-    for cls, label in _FAULT_CLASSES:
-        det = sum(1 for f in result.detected if isinstance(f, cls))
-        esc = sum(1 for f in result.escaped if isinstance(f, cls))
-        reg.counter("campaign.faults_detected", cls=label).inc(det)
-        reg.counter("campaign.faults_escaped", cls=label).inc(esc)
-    reg.gauge("campaign.coverage", machine=machine).set(
-        round(result.coverage, 6)
-    )
-    reg.gauge("campaign.test_length", machine=machine).set(len(test))
-    if timed_out:
-        reg.counter("campaign.timeouts_total").inc(len(timed_out))
-    # Detection latency (excitation -> divergence, in steps): the
-    # empirical Requirement 2 k-bound.  Timed-out verdicts have no
-    # meaningful latency and are skipped.
-    latencies = {label: [] for _cls, label in _FAULT_CLASSES}
-    for i, (fault, verdict) in enumerate(zip(population, verdicts)):
-        if not verdict or i in timed_out:
-            continue
-        latency = detection_latency(spec, fault, test)
-        if latency is None:
-            continue
-        for cls, label in _FAULT_CLASSES:
-            if isinstance(fault, cls):
-                latencies[label].append(latency)
-                break
-    record_detection_latencies(latencies, registry=reg)
-    # Per-transition visit counts and first-visit steps of the test
-    # set itself (the coverage side of the coverage-vs-error relation).
-    replay_with_telemetry(
-        spec,
-        test,
-        snapshot_every=max(1, len(test) // 10) if test else 0,
-        registry=reg,
-    )
 
 
 def run_suite_campaign(

@@ -212,6 +212,19 @@ class MetricsRegistry:
             )
         return metric
 
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold ``other`` into this registry: counters and histograms
+        add up, gauges take ``other``'s value."""
+        for key, counter in other._counters.items():
+            self.counter(key).inc(counter.value)
+        for key, gauge in other._gauges.items():
+            self.gauge(key).set(gauge.value)
+        for key, hist in other._histograms.items():
+            mine = self.histogram(key, hist.boundaries)
+            mine.counts = [a + b for a, b in zip(mine.counts, hist.counts)]
+            mine.count += hist.count
+            mine.total += hist.total
+
     def dump(self) -> Dict[str, Dict[str, Any]]:
         """The full registry as a deterministic (sorted) plain dict."""
         return {
@@ -268,6 +281,9 @@ class NullRegistry(MetricsRegistry):
         **labels: Any,
     ) -> Any:
         return NULL_METRIC
+
+    def merge(self, other: MetricsRegistry) -> None:
+        pass
 
 
 NULL_REGISTRY = NullRegistry()

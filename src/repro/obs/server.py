@@ -96,17 +96,21 @@ def registry_metrics_provider() -> MetricsProvider:
     return provide
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-status/1"
+class JsonHandler(BaseHTTPRequestHandler):
+    """The hardened request-handler base of both HTTP surfaces (this
+    status server and :mod:`repro.service.server`).
+
+    A per-connection socket timeout, no per-request stderr logging,
+    socket timeouts and client resets treated as a normal end of
+    conversation, and responses capped at :data:`MAX_RESPONSE_BYTES`
+    and written in a single send -- status line, headers and body
+    together, so a client's first ``recv()`` sees the whole of a small
+    response.
+    """
 
     #: Per-connection socket timeout (socketserver applies it in
     #: ``setup()``): a stalled client cannot wedge its handler thread.
     timeout = SOCKET_TIMEOUT
-
-    # Set per-server via the factory in StatusServer.__init__.
-    status_provider: StatusProvider
-    metrics_provider: MetricsProvider
-    events_provider: EventsProvider
 
     def log_message(self, *_args: Any) -> None:
         """Silence per-request stderr logging."""
@@ -119,7 +123,13 @@ class _Handler(BaseHTTPRequestHandler):
         except (TimeoutError, OSError):
             self.close_connection = True
 
-    def _send(self, code: int, content_type: str, body: str) -> None:
+    def _send(
+        self,
+        code: int,
+        body: str,
+        content_type: str = "application/json",
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
         data = body.encode("utf-8")
         if len(data) > MAX_RESPONSE_BYTES:
             # Refuse runaway payloads instead of feeding megabytes to
@@ -131,89 +141,87 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        # end_headers() would write the head on its own; append the
+        # blank line and the body to the buffered head instead.
+        self._headers_buffer.append(b"\r\n" + data)
+        self.flush_headers()
+
+    def _send_metrics(self, dump: Dict[str, Any]) -> None:
+        """A metrics dump as Prometheus text exposition."""
+        self._send(
+            200, render_prometheus(dump),
+            "text/plain; version=0.0.4; charset=utf-8",
+        )
+
+    def _send_json(
+        self,
+        code: int,
+        payload: Any,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        self._send(
+            code, json.dumps(payload, sort_keys=True) + "\n",
+            headers=headers,
+        )
+
+
+class _Handler(JsonHandler):
+    server_version = "repro-status/1"
+
+    # Set per-server via the factory in StatusServer.__init__.
+    status_provider: StatusProvider
+    metrics_provider: MetricsProvider
+    events_provider: EventsProvider
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         url = urlparse(self.path)
         try:
             if url.path == "/status":
-                self._send(
-                    200,
-                    "application/json",
-                    json.dumps(
-                        type(self).status_provider(), sort_keys=True
-                    ) + "\n",
-                )
+                self._send_json(200, type(self).status_provider())
             elif url.path == "/metrics":
-                self._send(
-                    200,
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    render_prometheus(type(self).metrics_provider()),
-                )
+                self._send_metrics(type(self).metrics_provider())
             elif url.path == "/events":
                 query = parse_qs(url.query)
                 try:
                     since = int(query.get("since", ["0"])[0])
                 except ValueError:
-                    self._send(
-                        400,
-                        "application/json",
-                        '{"error": "since must be an integer"}\n',
+                    self._send_json(
+                        400, {"error": "since must be an integer"}
                     )
                     return
                 events = type(self).events_provider(since)
-                self._send(
-                    200,
-                    "application/json",
-                    json.dumps({"events": events}, sort_keys=True) + "\n",
-                )
+                self._send_json(200, {"events": events})
             elif url.path == "/":
-                self._send(
-                    200,
-                    "application/json",
-                    '{"endpoints": ["/status", "/metrics", "/events"]}\n',
+                self._send_json(
+                    200, {"endpoints": ["/status", "/metrics", "/events"]}
                 )
             else:
-                self._send(
-                    404,
-                    "application/json",
-                    json.dumps({"error": f"no route {url.path}"}) + "\n",
-                )
+                self._send_json(404, {"error": f"no route {url.path}"})
         except Exception as exc:  # noqa: BLE001 - report, don't die
-            self._send(
-                500,
-                "application/json",
-                json.dumps({"error": repr(exc)}) + "\n",
-            )
+            self._send_json(500, {"error": repr(exc)})
 
 
-class StatusServer:
-    """A daemon-thread HTTP status server over pluggable providers."""
+class JsonServer:
+    """A :class:`JsonHandler` subclass served from a daemon thread.
+
+    ``attrs`` bind per-server state onto a fresh subclass of
+    ``handler``; ``port=0`` binds an ephemeral port (``.url`` reports
+    the bound one).  Usable as a context manager.
+    """
+
+    thread_name = "repro-http"
 
     def __init__(
         self,
-        *,
-        status_provider: StatusProvider,
-        metrics_provider: Optional[MetricsProvider] = None,
-        events_provider: Optional[EventsProvider] = None,
+        handler: type,
+        attrs: Dict[str, Any],
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        handler = type(
-            "_BoundHandler",
-            (_Handler,),
-            {
-                "status_provider": staticmethod(status_provider),
-                "metrics_provider": staticmethod(
-                    metrics_provider or registry_metrics_provider()
-                ),
-                "events_provider": staticmethod(
-                    events_provider or (lambda since: [])
-                ),
-            },
-        )
-        self._httpd = ThreadingHTTPServer((host, port), handler)
+        bound = type(f"_Bound{handler.__name__}", (handler,), attrs)
+        self._httpd = ThreadingHTTPServer((host, port), bound)
         self._httpd.daemon_threads = True
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: Optional[threading.Thread] = None
@@ -222,10 +230,10 @@ class StatusServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def start(self) -> "StatusServer":
+    def start(self) -> "JsonServer":
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
-            name="repro-status-server",
+            name=self.thread_name,
             daemon=True,
         )
         self._thread.start()
@@ -238,11 +246,41 @@ class StatusServer:
             self._thread.join(timeout=5)
             self._thread = None
 
-    def __enter__(self) -> "StatusServer":
+    def __enter__(self) -> "JsonServer":
         return self.start()
 
     def __exit__(self, *_exc: Any) -> None:
         self.stop()
+
+
+class StatusServer(JsonServer):
+    """A daemon-thread HTTP status server over pluggable providers."""
+
+    thread_name = "repro-status-server"
+
+    def __init__(
+        self,
+        *,
+        status_provider: StatusProvider,
+        metrics_provider: Optional[MetricsProvider] = None,
+        events_provider: Optional[EventsProvider] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+    ) -> None:
+        super().__init__(
+            _Handler,
+            {
+                "status_provider": staticmethod(status_provider),
+                "metrics_provider": staticmethod(
+                    metrics_provider or registry_metrics_provider()
+                ),
+                "events_provider": staticmethod(
+                    events_provider or (lambda since: [])
+                ),
+            },
+            host,
+            port,
+        )
 
 
 def serve_campaign(

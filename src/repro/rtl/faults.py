@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from ..campaign import check_kernel
 from ..obs.events import emit_event, get_bus
 from .expr import Expr, const, substitute
 from .netlist import Netlist
@@ -165,11 +166,7 @@ def run_stuck_at_campaign(
     out to worker processes.  Verdicts are byte-identical across
     kernels, job counts, and lane widths.
     """
-    if kernel not in ("interp", "compiled"):
-        raise ValueError(
-            f"unknown kernel {kernel!r}: expected one of "
-            f"('interp', 'compiled')"
-        )
+    check_kernel(kernel)
     population = (
         all_stuck_at_faults(golden) if faults is None else list(faults)
     )

@@ -8,16 +8,17 @@ adds the three pieces the paper's methodology needs to run unattended:
 * :mod:`repro.runtime.journal` -- checksummed write-ahead journal and
   run-directory manifest (a verdict counts only once journaled).
 * :mod:`repro.runtime.runner` -- journaled, resumable campaign
-  drivers whose resumed reports are byte-identical to uninterrupted
-  runs.
+  drivers: the :class:`~repro.campaign.Campaign` core plus a journal
+  (replay, slice, append, fsync), whose resumed reports, metrics and
+  event projections are byte-identical to uninterrupted runs.
 * :mod:`repro.runtime.chaos` -- deterministic failure injection
   (worker SIGKILLs, hangs, task errors, corrupt results) used by the
   test suite to *prove* the first two under fire.
 
 Graceful kernel degradation (quarantine + interpreter-oracle re-run)
-lives with the sweep cores in :mod:`repro.faults.campaign` and
-:mod:`repro.validation.harness`; this package surfaces it through the
-``degraded`` result flags and the ``runtime.*`` metrics namespace.
+is the sweeps' shared loop, :func:`repro.campaign.settle`; this
+package surfaces it through the ``degraded`` result flags and the
+``runtime.*`` metrics namespace.
 """
 
 from .chaos import (

@@ -109,24 +109,28 @@ def parse_plan(spec: str) -> ChaosPlan:
     ``"seed=7,crash=0.1,hang=0.05,hang_seconds=2"``.  Unknown keys and
     malformed values raise ``ValueError`` with the offending part.
     """
-    kwargs: dict = {}
+    return ChaosPlan(**_spec_fields(spec, ("hang_seconds", *MODES), "chaos"))
+
+
+def _spec_fields(spec: str, keys: Tuple[str, ...], label: str) -> dict:
+    """The ``key=value`` pairs of a chaos spec: an int ``seed`` plus
+    float ``keys``; anything else raises ``ValueError``."""
+    fields: dict = {}
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
         key, sep, value = part.partition("=")
         key = key.strip()
-        if not sep or key not in (
-            "seed", "hang_seconds", *MODES
-        ):
-            raise ValueError(f"bad chaos spec part {part!r}")
+        if not sep or key not in ("seed", *keys):
+            raise ValueError(f"bad {label} spec part {part!r}")
         try:
-            kwargs[key] = int(value) if key == "seed" else float(value)
+            fields[key] = int(value) if key == "seed" else float(value)
         except ValueError:
             raise ValueError(
-                f"bad chaos spec part {part!r}: not a number"
+                f"bad {label} spec part {part!r}: not a number"
             ) from None
-    return ChaosPlan(**kwargs)
+    return fields
 
 
 #: (seed, task-key) pairs that already fired in this process.
@@ -235,22 +239,9 @@ class ShardChaosPlan:
 def parse_shard_plan(spec: str) -> ShardChaosPlan:
     """A :class:`ShardChaosPlan` from a ``--chaos`` spec string, e.g.
     ``"seed=3,kill=1.0"`` or ``"hang=0.5,hang_seconds=1"``."""
-    kwargs: dict = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in ("seed", "kill", "hang", "hang_seconds"):
-            raise ValueError(f"bad shard chaos spec part {part!r}")
-        try:
-            kwargs[key] = int(value) if key == "seed" else float(value)
-        except ValueError:
-            raise ValueError(
-                f"bad shard chaos spec part {part!r}: not a number"
-            ) from None
-    return ShardChaosPlan(**kwargs)
+    return ShardChaosPlan(
+        **_spec_fields(spec, ("kill", "hang", "hang_seconds"), "shard chaos")
+    )
 
 
 @contextmanager

@@ -126,9 +126,10 @@ class Journal:
         """Read a journal back, dropping torn/corrupt lines.
 
         A missing journal is an empty one (a run killed before its
-        first sync).  Records come back in write order; the runner's
-        index-keyed accumulation makes the *last* record per index
-        win, so a re-journaled verdict supersedes an earlier one.
+        first sync).  Records come back in write order; the campaign
+        core fills each index's slot from its first non-provisional
+        record (a timed-out verdict is provisional and re-run, so its
+        re-journaled verdict is the one that counts).
         """
         if not os.path.exists(path):
             return JournalReplay(records=(), dropped=0)

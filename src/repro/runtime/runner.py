@@ -3,29 +3,32 @@
 The plain campaign drivers (:func:`repro.faults.run_campaign`,
 :func:`repro.validation.run_bug_campaign`) hold all state in memory: a
 ``SIGKILL`` at fault 9,999 of 10,000 loses everything.  The runners
-here wrap the same verdict cores (``sweep_verdicts`` /
-``sweep_bug_verdicts``) in a run directory with a manifest and a
-checksummed write-ahead journal:
+here are the same :class:`~repro.campaign.Campaign` core plus a run
+directory with a manifest and a checksummed write-ahead journal:
 
-* A verdict **counts only once journaled** -- slices of faults are
-  swept, appended to the journal, and fsynced before the runner moves
-  on.  Killing the process at any instant loses at most one in-flight
-  slice.
+* A verdict **counts only once journaled** -- slices of pending faults
+  are swept, each filled slot is appended to the journal, and the
+  journal is fsynced before the runner moves on.  Killing the process
+  at any instant loses at most one in-flight slice.  The core emits
+  the ``fault.verdict`` events of the filled prefix after each fsynced
+  slice, so a live progress view advances mid-run.
 * **Resume replays the journal** (dropping torn/corrupt lines by
-  checksum), verifies the manifest still matches the run's identity
-  (machine/test fingerprints, fault digest, kernel, timeout), and
-  re-simulates only the missing or provisional entries.
+  checksum) into the verdict slots, verifies the manifest still
+  matches the run's identity (machine/test fingerprints, fault
+  digest, kernel, timeout), and re-simulates only the empty slots.
 * The final ``report.json`` and ``metrics.json`` are **byte-identical
   to an uninterrupted run**: verdicts are order-kept by fault index,
   timed-out verdicts are journaled as *provisional* and re-run on
   resume (wall-clock timeouts are environment facts, not properties
   of the mutant -- the same rule that keeps them out of the memo
-  cache), and the metrics dump is the deterministic subset only.
+  cache), and the metrics dump is the deterministic subset only.  The
+  event stream of a resumed run projects to the uninterrupted run's
+  too: replayed slots emit their verdicts like swept ones.
 
 Degradation (quarantined tasks re-run on the interpreter oracle) is
-inherited from the sweep cores; it changes no verdict and therefore
-no report byte, but it flips the result's ``degraded`` flag, which
-the CLI turns into exit status 3.
+inherited from the sweeps; it changes no verdict and therefore no
+report byte, but it flips the result's ``degraded`` flag, which the
+CLI turns into exit status 3.
 """
 
 from __future__ import annotations
@@ -33,30 +36,21 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..campaign import Campaign, check_kernel
 from ..dlx.buggy import BUG_CATALOG, BugEntry
-from ..faults.campaign import (
-    CampaignResult,
-    FaultVerdict,
-    _check_kernel,
-    _record_campaign_metrics,
-    sweep_verdicts,
-)
+# sweep_verdicts stays importable here: perfbench/layers.py wraps it.
+from ..faults.campaign import FsmKind, sweep_verdicts  # noqa: F401
 from ..faults.inject import Fault, all_single_faults
-from ..obs import scoped_registry, span
+from ..obs import span
 from ..obs.events import emit_event
 from ..parallel import (
     battery_fingerprint,
     inputs_fingerprint,
     machine_fingerprint,
 )
-from ..validation.harness import (
-    _record_bug_campaign_metrics,
-    expected_stream,
-    sweep_bug_verdicts,
-)
-from ..validation.report import BugCampaignResult, BugCampaignRow
+from ..validation.harness import DlxKind, ReplayedMismatch  # noqa: F401
 from .journal import (
     JOURNAL_NAME,
     MANIFEST_NAME,
@@ -162,14 +156,15 @@ def run_paths(run_dir: str) -> RunPaths:
     )
 
 
-def _prepare_run_dir(
+def prepare_run_dir(
     paths: RunPaths,
     identity: Dict[str, Any],
     settings: Dict[str, Any],
     resume: bool,
 ) -> JournalReplay:
-    """Initialize (fresh) or verify (resume) a run directory; returns
-    the journal replay (empty for a fresh run)."""
+    """Initialize (fresh) or verify (resume) a run directory -- a
+    local run's or a service campaign's spool; returns the journal
+    replay (empty for a fresh run)."""
     if resume:
         manifest = read_manifest(paths.manifest)
         check_manifest(manifest, identity)
@@ -193,17 +188,14 @@ def _slices(indices: Sequence[int], size: int) -> List[List[int]]:
 
 
 def _write_outputs(
-    paths: RunPaths,
-    report: Dict[str, Any],
-    record_metrics: Callable[[], None],
+    paths: RunPaths, report: Dict[str, Any], metrics: Dict[str, Any]
 ) -> None:
-    """Write report.json and metrics.json atomically.
+    """Write metrics.json and report.json atomically.
 
-    Metrics are recorded into a *fresh scoped registry* from the fully
-    assembled verdicts and reduced to the deterministic subset, so the
-    files depend only on the verdicts -- not on worker count, not on
-    how many times the run was killed and resumed, and not on any
-    registry the caller (e.g. the CLI's ``--metrics`` flag) installed.
+    ``metrics`` is the deterministic dump of the campaign's own scoped
+    metrics fold, so the files depend only on the verdicts -- not on
+    worker count, not on how many times the run was killed and
+    resumed, and not on any registry the caller installed.
 
     Each file lands via temp file + ``os.replace``
     (:func:`~repro.runtime.journal.atomic_write_json`), so a crash
@@ -212,25 +204,83 @@ def _write_outputs(
     ``watch_snapshot`` (and anything tailing the run dir) keys on --
     when it exists, everything else does too.
     """
-    with scoped_registry() as registry:
-        record_metrics()
-        metrics = registry.deterministic_dump()
     atomic_write_json(paths.metrics, metrics)
     atomic_write_json(paths.report, report)
 
 
-# --------------------------------------------------------------------
-# FSM fault campaigns
-# --------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class CampaignRun:
-    """A finished (possibly resumed) FSM campaign run."""
+    """A finished (possibly resumed) journaled campaign run: the FSM
+    result or the DLX bug-catalog result, with its run accounting."""
 
-    result: CampaignResult
+    result: Any
     stats: ResumeStats
     paths: RunPaths
+
+
+#: The DLX runner's return type (one class serves both kinds).
+BugCampaignRun = CampaignRun
+
+
+def _run_journaled(
+    campaign: Campaign,
+    run_dir: str,
+    resume: bool,
+    slice_size: int,
+    **options: Any,
+) -> CampaignRun:
+    """Fill ``campaign`` from its run directory: replay the journal,
+    then sweep the empty slots in fsynced slices, flushing verdict
+    events after each; finish with report.json and metrics.json."""
+    paths = run_paths(run_dir)
+    settings = {
+        "jobs": options["jobs"], "retries": options["retries"],
+        "slice_size": slice_size, "lanes": options["lanes"],
+    }
+    replay = prepare_run_dir(paths, campaign.identity, settings, resume)
+    campaign.start()
+    provisional = campaign.replay(replay.records)
+    pending = campaign.pending()
+    replayed = campaign.total - len(pending)
+    if resume:
+        emit_event(
+            "run.resumed",
+            replayed=replayed,
+            provisional=provisional,
+            dropped=replay.dropped,
+            pending=len(pending),
+        )
+    campaign.flush()
+    journaled = replayed
+    with Journal(paths.journal) as journal:
+        campaign.journal = journal
+        for chunk in _slices(pending, slice_size):
+            campaign.sweep(chunk, **options)
+            campaign.flush()
+            journaled += len(chunk)
+            emit_event(
+                "journal.flushed",
+                entries=len(chunk),
+                journaled=journaled,
+                total=campaign.total,
+            )
+    campaign.journal = None
+    result = campaign.finish(
+        "scoped",
+        lambda result, metrics: _write_outputs(
+            paths, result.to_json_dict(), metrics
+        ),
+    )
+    return CampaignRun(
+        result=result,
+        stats=ResumeStats(
+            replayed=replayed,
+            provisional=provisional,
+            dropped=replay.dropped,
+            executed=len(pending),
+        ),
+        paths=paths,
+    )
 
 
 def run_campaign_resumable(
@@ -257,148 +307,24 @@ def run_campaign_resumable(
     interrupted at one lane width resumes byte-identically at any
     other).
     """
-    _check_kernel(kernel)
+    check_kernel(kernel)
     population = (
         all_single_faults(spec) if faults is None else list(faults)
     )
     test = tuple(inputs)
     identity = fsm_campaign_identity(spec, test, population, kernel, timeout)
-    settings = {
-        "jobs": jobs, "retries": retries, "slice_size": slice_size,
-        "lanes": lanes,
-    }
-    paths = run_paths(run_dir)
     with span(
         "runtime.campaign",
         machine=spec.name,
         faults=len(population),
         resume=resume,
     ):
-        replay = _prepare_run_dir(paths, identity, settings, resume)
-        emit_event(
-            "campaign.started",
-            machine=spec.name,
-            faults=len(population),
-            test_length=len(test),
+        return _run_journaled(
+            Campaign(FsmKind(spec, test, population), identity),
+            run_dir, resume, slice_size,
+            jobs=jobs, timeout=timeout, retries=retries, kernel=kernel,
+            lanes=lanes,
         )
-        verdicts: List[Optional[FaultVerdict]] = [None] * len(population)
-        provisional = 0
-        for record in replay.records:
-            index = record.get("i")
-            if not isinstance(index, int) or not 0 <= index < len(population):
-                continue
-            if record.get("timed_out"):
-                # Provisional: a wall-clock timeout says more about the
-                # machine the run died on than about the mutant.
-                provisional += 1
-                verdicts[index] = None
-                continue
-            verdicts[index] = FaultVerdict(
-                detected=bool(record.get("detected")),
-                degraded=bool(record.get("degraded")),
-            )
-        replayed = sum(1 for v in verdicts if v is not None)
-        pending = [i for i, v in enumerate(verdicts) if v is None]
-        if resume:
-            emit_event(
-                "run.resumed",
-                replayed=replayed,
-                provisional=provisional,
-                dropped=replay.dropped,
-                pending=len(pending),
-            )
-        journaled = replayed
-        with Journal(paths.journal) as journal:
-            for chunk in _slices(pending, slice_size):
-                swept = sweep_verdicts(
-                    spec, test, [population[i] for i in chunk],
-                    jobs=jobs, timeout=timeout, retries=retries,
-                    kernel=kernel, lanes=lanes,
-                )
-                for index, verdict in zip(chunk, swept):
-                    journal.append({
-                        "i": index,
-                        "detected": verdict.detected,
-                        "timed_out": verdict.timed_out,
-                        "degraded": verdict.degraded,
-                    })
-                    verdicts[index] = verdict
-                journal.sync()
-                journaled += len(chunk)
-                emit_event(
-                    "journal.flushed",
-                    entries=len(chunk),
-                    journaled=journaled,
-                    total=len(population),
-                )
-        assert all(v is not None for v in verdicts)
-        timed_out = {i for i, v in enumerate(verdicts) if v.timed_out}
-        result = CampaignResult(
-            machine_name=spec.name,
-            test_length=len(test),
-            detected=tuple(
-                f for f, v in zip(population, verdicts) if v.detected
-            ),
-            escaped=tuple(
-                f for f, v in zip(population, verdicts) if not v.detected
-            ),
-            degraded=any(v.degraded for v in verdicts),
-        )
-        _write_outputs(
-            paths,
-            result.to_json_dict(),
-            lambda: _record_campaign_metrics(
-                spec, test, population,
-                [v.detected for v in verdicts], timed_out, result,
-            ),
-        )
-        emit_event(
-            "campaign.finished",
-            machine=spec.name,
-            detected=len(result.detected),
-            escaped=len(result.escaped),
-            coverage=round(result.coverage, 6),
-        )
-    return CampaignRun(
-        result=result,
-        stats=ResumeStats(
-            replayed=replayed,
-            provisional=provisional,
-            dropped=replay.dropped,
-            executed=len(pending),
-        ),
-        paths=paths,
-    )
-
-
-# --------------------------------------------------------------------
-# DLX bug-catalog campaigns
-# --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReplayedMismatch:
-    """A mismatch reconstructed from the journal.
-
-    The report renders mismatches via ``str()`` and the metrics need
-    only ``.index``, so persisting (index, rendered text) is enough to
-    reproduce both byte-for-byte without pickling spec/impl values.
-    """
-
-    index: int
-    text: str
-
-    def __str__(self) -> str:
-        return self.text
-
-
-@dataclass(frozen=True)
-class BugCampaignRun:
-    """A finished (possibly resumed) DLX bug-catalog run."""
-
-    result: BugCampaignResult
-    stats: ResumeStats
-    paths: RunPaths
 
 
 def run_bug_campaign_resumable(
@@ -414,150 +340,26 @@ def run_bug_campaign_resumable(
     kernel: str = "compiled",
     lanes: object = None,
     slice_size: int = DEFAULT_SLICE,
-) -> BugCampaignRun:
+) -> CampaignRun:
     """:func:`repro.validation.run_bug_campaign` with a journaled run
     dir; same journal/resume semantics as the FSM runner."""
-    if kernel not in ("interp", "compiled"):
-        raise ValueError(
-            f"unknown kernel {kernel!r}: expected one of "
-            f"('interp', 'compiled')"
-        )
+    check_kernel(kernel)
     catalog = list(catalog)
     identity = dlx_campaign_identity(
         tests, catalog, test_name, kernel, timeout
     )
-    settings = {
-        "jobs": jobs, "retries": retries, "slice_size": slice_size,
-        "lanes": lanes,
-    }
-    paths = run_paths(run_dir)
     with span(
         "runtime.bugcampaign",
         test_name=test_name,
         catalog=len(catalog),
         resume=resume,
     ):
-        replay = _prepare_run_dir(paths, identity, settings, resume)
-        emit_event(
-            "campaign.started",
-            test_name=test_name,
-            catalog=len(catalog),
-            tests=len(tests),
+        return _run_journaled(
+            Campaign(DlxKind(tests, catalog, test_name), identity),
+            run_dir, resume, slice_size,
+            jobs=jobs, timeout=timeout, retries=retries, kernel=kernel,
+            lanes=lanes,
         )
-        rows: List[Optional[BugCampaignRow]] = [None] * len(catalog)
-        degraded = False
-        provisional = 0
-        for record in replay.records:
-            index = record.get("i")
-            if not isinstance(index, int) or not 0 <= index < len(catalog):
-                continue
-            entry = catalog[index]
-            if record.get("bug") != entry.name:
-                continue
-            if record.get("timed_out"):
-                provisional += 1
-                rows[index] = None
-                continue
-            text = record.get("mismatch")
-            mismatch = (
-                ReplayedMismatch(
-                    index=int(record.get("mismatch_index") or 0),
-                    text=text,
-                )
-                if isinstance(text, str)
-                else None
-            )
-            rows[index] = BugCampaignRow(
-                bug_name=entry.name,
-                mechanism=entry.mechanism,
-                detected=bool(record.get("detected")),
-                mismatch=mismatch,
-            )
-            degraded = degraded or bool(record.get("degraded"))
-        replayed = sum(1 for r in rows if r is not None)
-        pending = [i for i, r in enumerate(rows) if r is None]
-        if resume:
-            emit_event(
-                "run.resumed",
-                replayed=replayed,
-                provisional=provisional,
-                dropped=replay.dropped,
-                pending=len(pending),
-            )
-        journaled = replayed
-        prepared = tuple(
-            (
-                tuple(program),
-                tuple(sorted(data.items())) if data else None,
-                tuple(oracle) if oracle is not None else None,
-                tuple(expected_stream(list(program), data, oracle)),
-            )
-            for program, data, oracle in tests
-        )
-        with Journal(paths.journal) as journal:
-            for chunk in _slices(pending, slice_size):
-                verdicts = sweep_bug_verdicts(
-                    prepared, [catalog[i] for i in chunk],
-                    jobs=jobs, timeout=timeout, retries=retries,
-                    kernel=kernel, lanes=lanes,
-                )
-                for index, verdict in zip(chunk, verdicts):
-                    entry = catalog[index]
-                    mismatch = verdict.mismatch
-                    journal.append({
-                        "i": index,
-                        "bug": entry.name,
-                        "detected": verdict.detected,
-                        "timed_out": verdict.timed_out,
-                        "degraded": verdict.degraded,
-                        "mismatch": (
-                            str(mismatch) if mismatch is not None else None
-                        ),
-                        "mismatch_index": (
-                            mismatch.index if mismatch is not None else None
-                        ),
-                    })
-                    rows[index] = BugCampaignRow(
-                        bug_name=entry.name,
-                        mechanism=entry.mechanism,
-                        detected=verdict.detected,
-                        mismatch=mismatch,
-                    )
-                    degraded = degraded or verdict.degraded
-                journal.sync()
-                journaled += len(chunk)
-                emit_event(
-                    "journal.flushed",
-                    entries=len(chunk),
-                    journaled=journaled,
-                    total=len(catalog),
-                )
-        assert all(r is not None for r in rows)
-        result = BugCampaignResult(
-            test_name=test_name, rows=tuple(rows), degraded=degraded
-        )
-        _write_outputs(
-            paths,
-            result.to_json_dict(),
-            lambda: _record_bug_campaign_metrics(result),
-        )
-        emit_event(
-            "campaign.finished",
-            test_name=test_name,
-            detected=len(result.detected),
-            escaped=len(result.escaped),
-            coverage=round(result.coverage, 6),
-        )
-    return BugCampaignRun(
-        result=result,
-        stats=ResumeStats(
-            replayed=replayed,
-            provisional=provisional,
-            dropped=replay.dropped,
-            executed=len(pending),
-        ),
-        paths=paths,
-    )
 
 
 # --------------------------------------------------------------------

@@ -9,13 +9,16 @@ uninterrupted serial run -- the differential suite pins it.
 The pieces:
 
 * :mod:`repro.service.protocol` -- campaign specs, deterministic
-  resolution, shard simulation, journal-shaped verdict records.
-* :mod:`repro.service.coordinator` -- lease-based sharding with
-  heartbeats and expiry, slot-idempotent verdict absorption (what
-  makes at-least-once delivery safe), jittered-backoff retries,
-  quarantine-and-bisect for poisoned shards, bounded admission with
-  back-pressure, spool journaling, and the content-addressed
-  cross-run result store.
+  resolution to a fault-domain kind, and shard simulation into the
+  kind's journal records.
+* :mod:`repro.service.coordinator` -- a lease scheduler over the
+  :class:`~repro.campaign.Campaign` core: lease-based sharding with
+  heartbeats and expiry, verdict absorption into the core's
+  first-write-wins slots (what makes at-least-once delivery safe),
+  jittered-backoff retries, quarantine-and-bisect for poisoned
+  shards, bounded admission with back-pressure, spool journaling, and
+  the content-addressed cross-run result store.  The core assembles
+  the result, metrics and event stream exactly as a local run does.
 * :mod:`repro.service.store` -- campaign results keyed by manifest
   identity digest; crash-safe staged-directory publishes; identical
   resubmissions answered with zero simulations.
@@ -37,7 +40,6 @@ from .protocol import (
     DLX_TEST_NAME,
     ResolvedCampaign,
     SpecError,
-    assemble_result,
     normalize_spec,
     resolve_campaign,
     simulate_shard,
@@ -57,7 +59,6 @@ __all__ = [
     "Shard",
     "ShardWorker",
     "SpecError",
-    "assemble_result",
     "campaign_view",
     "normalize_spec",
     "request_json",

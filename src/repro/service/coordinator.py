@@ -17,14 +17,15 @@ back to pending with ``attempts + 1`` and a jittered-exponential
 thundering herd of retries never forms).  Expiry-then-reassignment
 gives *at-least-once* shard execution.
 
-**Idempotent absorption.**  At-least-once is made safe by the verdict
-records' journal identity: the coordinator fills each fault-index slot
-at most once, so a zombie worker (lease long expired) reporting late
-is deduplicated slot-by-slot, never double-counted.  Accepted records
-go straight to the campaign's spool journal (the PR-4 write-ahead
-journal, same record schema), so a coordinator crash loses nothing
-that was acknowledged: on resubmission the spool replays and only the
-missing indices are re-sharded.
+**Idempotent absorption.**  At-least-once is made safe by the
+:class:`~repro.campaign.Campaign` core's verdict slots: each
+fault-index slot is filled at most once, so a zombie worker (lease
+long expired) reporting late is deduplicated slot-by-slot, never
+double-counted.  Accepted records go straight to the campaign's spool
+journal (the run-directory write-ahead journal, same record schema),
+so a coordinator crash loses nothing that was acknowledged: on
+resubmission the spool replays into the slots and only the missing
+indices are re-sharded.
 
 **Quarantine and bisect.**  A shard that keeps dying under fresh
 leases is presumed poisoned.  After ``quarantine_after`` failed
@@ -38,12 +39,14 @@ fail the campaign rather than spin forever.
 running campaigns raises :class:`BackPressure`, which the HTTP layer
 maps to 429 + ``Retry-After``.
 
-**Finalize.**  When every slot is filled the coordinator assembles
-the result exactly as the local resumable runner would, emits the
-deterministic ``campaign.started`` / ``fault.verdict`` stream /
-``campaign.finished`` projection (byte-identical to ``--jobs 1``),
-records metrics in a scoped registry, and publishes report + metrics
-to the content-addressed :class:`~repro.service.store.ResultStore`.
+**Finalize.**  When every slot is filled the core finishes the
+campaign exactly as the local resumable runner does: it emits every
+``fault.verdict`` in fault-index order -- only now, so two concurrent
+campaigns' verdict streams never interleave -- folds the metrics into
+a scoped registry with the bus muted, and the coordinator publishes
+report + metrics to the content-addressed
+:class:`~repro.service.store.ResultStore` before ``campaign.finished``.
+The deterministic projection is byte-identical to ``--jobs 1``.
 Identical resubmissions are answered from the store with zero
 simulations.
 """
@@ -58,27 +61,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs import scoped_registry
+from ..campaign import Campaign
 from ..obs.events import emit_event
 from ..parallel.backoff import BackoffPolicy
-from ..runtime.journal import (
-    JOURNAL_NAME,
-    MANIFEST_NAME,
-    Journal,
-    RunDirError,
-    check_manifest,
-    read_manifest,
-    write_manifest,
-)
-from .protocol import (
-    ResolvedCampaign,
-    assemble_result,
-    emit_campaign_finished,
-    emit_campaign_started,
-    record_result_metrics,
-    resolve_campaign,
-    valid_record,
-)
+from ..runtime.journal import Journal, RunDirError
+from ..runtime.runner import prepare_run_dir, run_paths
+from .protocol import ResolvedCampaign, resolve_campaign
 from .store import ResultStore
 
 
@@ -111,7 +99,8 @@ class Shard:
 
 
 class _Campaign:
-    """Coordinator-internal per-campaign state."""
+    """Coordinator-internal per-campaign state: the lease schedule
+    around one :class:`~repro.campaign.Campaign` core."""
 
     def __init__(
         self,
@@ -123,10 +112,7 @@ class _Campaign:
         self.key = key
         self.resolved = resolved
         self.spool_dir = spool_dir
-        self.journal = journal
-        self.records: List[Optional[Dict[str, Any]]] = (
-            [None] * resolved.total
-        )
+        self.core = Campaign(resolved.kind, resolved.identity, journal)
         self.shards: Dict[int, Shard] = {}
         self.state = "running"  # "running" | "done" | "failed"
         self.error: Optional[str] = None
@@ -141,12 +127,6 @@ class _Campaign:
     def next_shard_id(self) -> int:
         self._next_shard_id += 1
         return self._next_shard_id
-
-    def filled(self) -> int:
-        return sum(1 for r in self.records if r is not None)
-
-    def range_filled(self, lo: int, hi: int) -> bool:
-        return all(r is not None for r in self.records[lo:hi])
 
 
 class Coordinator:
@@ -229,9 +209,7 @@ class Coordinator:
         """Close every open spool journal (shutdown path)."""
         with self._lock:
             for campaign in self._campaigns.values():
-                if campaign.journal is not None:
-                    campaign.journal.close()
-                    campaign.journal = None
+                _close_journal(campaign)
 
     # -- submission --------------------------------------------------
 
@@ -266,7 +244,7 @@ class Coordinator:
                 self.stats["store_hits"] += 1
                 emit_event(
                     "service.store.hit", campaign=key,
-                    kind=resolved.kind,
+                    kind=resolved.kind.name,
                 )
                 return self._summary(campaign)
             active = sum(
@@ -291,60 +269,44 @@ class Coordinator:
     def _admit(
         self, key: str, resolved: ResolvedCampaign, now: float
     ) -> _Campaign:
-        spool = self._spool_dir(key)
-        manifest_path = os.path.join(spool, MANIFEST_NAME)
-        journal_path = os.path.join(spool, JOURNAL_NAME)
-        replayed_records: Tuple[Dict[str, Any], ...] = ()
-        if os.path.exists(manifest_path):
-            try:
-                check_manifest(
-                    read_manifest(manifest_path), resolved.identity
-                )
-                replayed_records = Journal.replay(journal_path).records
-            except RunDirError:
-                # A foreign or corrupt spool under our key: identity
-                # is gone, so the only safe resume is from scratch.
-                shutil.rmtree(spool, ignore_errors=True)
-        elif os.path.isdir(spool):
-            shutil.rmtree(spool, ignore_errors=True)
-        os.makedirs(spool, exist_ok=True)
-        if not os.path.exists(manifest_path):
-            write_manifest(
-                manifest_path,
-                resolved.identity,
-                {
-                    "shard_size": self.shard_size,
-                    "lease_seconds": self.lease_seconds,
-                },
+        paths = run_paths(self._spool_dir(key))
+        settings = {
+            "shard_size": self.shard_size,
+            "lease_seconds": self.lease_seconds,
+        }
+        resume = os.path.exists(paths.manifest)
+        try:
+            replay = prepare_run_dir(
+                paths, resolved.identity, settings, resume
+            )
+        except RunDirError:
+            # A foreign or corrupt spool under our key: identity is
+            # gone, so the only safe resume is from scratch.
+            resume = False
+        if not resume:
+            shutil.rmtree(paths.run_dir, ignore_errors=True)
+            replay = prepare_run_dir(
+                paths, resolved.identity, settings, False
             )
         campaign = _Campaign(
-            key, resolved, spool, Journal(journal_path)
+            key, resolved, paths.run_dir, Journal(paths.journal)
         )
-        for record in replayed_records:
-            clean = valid_record(resolved, record)
-            # Timed-out verdicts are provisional across coordinator
-            # restarts, exactly as in the local runner's resume: a
-            # wall-clock timeout says more about the host that died
-            # than about the mutant.
-            if clean is None or clean["timed_out"]:
-                continue
-            if campaign.records[clean["i"]] is None:
-                campaign.records[clean["i"]] = clean
-                campaign.replayed += 1
+        # Timed-out verdicts stay provisional across coordinator
+        # restarts, exactly as in the local runner's resume.
+        campaign.core.replay(replay.records)
+        campaign.replayed = resolved.total - len(campaign.core.pending())
         self._campaigns[key] = campaign
         self._order.append(key)
         self.stats["admitted"] += 1
-        emit_campaign_started(resolved)
+        campaign.core.start()
         emit_event(
             "service.campaign.admitted",
             campaign=key,
-            kind=resolved.kind,
+            kind=resolved.kind.name,
             total=resolved.total,
             replayed=campaign.replayed,
         )
-        pending = [
-            i for i, r in enumerate(campaign.records) if r is None
-        ]
+        pending = campaign.core.pending()
         for lo, hi in _carve(pending, self.shard_size):
             shard_id = campaign.next_shard_id()
             campaign.shards[shard_id] = Shard(
@@ -461,21 +423,36 @@ class Coordinator:
             for shard in list(campaign.shards.values()):
                 if shard.state != "leased" or now < shard.deadline:
                     continue
-                self._leases.pop(shard.lease_id, None)
-                worker = shard.worker
-                shard.state = "pending"
-                shard.lease_id = None
-                shard.worker = None
-                shard.attempts += 1
-                self.stats["expired"] += 1
-                emit_event(
-                    "service.lease.expired",
-                    campaign=key,
-                    shard=shard.shard_id,
-                    attempt=shard.attempts,
-                    worker=worker,
+                self._release(
+                    campaign, shard, now, "expired",
+                    "service.lease.expired", worker=shard.worker,
                 )
-                self._retry(campaign, shard, now)
+
+    def _release(
+        self,
+        campaign: _Campaign,
+        shard: Shard,
+        now: float,
+        stat: str,
+        event: str,
+        **payload: Any,
+    ) -> None:
+        """A lease ended without a result: the shard goes back to
+        pending with one more attempt, under the retry policy."""
+        self._leases.pop(shard.lease_id, None)
+        shard.state = "pending"
+        shard.lease_id = None
+        shard.worker = None
+        shard.attempts += 1
+        self.stats[stat] += 1
+        emit_event(
+            event,
+            campaign=campaign.key,
+            shard=shard.shard_id,
+            attempt=shard.attempts,
+            **payload,
+        )
+        self._retry(campaign, shard, now)
 
     def _retry(
         self, campaign: _Campaign, shard: Shard, now: float
@@ -570,30 +547,18 @@ class Coordinator:
                     and shard.state == "leased"
                     and shard.lease_id == payload.get("lease")
                 ):
-                    self._leases.pop(shard.lease_id, None)
-                    shard.state = "pending"
-                    shard.lease_id = None
-                    shard.worker = None
-                    shard.attempts += 1
-                    self.stats["worker_errors"] += 1
-                    emit_event(
-                        "service.shard.failed",
-                        campaign=campaign.key,
-                        shard=shard.shard_id,
-                        attempt=shard.attempts,
-                        error=str(error)[:200],
+                    self._release(
+                        campaign, shard, now, "worker_errors",
+                        "service.shard.failed", error=str(error)[:200],
                     )
-                    self._retry(campaign, shard, now)
                 return {"accepted": False, "reason": "failure recorded"}
-            absorbed = self._absorb(
-                campaign, payload.get("records") or ()
-            )
+            absorbed = campaign.core.absorb(payload.get("records") or ())
+            campaign.executed += absorbed
+            self.stats["absorbed"] += absorbed
             self._sweep_completed(campaign)
             if absorbed == 0:
                 self.stats["deduplicated"] += 1
-            if not campaign.shards and campaign.filled() == (
-                campaign.resolved.total
-            ):
+            if not campaign.shards and not campaign.core.pending():
                 self._finalize(campaign)
             return {
                 "accepted": absorbed > 0,
@@ -601,30 +566,12 @@ class Coordinator:
                 "state": campaign.state,
             }
 
-    def _absorb(self, campaign: _Campaign, records: Any) -> int:
-        absorbed = 0
-        if not isinstance(records, (list, tuple)):
-            return 0
-        for record in records:
-            clean = valid_record(campaign.resolved, record)
-            if clean is None:
-                continue
-            if campaign.records[clean["i"]] is not None:
-                continue  # first write wins: the dedup invariant
-            campaign.records[clean["i"]] = clean
-            campaign.journal.append(clean)
-            absorbed += 1
-        if absorbed:
-            campaign.journal.sync()
-            campaign.executed += absorbed
-            self.stats["absorbed"] += absorbed
-        return absorbed
-
     def _sweep_completed(self, campaign: _Campaign) -> None:
         """Retire every shard whose whole range is filled -- however
         the records got there (its own lease, a zombie, a sibling)."""
         for shard in list(campaign.shards.values()):
-            if not campaign.range_filled(shard.lo, shard.hi):
+            slots = campaign.core.slots[shard.lo:shard.hi]
+            if not all(v is not None for v in slots):
                 continue
             if shard.lease_id is not None:
                 self._leases.pop(shard.lease_id, None)
@@ -645,9 +592,7 @@ class Coordinator:
             if shard.lease_id is not None:
                 self._leases.pop(shard.lease_id, None)
         campaign.shards.clear()
-        if campaign.journal is not None:
-            campaign.journal.close()
-            campaign.journal = None
+        _close_journal(campaign)
         self.stats["failed"] += 1
         emit_event(
             "service.campaign.failed",
@@ -656,35 +601,21 @@ class Coordinator:
         )
 
     def _finalize(self, campaign: _Campaign) -> None:
-        from ..obs.events import NULL_BUS, install_bus
+        def publish(result: Any, metrics: Dict[str, Any]) -> None:
+            campaign.report = result.to_json_dict()
+            campaign.metrics = metrics
+            self.store.put(
+                campaign.key, campaign.resolved.identity,
+                campaign.report, metrics,
+            )
 
-        resolved = campaign.resolved
-        result = assemble_result(resolved, campaign.records)
-        report = result.to_json_dict()
-        with scoped_registry() as registry:
-            # The recorder's telemetry replay emits coverage.snapshot
-            # events; a plain serial campaign (no registry) does not.
-            # Mute the bus so the service's deterministic projection
-            # stays byte-identical to the `--jobs 1` reference.
-            previous_bus = install_bus(NULL_BUS)
-            try:
-                record_result_metrics(
-                    resolved, campaign.records, result
-                )
-            finally:
-                install_bus(previous_bus)
-            metrics = registry.deterministic_dump()
-        emit_campaign_finished(resolved, campaign.records, result)
-        self.store.put(
-            campaign.key, resolved.identity, report, metrics
-        )
-        campaign.report = report
-        campaign.metrics = metrics
-        campaign.degraded = bool(getattr(result, "degraded", False))
+        # A "detached" fold: the metrics belong to the store entry, and
+        # the telemetry replay's coverage.snapshot events stay off the
+        # bus, so the projection matches a registry-less `--jobs 1` run.
+        result = campaign.core.finish("detached", publish)
+        campaign.degraded = result.degraded
         campaign.state = "done"
-        if campaign.journal is not None:
-            campaign.journal.close()
-            campaign.journal = None
+        _close_journal(campaign)
         if campaign.spool_dir is not None:
             # The result is published; the spool has nothing left to
             # protect.
@@ -710,11 +641,12 @@ class Coordinator:
         report = campaign.report if done else None
         return {
             "campaign": campaign.key,
-            "kind": campaign.resolved.kind,
+            "kind": campaign.resolved.kind.name,
             "state": campaign.state,
             "total": campaign.resolved.total,
             "filled": (
-                campaign.resolved.total if done else campaign.filled()
+                campaign.resolved.total if done
+                else campaign.resolved.total - len(campaign.core.pending())
             ),
             "executed": campaign.executed,
             "replayed": campaign.replayed,
@@ -766,6 +698,12 @@ class Coordinator:
                 "workers": leased,
                 "stats": dict(self.stats),
             }
+
+
+def _close_journal(campaign: _Campaign) -> None:
+    if campaign.core.journal is not None:
+        campaign.core.journal.close()
+        campaign.core.journal = None
 
 
 def _carve(

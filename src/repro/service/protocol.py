@@ -1,55 +1,45 @@
-"""Campaign-service protocol: specs, resolution, shards, results.
+"""Campaign-service protocol: specs, resolution, shards.
 
 The coordinator and its shard workers live in different processes on
 (potentially) different machines, so nothing big ever crosses the
 wire.  A campaign travels as a small JSON **spec** naming a canonical
 target and its settings; both sides independently resolve the spec to
-the identical machine / test set / fault population (every resolution
-step -- model construction, tour generation, suite generation, fault
-enumeration -- is deterministic), and the run's **identity** (the
-PR-4 manifest identity: model/test fingerprints, fault digest,
-kernel, timeout) doubles as the content address of its result.
+the identical fault-domain kind (:class:`~repro.faults.campaign.
+FsmKind` or :class:`~repro.validation.harness.DlxKind`) -- every
+resolution step (model construction, tour generation, suite
+generation, fault enumeration) is deterministic -- and the run's
+**identity** (the run-directory manifest identity: model/test
+fingerprints, fault digest, kernel, timeout) doubles as the content
+address of its result.
 
-Shards are index ranges ``[lo, hi)`` over the resolved fault
-population.  A worker's shard result is a list of journal-shaped
-records -- the same schema :mod:`repro.runtime.runner` journals, so
-verdicts absorbed from workers, replayed from a crashed coordinator's
-spool journal, and produced by a local ``--run-dir`` run are all the
-same bytes.  Verdict records are **idempotent by fault index**: the
-coordinator fills each slot at most once, which is what makes
+Shards are index ranges ``[lo, hi)`` over the resolved population.  A
+worker's shard result is the list of the kind's journal records -- the
+same records a local ``--run-dir`` run journals -- so verdicts
+absorbed from workers, replayed from a crashed coordinator's spool
+journal, and produced locally are all the same bytes.  The
+coordinator absorbs them into the slots of a
+:class:`~repro.campaign.Campaign` core, which fills each fault index
+at most once and drops malformed records: that is what makes
 at-least-once shard delivery (lease expiry + reassignment + zombie
-late reports) safe.
+late reports) safe, and what assembles the report, metrics and event
+stream exactly as a local run does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
-from ..faults.campaign import (
-    CampaignResult,
-    _record_campaign_metrics,
-    sweep_verdicts,
-)
-from ..obs.events import emit_event
-from ..runtime.runner import (
-    ReplayedMismatch,
-    dlx_campaign_identity,
-    fsm_campaign_identity,
-)
-from ..validation.harness import (
-    _record_bug_campaign_metrics,
-    expected_stream,
-    sweep_bug_verdicts,
-)
-from ..validation.report import BugCampaignResult, BugCampaignRow
+from ..campaign import KERNELS
+from ..faults.campaign import FsmKind
+from ..runtime.runner import dlx_campaign_identity, fsm_campaign_identity
+from ..validation.harness import DlxKind
 
 #: The service's DLX battery name.  Fixed (unlike the CLI's
 #: jobs-dependent label) so identical submissions hash identically.
 DLX_TEST_NAME = "directed-programs"
 
 _SUITES = ("tour", "w", "wp", "hsi")
-_KERNELS = ("interp", "compiled")
 _METHODS = ("cpp", "greedy")
 
 _SPEC_KEYS = (
@@ -90,8 +80,8 @@ def normalize_spec(spec: Any) -> Dict[str, Any]:
     if suite not in _SUITES:
         raise SpecError(f"suite must be one of {_SUITES}: {suite!r}")
     kernel = spec.get("kernel", "compiled")
-    if kernel not in _KERNELS:
-        raise SpecError(f"kernel must be one of {_KERNELS}: {kernel!r}")
+    if kernel not in KERNELS:
+        raise SpecError(f"kernel must be one of {KERNELS}: {kernel!r}")
     try:
         extra_states = int(spec.get("extra_states") or 0)
     except (TypeError, ValueError):
@@ -139,44 +129,22 @@ def normalize_spec(spec: Any) -> Dict[str, Any]:
 class ResolvedCampaign:
     """A spec resolved to concrete work, identically on every host.
 
-    For ``kind == "fsm"``: ``machine`` / ``inputs`` / ``faults`` are
-    the campaign triple; for ``kind == "dlx"``: ``tests`` / ``catalog``
-    (the prepared spec streams are computed lazily -- only workers
-    need them).  ``identity`` is the manifest identity whose digest is
-    the campaign's content address.
+    ``kind`` is the campaign's fault domain (an ``FsmKind`` or a
+    ``DlxKind``; ``kind.name`` says which) and ``identity`` the
+    manifest identity whose digest is the campaign's content address.
     """
 
-    kind: str
     spec: Dict[str, Any]
     identity: Dict[str, Any]
-    total: int
-    machine: Any = None
-    inputs: Tuple = ()
-    faults: Tuple = ()
-    tests: Tuple = ()
-    catalog: Tuple = ()
-    test_name: str = ""
-    _prepared: Optional[Tuple] = field(default=None, repr=False)
+    kind: Any
 
-    def prepared_tests(self) -> Tuple:
-        """The (program, data, oracle, expected-stream) quadruples
-        :func:`sweep_bug_verdicts` consumes; computed once per worker
-        process and cached."""
-        if self._prepared is None:
-            self._prepared = tuple(
-                (
-                    tuple(program),
-                    tuple(sorted(data.items())) if data else None,
-                    tuple(oracle) if oracle is not None else None,
-                    tuple(expected_stream(list(program), data, oracle)),
-                )
-                for program, data, oracle in self.tests
-            )
-        return self._prepared
+    @property
+    def total(self) -> int:
+        return self.kind.total
 
 
 def resolve_campaign(spec: Any) -> ResolvedCampaign:
-    """Resolve a spec to its machine/tests/faults and identity.
+    """Resolve a spec to its fault-domain kind and identity.
 
     Deterministic by construction; raises :class:`SpecError` for
     anything that cannot be resolved (unknown target, ungenerable
@@ -193,61 +161,40 @@ def resolve_campaign(spec: Any) -> ResolvedCampaign:
         )
         catalog = tuple(BUG_CATALOG)
         return ResolvedCampaign(
-            kind="dlx",
             spec=spec,
             identity=dlx_campaign_identity(
                 tests, catalog, DLX_TEST_NAME, kernel, timeout
             ),
-            total=len(catalog),
-            tests=tests,
-            catalog=catalog,
-            test_name=DLX_TEST_NAME,
+            kind=DlxKind(tests, catalog, DLX_TEST_NAME),
         )
-    from ..faults.inject import all_single_faults
+    from ..corpus.suite import build_test
     from ..models import build_model
+    from ..tour import SuiteError
 
     try:
         machine = build_model(spec["target"])
     except KeyError as exc:
         raise SpecError(str(exc.args[0])) from None
-    if spec["suite"] == "tour":
-        from ..tour import transition_tour
-
-        tour = transition_tour(machine, method=spec["method"])
-        inputs = tuple(tour.inputs)
-        faults = tuple(all_single_faults(machine))
-    else:
-        from ..tour import FaultDomain, SuiteError, generate_suite
-
-        try:
-            suite = generate_suite(
-                machine, spec["suite"],
-                FaultDomain(extra_states=spec["extra_states"]),
-            )
-            ex = suite.executable(machine)
-        except SuiteError as exc:
-            raise SpecError(
-                f"cannot generate {spec['suite']} suite for "
-                f"{spec['target']}: {exc}"
-            ) from None
-        machine = ex.machine
-        inputs = tuple(ex.inputs)
-        faults = tuple(ex.faults)
+    try:
+        machine, inputs, faults = build_test(
+            machine, spec["suite"], spec["method"], spec["extra_states"]
+        )
+    except SuiteError as exc:
+        raise SpecError(
+            f"cannot generate {spec['suite']} suite for "
+            f"{spec['target']}: {exc}"
+        ) from None
     return ResolvedCampaign(
-        kind="fsm",
         spec=spec,
         identity=fsm_campaign_identity(
             machine, inputs, faults, kernel, timeout
         ),
-        total=len(faults),
-        machine=machine,
-        inputs=inputs,
-        faults=faults,
+        kind=FsmKind(machine, inputs, faults),
     )
 
 
 # --------------------------------------------------------------------
-# Shard simulation (worker side) and verdict records
+# Shard simulation (worker side)
 # --------------------------------------------------------------------
 
 
@@ -268,236 +215,18 @@ def simulate_shard(
     byte-identical either way -- the oracle defines correctness.
     """
     spec = resolved.spec
-    kernel = kernel or spec["kernel"]
     if not 0 <= lo <= hi <= resolved.total:
         raise ValueError(
             f"shard [{lo}, {hi}) outside population of {resolved.total}"
         )
-    # The sweep cores emit per-verdict events; a shard's slice of that
-    # stream is lease-scheduling-dependent, and the coordinator emits
-    # the canonical full stream at finalize.  Mute the bus here so an
-    # in-process worker never double-emits.
-    from ..obs.events import NULL_BUS, install_bus
-
-    previous_bus = install_bus(NULL_BUS)
-    try:
-        return _simulate_shard(
-            resolved, lo, hi, kernel, mark_degraded
-        )
-    finally:
-        install_bus(previous_bus)
-
-
-def _simulate_shard(
-    resolved: ResolvedCampaign,
-    lo: int,
-    hi: int,
-    kernel: str,
-    mark_degraded: bool,
-) -> List[Dict[str, Any]]:
-    spec = resolved.spec
-    if resolved.kind == "fsm":
-        verdicts = sweep_verdicts(
-            resolved.machine, resolved.inputs,
-            list(resolved.faults[lo:hi]),
-            jobs=1, timeout=spec["timeout"], kernel=kernel,
-            lanes=spec["lanes"],
-        )
-        return [
-            {
-                "i": lo + offset,
-                "detected": v.detected,
-                "timed_out": v.timed_out,
-                "degraded": v.degraded or mark_degraded,
-            }
-            for offset, v in enumerate(verdicts)
-        ]
-    verdicts = sweep_bug_verdicts(
-        resolved.prepared_tests(), list(resolved.catalog[lo:hi]),
-        jobs=1, timeout=spec["timeout"], kernel=kernel,
-        lanes=spec["lanes"],
+    indices = list(range(lo, hi))
+    verdicts = resolved.kind.sweep(
+        indices, jobs=1, timeout=spec["timeout"],
+        kernel=kernel or spec["kernel"], lanes=spec["lanes"],
     )
     records = []
-    for offset, verdict in enumerate(verdicts):
-        index = lo + offset
-        mismatch = verdict.mismatch
-        records.append({
-            "i": index,
-            "bug": resolved.catalog[index].name,
-            "detected": verdict.detected,
-            "timed_out": verdict.timed_out,
-            "degraded": verdict.degraded or mark_degraded,
-            "mismatch": str(mismatch) if mismatch is not None else None,
-            "mismatch_index": (
-                mismatch.index if mismatch is not None else None
-            ),
-        })
+    for index, verdict in zip(indices, verdicts):
+        record = resolved.kind.record(index, verdict)
+        record["degraded"] = verdict.degraded or mark_degraded
+        records.append(record)
     return records
-
-
-def valid_record(
-    resolved: ResolvedCampaign, record: Any
-) -> Optional[Dict[str, Any]]:
-    """The sanitized journal form of one worker record, or None when
-    the record is malformed (bad index, wrong bug name, wrong shape) --
-    a lying worker corrupts nothing, its records are simply dropped."""
-    if not isinstance(record, dict):
-        return None
-    index = record.get("i")
-    if not isinstance(index, int) or not 0 <= index < resolved.total:
-        return None
-    clean: Dict[str, Any] = {
-        "i": index,
-        "detected": bool(record.get("detected")),
-        "timed_out": bool(record.get("timed_out")),
-        "degraded": bool(record.get("degraded")),
-    }
-    if resolved.kind == "dlx":
-        if record.get("bug") != resolved.catalog[index].name:
-            return None
-        text = record.get("mismatch")
-        clean["bug"] = resolved.catalog[index].name
-        clean["mismatch"] = text if isinstance(text, str) else None
-        clean["mismatch_index"] = (
-            int(record.get("mismatch_index") or 0)
-            if isinstance(text, str)
-            else None
-        )
-    return clean
-
-
-# --------------------------------------------------------------------
-# Result assembly (coordinator side)
-# --------------------------------------------------------------------
-
-
-def assemble_result(
-    resolved: ResolvedCampaign, records: Sequence[Dict[str, Any]]
-):
-    """The campaign result from a complete record list -- exactly the
-    reconstruction :mod:`repro.runtime.runner` performs on resume, so
-    a service-assembled report is byte-identical to a local one."""
-    assert all(r is not None for r in records), "incomplete record list"
-    if resolved.kind == "fsm":
-        return CampaignResult(
-            machine_name=resolved.machine.name,
-            test_length=len(resolved.inputs),
-            detected=tuple(
-                f for f, r in zip(resolved.faults, records)
-                if r["detected"]
-            ),
-            escaped=tuple(
-                f for f, r in zip(resolved.faults, records)
-                if not r["detected"]
-            ),
-            degraded=any(r["degraded"] for r in records),
-        )
-    rows = []
-    for entry, record in zip(resolved.catalog, records):
-        text = record.get("mismatch")
-        rows.append(BugCampaignRow(
-            bug_name=entry.name,
-            mechanism=entry.mechanism,
-            detected=record["detected"],
-            mismatch=(
-                ReplayedMismatch(
-                    index=int(record.get("mismatch_index") or 0),
-                    text=text,
-                )
-                if isinstance(text, str)
-                else None
-            ),
-        ))
-    return BugCampaignResult(
-        test_name=resolved.test_name,
-        rows=tuple(rows),
-        degraded=any(r["degraded"] for r in records),
-    )
-
-
-def record_result_metrics(
-    resolved: ResolvedCampaign,
-    records: Sequence[Dict[str, Any]],
-    result: Any,
-) -> None:
-    """Fold a finished campaign into the installed registry, from the
-    same data the local runners use -- the deterministic dump is
-    byte-identical to a ``--run-dir`` run's ``metrics.json``."""
-    if resolved.kind == "fsm":
-        _record_campaign_metrics(
-            resolved.machine,
-            resolved.inputs,
-            resolved.faults,
-            [r["detected"] for r in records],
-            {i for i, r in enumerate(records) if r["timed_out"]},
-            result,
-        )
-    else:
-        _record_bug_campaign_metrics(result)
-
-
-def emit_campaign_started(resolved: ResolvedCampaign) -> None:
-    """The deterministic ``campaign.started`` event, payload-identical
-    to the one a local serial run emits."""
-    if resolved.kind == "fsm":
-        emit_event(
-            "campaign.started",
-            machine=resolved.machine.name,
-            faults=resolved.total,
-            test_length=len(resolved.inputs),
-        )
-    else:
-        emit_event(
-            "campaign.started",
-            test_name=resolved.test_name,
-            catalog=len(resolved.catalog),
-            tests=len(resolved.tests),
-        )
-
-
-def emit_campaign_finished(
-    resolved: ResolvedCampaign,
-    records: Sequence[Dict[str, Any]],
-    result: Any,
-) -> None:
-    """The deterministic verdict stream + ``campaign.finished``.
-
-    Emitted in fault-index order from the fully assembled records, so
-    a chaos-harassed multi-worker service run projects to the same
-    byte-identical event sequence as an uninterrupted ``--jobs 1``
-    run (the bus determinism contract, extended to the service)."""
-    from ..obs.events import get_bus
-
-    bus = get_bus()
-    if bus.enabled:
-        for index, record in enumerate(records):
-            if resolved.kind == "fsm":
-                bus.emit(
-                    "fault.verdict",
-                    fault=repr(resolved.faults[index]),
-                    detected=record["detected"],
-                    timed_out=record["timed_out"],
-                )
-            else:
-                bus.emit(
-                    "fault.verdict",
-                    bug=resolved.catalog[index].name,
-                    detected=record["detected"],
-                    timed_out=record["timed_out"],
-                )
-    if resolved.kind == "fsm":
-        emit_event(
-            "campaign.finished",
-            machine=resolved.machine.name,
-            detected=len(result.detected),
-            escaped=len(result.escaped),
-            coverage=round(result.coverage, 6),
-        )
-    else:
-        emit_event(
-            "campaign.finished",
-            test_name=resolved.test_name,
-            detected=len(result.detected),
-            escaped=len(result.escaped),
-            coverage=round(result.coverage, 6),
-        )

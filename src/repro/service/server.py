@@ -2,10 +2,11 @@
 
 A thin, hardened JSON shim over :class:`~repro.service.coordinator.
 Coordinator` -- every route is one locked coordinator call, so the
-transport adds no semantics.  Built on the same stdlib
-:class:`~http.server.ThreadingHTTPServer` idiom as the status server
-and hardened the same way: per-connection socket timeouts, bounded
-request *and* response bodies, and no per-request stderr noise.
+transport adds no semantics.  Built on the status server's
+:class:`~repro.obs.server.JsonHandler` base, so it is hardened the
+same way (per-connection socket timeouts, bounded responses written
+in one send, no per-request stderr noise), plus a bounded request
+body.
 
 Routes::
 
@@ -30,12 +31,11 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 from urllib.parse import urlparse
 
-from ..obs.prom import render_prometheus
-from ..obs.server import MAX_RESPONSE_BYTES, SOCKET_TIMEOUT
+from ..obs.metrics import get_registry
+from ..obs.server import JsonHandler, JsonServer
 from .coordinator import BackPressure, Coordinator
 from .protocol import SpecError
 
@@ -45,57 +45,25 @@ from .protocol import SpecError
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
+class _ServiceHandler(JsonHandler):
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
 
-    #: Same per-connection hardening as the status server: a stalled
-    #: client times out instead of parking a handler thread forever.
-    timeout = SOCKET_TIMEOUT
-
     coordinator: Coordinator  # bound per-server by ServiceServer
 
-    def log_message(self, *_args: Any) -> None:
-        """Silence per-request stderr logging."""
-
-    def handle(self) -> None:
-        try:
-            super().handle()
-        except (TimeoutError, OSError):
-            self.close_connection = True
-
     # -- plumbing ----------------------------------------------------
-
-    def _send(
-        self,
-        code: int,
-        payload: Dict[str, Any],
-        headers: Optional[Dict[str, str]] = None,
-        content_type: str = "application/json",
-        body: Optional[str] = None,
-    ) -> None:
-        if body is None:
-            body = json.dumps(payload, sort_keys=True) + "\n"
-        data = body.encode("utf-8")
-        if len(data) > MAX_RESPONSE_BYTES:
-            data = json.dumps({
-                "error": f"response exceeds {MAX_RESPONSE_BYTES} bytes"
-            }).encode("utf-8") + b"\n"
-            code, content_type = 500, "application/json"
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
 
     def _read_json(self) -> Tuple[Optional[Any], Optional[str]]:
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            return None, "bad Content-Length"
-        if length > MAX_REQUEST_BYTES:
+            length = -1
+        if not 0 <= length <= MAX_REQUEST_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            if length < 0:
+                return None, "bad Content-Length"
             return None, (
                 f"request body exceeds {MAX_REQUEST_BYTES} bytes"
             )
@@ -113,7 +81,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         path = urlparse(self.path).path
         payload, error = self._read_json()
         if error is not None:
-            self._send(400, {"error": error})
+            self._send_json(400, {"error": error})
             return
         coordinator = type(self).coordinator
         try:
@@ -123,10 +91,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                         (payload or {}).get("spec")
                     )
                 except SpecError as exc:
-                    self._send(400, {"error": str(exc)})
+                    self._send_json(400, {"error": str(exc)})
                     return
                 except BackPressure as exc:
-                    self._send(
+                    self._send_json(
                         429,
                         {
                             "error": str(exc),
@@ -139,23 +107,23 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                         },
                     )
                     return
-                self._send(200, view)
+                self._send_json(200, view)
             elif path == "/api/lease":
                 worker = (payload or {}).get("worker") or "anonymous"
-                self._send(200, coordinator.lease(str(worker)))
+                self._send_json(200, coordinator.lease(str(worker)))
             elif path == "/api/heartbeat":
-                self._send(
+                self._send_json(
                     200,
                     coordinator.heartbeat(
                         (payload or {}).get("lease")
                     ),
                 )
             elif path == "/api/shard-result":
-                self._send(200, coordinator.report_shard(payload))
+                self._send_json(200, coordinator.report_shard(payload))
             else:
-                self._send(404, {"error": f"no route POST {path}"})
+                self._send_json(404, {"error": f"no route POST {path}"})
         except Exception as exc:  # noqa: BLE001 - report, don't die
-            self._send(500, {"error": repr(exc)})
+            self._send_json(500, {"error": repr(exc)})
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         path = urlparse(self.path).path
@@ -165,28 +133,19 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 key = path[len("/api/campaigns/"):]
                 view = coordinator.campaign_view(key)
                 if view is None:
-                    self._send(
+                    self._send_json(
                         404, {"error": f"unknown campaign {key}"}
                     )
                 else:
-                    self._send(200, view)
+                    self._send_json(200, view)
             elif path == "/status":
-                self._send(200, coordinator.status())
+                self._send_json(200, coordinator.status())
             elif path == "/metrics":
-                from ..obs.metrics import get_registry
-
-                self._send(
-                    200,
-                    {},
-                    content_type=(
-                        "text/plain; version=0.0.4; charset=utf-8"
-                    ),
-                    body=render_prometheus(get_registry().dump()),
-                )
+                self._send_metrics(get_registry().dump())
             elif path == "/healthz":
-                self._send(200, {"ok": True})
+                self._send_json(200, {"ok": True})
             elif path == "/":
-                self._send(200, {
+                self._send_json(200, {
                     "endpoints": [
                         "/api/campaigns",
                         "/api/lease",
@@ -198,18 +157,20 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                     ]
                 })
             else:
-                self._send(404, {"error": f"no route GET {path}"})
+                self._send_json(404, {"error": f"no route GET {path}"})
         except Exception as exc:  # noqa: BLE001 - report, don't die
-            self._send(500, {"error": repr(exc)})
+            self._send_json(500, {"error": repr(exc)})
 
 
-class ServiceServer:
+class ServiceServer(JsonServer):
     """The coordinator behind a threaded HTTP server plus a ticker.
 
     ``port=0`` binds an ephemeral port (``.url`` reports it); stop()
     is idempotent and also stops the ticker.  Usable as a context
     manager in tests.
     """
+
+    thread_name = "repro-service-http"
 
     def __init__(
         self,
@@ -219,25 +180,15 @@ class ServiceServer:
         port: int = 0,
         tick_interval: Optional[float] = None,
     ) -> None:
-        self.coordinator = coordinator
-        handler = type(
-            "_BoundServiceHandler",
-            (_ServiceHandler,),
-            {"coordinator": coordinator},
+        super().__init__(
+            _ServiceHandler, {"coordinator": coordinator}, host, port
         )
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self.host, self.port = self._httpd.server_address[:2]
+        self.coordinator = coordinator
         self.tick_interval = tick_interval or max(
             0.05, min(1.0, coordinator.lease_seconds / 4)
         )
-        self._thread: Optional[threading.Thread] = None
         self._ticker: Optional[threading.Thread] = None
         self._stop = threading.Event()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
 
     def _tick_loop(self) -> None:
         while not self._stop.wait(self.tick_interval):
@@ -247,12 +198,7 @@ class ServiceServer:
                 pass
 
     def start(self) -> "ServiceServer":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-service-http",
-            daemon=True,
-        )
-        self._thread.start()
+        super().start()
         self._ticker = threading.Thread(
             target=self._tick_loop,
             name="repro-service-ticker",
@@ -263,18 +209,8 @@ class ServiceServer:
 
     def stop(self) -> None:
         self._stop.set()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        super().stop()
         if self._ticker is not None:
             self._ticker.join(timeout=5)
             self._ticker = None
         self.coordinator.close()
-
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.stop()

@@ -10,17 +10,16 @@ Theorem 3 certificate for the DLX model.
 
 from __future__ import annotations
 
-import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..campaign import Campaign, check_kernel, record_index, settle
 from ..dlx.behavioral import BehavioralDLX, Checkpoint, ExecutionError
 from ..dlx.buggy import BUG_CATALOG, BugEntry
 from ..dlx.isa import Instruction
 from ..dlx.pipeline import PipelineBugs, PipelinedDLX
 from ..obs import STEP_BUCKETS, get_registry, span
-from ..obs.events import emit_event, get_bus
 from ..parallel import (
     MUTANT_BATCH,
     CampaignCache,
@@ -29,7 +28,6 @@ from ..parallel import (
     battery_fingerprint,
     parallel_map,
     parallel_map_batched,
-    run_task_inline,
 )
 from .checkpoints import compare_streams
 from .report import (
@@ -46,12 +44,6 @@ class BugCampaignError(RuntimeError):
     a verdict; raised rather than silently mislabelling the bug."""
 
 
-#: Bounded exponential backoff for quarantined catalog-entry re-runs
-#: (mirrors repro.faults.campaign's degradation policy).
-DEGRADE_ATTEMPTS = 3
-DEGRADE_BACKOFF = 0.02
-
-
 @dataclass(frozen=True)
 class BugVerdict:
     """One catalog entry's verdict plus how it was obtained (the DLX
@@ -61,6 +53,22 @@ class BugVerdict:
     mismatch: Optional[Mismatch]
     timed_out: bool = False
     degraded: bool = False
+
+
+@dataclass(frozen=True)
+class ReplayedMismatch:
+    """A mismatch reconstructed from a journal record.
+
+    The report renders mismatches via ``str()`` and the metrics need
+    only ``.index``, so persisting (index, rendered text) is enough to
+    reproduce both byte-for-byte without pickling spec/impl values.
+    """
+
+    index: int
+    text: str
+
+    def __str__(self) -> str:
+        return self.text
 
 
 def expected_stream(
@@ -81,6 +89,21 @@ def expected_stream(
             branch_oracle=branch_oracle,
         )
         return spec.run(max_steps=max(200_000, 2 * len(program)))
+
+
+def prepare_tests(tests: Sequence[Tuple]) -> Tuple[Tuple, ...]:
+    """The (program, data, oracle, expected-stream) quadruples
+    :func:`sweep_bug_verdicts` consumes: hashable, picklable, and with
+    each test's specification stream computed once."""
+    return tuple(
+        (
+            tuple(program),
+            tuple(sorted(data.items())) if data else None,
+            tuple(oracle) if oracle is not None else None,
+            tuple(expected_stream(list(program), data, oracle)),
+        )
+        for program, data, oracle in tests
+    )
 
 
 def _co_simulate(
@@ -215,33 +238,6 @@ def _bug_entry_batch_task(
     return results
 
 
-def _rerun_entry_on_oracle(
-    shared: Tuple[Tuple, ...], entry: BugEntry
-) -> Tuple[bool, Optional[Mismatch]]:
-    """Replay one quarantined catalog entry in-process.
-
-    Same policy as the FSM campaign's degradation path: bounded
-    exponential backoff for transient failures, and a deterministic
-    failure raises through :func:`run_task_inline` so the error text
-    matches the direct path byte-for-byte.
-    """
-    delay = DEGRADE_BACKOFF
-    error: Optional[str] = None
-    for attempt in range(DEGRADE_ATTEMPTS):
-        if attempt:
-            time.sleep(delay)
-            delay *= 2
-            get_registry().counter("runtime.degrade_retries_total").inc()
-        outcome = run_task_inline(_bug_entry_task, shared, entry)
-        if outcome.ok:
-            detected, mismatch = outcome.value
-            return (bool(detected), mismatch)
-        error = outcome.error
-    raise BugCampaignError(
-        f"catalog bug {entry.name!r} failed to simulate: {error}"
-    )
-
-
 def sweep_bug_verdicts(
     prepared: Tuple[Tuple, ...],
     entries: Sequence[BugEntry],
@@ -254,11 +250,10 @@ def sweep_bug_verdicts(
 ) -> List[BugVerdict]:
     """One :class:`BugVerdict` per catalog entry, in submission order.
 
-    The execution core shared by :func:`run_bug_campaign` and the
-    journaled runtime.  Task failures quarantine the affected entries
-    and re-run them in-process (graceful degradation) instead of
-    aborting the sweep; see
-    :func:`repro.faults.campaign.sweep_verdicts` for the rationale.
+    The DLX sweep every campaign driver fills its verdict slots from
+    (through :class:`DlxKind`).  Task failures quarantine the affected
+    entries and re-run them in-process (graceful degradation, see
+    :func:`repro.campaign.settle`) instead of aborting the sweep.
     ``lanes`` sizes the compiled batches (``None``/``"auto"`` = the
     kernel default width); verdicts are width-independent.
     """
@@ -284,67 +279,158 @@ def sweep_bug_verdicts(
             _bug_entry_task, entries, shared=prepared, jobs=jobs,
             timeout=timeout, retries=retries,
         )
-    verdicts: List[Optional[BugVerdict]] = [None] * len(entries)
-    quarantined: List[int] = []
-    for i, outcome in enumerate(outcomes):
-        error, value = outcome.error, outcome.value
-        if error is None and not outcome.timed_out and kernel == "compiled":
-            tag, payload = value
-            if tag == "err":
-                error = payload
-            else:
-                value = payload
-        if error is not None:
-            quarantined.append(i)
-            continue
-        if outcome.timed_out:
-            # The correct design always halts well inside the budget,
-            # so a timed-out mutant has visibly diverged: detected by
-            # crash, same as a livelock that exhausts max_cycles --
-            # just without the wait.
-            verdicts[i] = BugVerdict(
-                detected=True,
-                mismatch=Mismatch(
-                    0, "crash", "halt",
-                    f"per-fault timeout: exceeded {timeout:g}s "
-                    f"wall clock",
-                ),
-                timed_out=True,
-            )
-        else:
-            detected, mismatch = value
-            verdicts[i] = BugVerdict(
-                detected=bool(detected), mismatch=mismatch
-            )
-    if quarantined:
+    # The correct design always halts well inside the budget, so a
+    # timed-out mutant has visibly diverged: detected by crash, same as
+    # a livelock that exhausts max_cycles -- just without the wait.
+    return settle(
+        outcomes, entries,
+        batched=kernel == "compiled",
+        make=lambda value, degraded: BugVerdict(
+            detected=bool(value[0]), mismatch=value[1], degraded=degraded
+        ),
+        timed_out=lambda: BugVerdict(
+            detected=True,
+            mismatch=Mismatch(
+                0, "crash", "halt",
+                f"per-fault timeout: exceeded {timeout:g}s wall clock",
+            ),
+            timed_out=True,
+        ),
+        oracle=_bug_entry_task,
+        shared=prepared,
+        describe=lambda entry: {"bug": entry.name},
+        failure=lambda entry, error: BugCampaignError(
+            f"catalog bug {entry.name!r} failed to simulate: {error}"
+        ),
+    )
+
+
+class DlxKind:
+    """The DLX bug catalog as a campaign fault domain: slot ``i`` holds
+    the :class:`BugVerdict` of ``catalog[i]`` against the whole test
+    battery (see :class:`repro.campaign.Campaign`)."""
+
+    name = "dlx"
+
+    def __init__(
+        self,
+        tests: Sequence[Tuple],
+        catalog: Sequence[BugEntry],
+        test_name: str,
+    ) -> None:
+        self.tests = tuple(tests)
+        self.catalog = tuple(catalog)
+        self.test_name = test_name
+        self.total = len(self.catalog)
+        self._prepared: Optional[Tuple[Tuple, ...]] = None
+
+    def prepared(self) -> Tuple[Tuple, ...]:
+        """The battery as :func:`prepare_tests` quadruples, computed on
+        first use (a coordinator that never simulates never needs it)."""
+        if self._prepared is None:
+            self._prepared = prepare_tests(self.tests)
+        return self._prepared
+
+    def sweep(self, indices: List[int], **options: Any) -> List[BugVerdict]:
+        return sweep_bug_verdicts(
+            self.prepared(), [self.catalog[i] for i in indices], **options
+        )
+
+    def record(self, index: int, verdict: BugVerdict) -> Dict[str, Any]:
+        mismatch = verdict.mismatch
+        return {
+            "i": index,
+            "bug": self.catalog[index].name,
+            "detected": verdict.detected,
+            "timed_out": verdict.timed_out,
+            "degraded": verdict.degraded,
+            "mismatch": str(mismatch) if mismatch is not None else None,
+            "mismatch_index": (
+                mismatch.index if mismatch is not None else None
+            ),
+        }
+
+    def parse(self, record: Any) -> Optional[Tuple[int, BugVerdict]]:
+        index = record_index(record, self.total)
+        if index is None or record.get("bug") != self.catalog[index].name:
+            return None
+        text = record.get("mismatch")
+        return index, BugVerdict(
+            detected=bool(record.get("detected")),
+            mismatch=(
+                ReplayedMismatch(
+                    index=int(record.get("mismatch_index") or 0),
+                    text=text,
+                )
+                if isinstance(text, str)
+                else None
+            ),
+            timed_out=bool(record.get("timed_out")),
+            degraded=bool(record.get("degraded")),
+        )
+
+    def cache_keys(self) -> List[Tuple]:
+        bfp = battery_fingerprint(
+            [(p, dict(d) if d else None, o) for p, d, o, _e in self.prepared()]
+        )
+        return [("dlx", bfp, e.name, e.bugs) for e in self.catalog]
+
+    def result(self, slots: Sequence[BugVerdict]) -> BugCampaignResult:
+        return BugCampaignResult(
+            test_name=self.test_name,
+            rows=tuple(
+                BugCampaignRow(
+                    bug_name=entry.name,
+                    mechanism=entry.mechanism,
+                    detected=verdict.detected,
+                    mismatch=verdict.mismatch,
+                )
+                for entry, verdict in zip(self.catalog, slots)
+            ),
+            degraded=any(v.degraded for v in slots),
+        )
+
+    def fold(
+        self, slots: Sequence[BugVerdict], result: BugCampaignResult
+    ) -> None:
+        """Fold a finished bug campaign into the metrics registry.
+
+        Computed from the assembled (order-stable) rows, so every
+        aggregate is byte-identical at any ``jobs`` setting.  The
+        mismatch-index histogram is the DLX analogue of the FSM
+        detection latency: how many retirements a bug incubates before
+        the Figure 1 comparison catches it.
+        """
         reg = get_registry()
-        reg.counter("runtime.degradations_total").inc()
-        reg.counter("runtime.quarantined_tasks_total").inc(len(quarantined))
-        for i in quarantined:
-            emit_event(
-                "worker.degraded",
-                bug=entries[i].name,
-                action="oracle-rerun",
-            )
-            detected, mismatch = _rerun_entry_on_oracle(
-                prepared, entries[i]
-            )
-            verdicts[i] = BugVerdict(
-                detected=detected, mismatch=mismatch, degraded=True
-            )
-    # Verdict stream in catalog order from the assembled list --
-    # byte-identical payloads at any jobs/kernel setting (degradation
-    # is reported separately, above).
-    bus = get_bus()
-    if bus.enabled:
-        for entry, verdict in zip(entries, verdicts):
-            bus.emit(
-                "fault.verdict",
-                bug=entry.name,
-                detected=verdict.detected,
-                timed_out=verdict.timed_out,
-            )
-    return verdicts  # type: ignore[return-value] - all slots filled
+        if not reg.enabled:
+            return
+        for row in result.rows:
+            reg.counter(
+                "bugcampaign.bugs",
+                mechanism=row.mechanism,
+                outcome="detected" if row.detected else "escaped",
+            ).inc()
+        reg.gauge("bugcampaign.coverage").set(round(result.coverage, 6))
+        reg.gauge("bugcampaign.catalog_size").set(len(result.rows))
+        latency = reg.histogram(
+            "bugcampaign.mismatch_index", buckets=STEP_BUCKETS
+        )
+        for row in result.rows:
+            if row.detected and row.mismatch is not None:
+                latency.observe(row.mismatch.index)
+
+    def started(self) -> Dict[str, Any]:
+        return {
+            **self.title(),
+            "catalog": self.total,
+            "tests": len(self.tests),
+        }
+
+    def title(self) -> Dict[str, Any]:
+        return {"test_name": self.test_name}
+
+    def describe(self, index: int) -> Dict[str, Any]:
+        return {"bug": self.catalog[index].name}
 
 
 def run_bug_campaign(
@@ -381,11 +467,8 @@ def run_bug_campaign(
     shipping of the shared battery; ``"interp"`` keeps the one-entry-
     per-task dispatch.  Rows are byte-identical either way.
     """
-    if kernel not in ("interp", "compiled"):
-        raise ValueError(
-            f"unknown kernel {kernel!r}: expected one of "
-            f"('interp', 'compiled')"
-        )
+    check_kernel(kernel)
+    campaign = Campaign(DlxKind(tests, catalog, test_name))
     with span(
         "bugcampaign.run",
         test_name=test_name,
@@ -393,97 +476,10 @@ def run_bug_campaign(
         catalog=len(catalog),
         jobs=jobs,
     ):
-        emit_event(
-            "campaign.started",
-            test_name=test_name,
-            catalog=len(catalog),
-            tests=len(tests),
+        return campaign.run(
+            cache, jobs=jobs, timeout=timeout, retries=retries,
+            kernel=kernel, lanes=lanes,
         )
-        prepared = tuple(
-            (
-                tuple(program),
-                tuple(sorted(data.items())) if data else None,
-                tuple(oracle) if oracle is not None else None,
-                tuple(expected_stream(list(program), data, oracle)),
-            )
-            for program, data, oracle in tests
-        )
-        rows_by_index: Dict[int, BugCampaignRow] = {}
-        keys: List[Optional[Tuple]] = [None] * len(catalog)
-        if cache is not None:
-            bfp = battery_fingerprint(
-                [(p, dict(d) if d else None, o) for p, d, o, _e in prepared]
-            )
-            for i, entry in enumerate(catalog):
-                keys[i] = ("dlx", bfp, entry.name, entry.bugs)
-                hit = cache.lookup(keys[i])
-                if hit is not CampaignCache.MISSING:
-                    rows_by_index[i] = hit
-        pending = [i for i in range(len(catalog)) if i not in rows_by_index]
-        degraded = False
-        if pending:
-            verdicts = sweep_bug_verdicts(
-                prepared,
-                [catalog[i] for i in pending],
-                jobs=jobs,
-                timeout=timeout,
-                retries=retries,
-                kernel=kernel,
-                lanes=lanes,
-            )
-            for i, verdict in zip(pending, verdicts):
-                entry = catalog[i]
-                row = BugCampaignRow(
-                    bug_name=entry.name,
-                    mechanism=entry.mechanism,
-                    detected=verdict.detected,
-                    mismatch=verdict.mismatch,
-                )
-                rows_by_index[i] = row
-                degraded = degraded or verdict.degraded
-                if cache is not None and not verdict.timed_out:
-                    cache.store(keys[i], row)
-        rows = tuple(rows_by_index[i] for i in range(len(catalog)))
-        result = BugCampaignResult(
-            test_name=test_name, rows=rows, degraded=degraded
-        )
-        _record_bug_campaign_metrics(result)
-        emit_event(
-            "campaign.finished",
-            test_name=test_name,
-            detected=len(result.detected),
-            escaped=len(result.escaped),
-            coverage=round(result.coverage, 6),
-        )
-    return result
-
-
-def _record_bug_campaign_metrics(result: BugCampaignResult) -> None:
-    """Fold a finished bug campaign into the metrics registry.
-
-    Computed in the parent from the assembled (order-stable) rows, so
-    every aggregate is byte-identical at any ``jobs`` setting.  The
-    mismatch-index histogram is the DLX analogue of the FSM detection
-    latency: how many retirements a bug incubates before the Figure 1
-    comparison catches it.
-    """
-    reg = get_registry()
-    if not reg.enabled:
-        return
-    for row in result.rows:
-        reg.counter(
-            "bugcampaign.bugs",
-            mechanism=row.mechanism,
-            outcome="detected" if row.detected else "escaped",
-        ).inc()
-    reg.gauge("bugcampaign.coverage").set(round(result.coverage, 6))
-    reg.gauge("bugcampaign.catalog_size").set(len(result.rows))
-    latency = reg.histogram(
-        "bugcampaign.mismatch_index", buckets=STEP_BUCKETS
-    )
-    for row in result.rows:
-        if row.detected and row.mismatch is not None:
-            latency.observe(row.mismatch.index)
 
 
 def campaign_from_concrete_test(

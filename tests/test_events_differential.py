@@ -227,3 +227,60 @@ class TestResumableRunnerEvents:
         payload = resumed[0].payload
         assert payload["pending"] == 0
         assert payload["replayed"] > 0
+
+
+class TestEveryFilledSlotEmitsItsVerdict:
+    """Each slot's ``fault.verdict`` is emitted exactly once, in
+    fault-index order, however the slot was filled: a fresh sweep, a
+    journal replay or a memo-cache hit."""
+
+    def test_resumed_run_projects_like_uninterrupted(self, tmp_path):
+        from repro.models import build_model
+        from repro.obs.progress import ProgressModel
+
+        machine = build_model("abp")
+        inputs = transition_tour(machine).inputs
+
+        def journaled(run_dir, resume=False):
+            with scoped_bus() as bus:
+                ring = bus.add_sink(RingBufferSink(capacity=100_000))
+                progress = bus.add_sink(ProgressModel())
+                run = run_campaign_resumable(
+                    machine, inputs, run_dir=run_dir, resume=resume,
+                    slice_size=4,
+                )
+            return run, ring.events(), progress.status()
+
+        whole, whole_events, _ = journaled(str(tmp_path / "whole"))
+        assert whole.result.total == 128
+        cut = tmp_path / "cut"
+        journaled(str(cut))
+        journal = cut / "journal.jsonl"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        journal.write_bytes(b"".join(lines[: len(lines) // 2]))
+        (cut / "report.json").unlink()
+        (cut / "metrics.json").unlink()
+
+        resumed, events, status = journaled(str(cut), resume=True)
+        assert resumed.stats.replayed == 64
+        assert resumed.stats.executed == 64
+        assert _projection_bytes(events) == _projection_bytes(whole_events)
+        assert status["phase"] == "done"
+        assert status["done"] == status["total"] == 128
+        report = json.loads((cut / "report.json").read_text())
+        assert status["detected"] == report["detected"]
+        assert status["escaped"] == report["escaped"]
+
+    def test_warm_cache_run_projects_like_cold(self):
+        from repro.parallel import CampaignCache
+
+        machine = counter(3)
+        inputs = transition_tour(machine).inputs
+        cache = CampaignCache()
+        cold_result, cold = _run_fsm(machine, inputs, cache=cache)
+        warm_result, warm = _run_fsm(machine, inputs, cache=cache)
+        assert cache.hits == cold_result.total
+        assert warm_result.to_json_dict() == cold_result.to_json_dict()
+        verdicts = [e for e in warm if e.name == "fault.verdict"]
+        assert len(verdicts) == warm_result.total
+        assert _projection_bytes(warm) == _projection_bytes(cold)

@@ -687,3 +687,67 @@ class TestTracebackPreservation:
             (outcome,) = parallel_map(_slow_task, [0.0], jobs=1)
         assert outcome.error is not None
         assert "ChaosError" in outcome.error
+
+
+class TestJournaledRunInstalledRegistry:
+    """A journaled run folds its metrics once, into the run dir's
+    ``metrics.json``, and leaves the same fold in the installed
+    registry -- what ``repro campaign --run-dir D --metrics m.json``
+    writes."""
+
+    def test_installed_registry_matches_plain_run(self, tmp_path):
+        from repro.obs.events import RingBufferSink, scoped_bus
+
+        machine = counter()
+        inputs = _tour(machine)
+
+        def snapshots(run):
+            with scoped_bus() as bus:
+                ring = bus.add_sink(RingBufferSink(capacity=100_000))
+                with scoped_registry() as registry:
+                    run()
+            names = [e.name for e in ring.events()]
+            return registry.deterministic_dump(), names.count(
+                "coverage.snapshot"
+            )
+
+        plain, plain_snapshots = snapshots(
+            lambda: run_campaign(machine, inputs)
+        )
+        run_dir = str(tmp_path / "run")
+        journaled, journaled_snapshots = snapshots(
+            lambda: run_campaign_resumable(machine, inputs, run_dir=run_dir)
+        )
+        assert plain["gauges"], "plain run folded no metrics"
+        assert journaled == plain
+        assert journaled_snapshots == plain_snapshots > 0
+        with open(run_paths(run_dir).metrics) as handle:
+            assert json.load(handle) == plain
+
+    def test_cli_metrics_with_run_dir(self, tmp_path):
+        plain_file = tmp_path / "plain.json"
+        journaled_file = tmp_path / "journaled.json"
+        assert cli.main([
+            "campaign", "counter", "--metrics", str(plain_file),
+        ]) in (0, 1)
+        assert cli.main([
+            "campaign", "counter", "--metrics", str(journaled_file),
+            "--run-dir", str(tmp_path / "run"),
+        ]) in (0, 1)
+
+        def campaign_metrics(path):
+            dump = json.loads(path.read_text())
+            return sorted(
+                name
+                for section in dump.values()
+                for name in section
+                if name.startswith("campaign.")
+            )
+
+        assert campaign_metrics(journaled_file) == (
+            campaign_metrics(plain_file)
+        )
+        assert any(
+            name.startswith("campaign.coverage")
+            for name in campaign_metrics(journaled_file)
+        )
