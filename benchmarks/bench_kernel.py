@@ -23,6 +23,13 @@ compilation win (process fan-out is benchmarked separately in
   error on a 32-state counter against one transition tour.  The
   kernel replays the spec trajectory once and answers each mutant
   from visit tables instead of re-simulating lockstep runs.
+* **Wp-suite FSM campaign with metrics** -- the same counter's
+  reset-separated Wp suite (385 steps, 4096 faults) under a live
+  metrics registry, whose fold adds one detection-latency query per
+  detected fault.  Both kernels must produce identical verdicts and
+  deterministic dumps; outside report-only mode the registry-on
+  compiled campaign may cost at most ``MAX_FOLD_RATIO`` times the
+  same campaign without a registry.
 * **pair-space fixpoints** -- the distinguishability matrix and the
   forall-k analysis on a 64-state counter, answered by one layered
   sweep over the 2016-pair triangle instead of a BFS per pair.
@@ -42,12 +49,13 @@ from repro.dlx import tour_model_inputs, tour_netlist
 from repro.faults import run_campaign
 from repro.kernel import DEFAULT_LANES, stuck_at_first_divergences
 from repro.models import counter
+from repro.obs import scoped_registry
 from repro.rtl.faults import (
     all_stuck_at_faults,
     detects_stuck_at,
     run_stuck_at_campaign,
 )
-from repro.tour import transition_tour
+from repro.tour import FaultDomain, generate_suite, transition_tour
 
 DLX_VECTORS = 300
 MIN_DLX_SPEEDUP = 5.0
@@ -57,6 +65,12 @@ MIN_DLX_SPEEDUP = 5.0
 SWEEP_WIDTHS = (63, 255, 1023, 4095)
 SWEEP_POPULATION = 4095
 MIN_WIDE_GEOMEAN = 5.0
+#: Ceiling on a registry-on compiled Wp campaign over the same campaign
+#: without a registry: the metrics fold answers each detected fault's
+#: latency with a kernel walk, so it must stay a small share.
+MAX_FOLD_RATIO = 10.0
+#: Repetitions of each short compiled Wp timing; the fastest counts.
+FOLD_ROUNDS = 3
 REPORT_ONLY = bool(os.environ.get("BENCH_REPORT_ONLY"))
 
 
@@ -64,6 +78,11 @@ def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
+
+
+def _fastest(fn, rounds):
+    runs = [_timed(fn) for _ in range(rounds)]
+    return runs[0][0], min(elapsed for _result, elapsed in runs)
 
 
 def test_compiled_kernel_speedup(benchmark):
@@ -138,6 +157,35 @@ def test_compiled_kernel_speedup(benchmark):
     )
     fsm_identical = fsm_compiled == fsm_interp
 
+    # --- Wp-suite FSM campaign with the metrics fold ---
+    wp = generate_suite(
+        machine, "wp", FaultDomain(extra_states=0)
+    ).executable(machine)
+
+    def wp_campaign(kernel):
+        return run_campaign(
+            wp.machine, wp.inputs, list(wp.faults), kernel=kernel
+        )
+
+    def wp_campaign_with_metrics(kernel):
+        with scoped_registry() as reg:
+            return wp_campaign(kernel), reg.deterministic_dump()
+
+    wp_plain, t_wp_plain = _fastest(
+        lambda: wp_campaign("compiled"), FOLD_ROUNDS
+    )
+    (wp_compiled, wp_compiled_dump), t_wp_compiled = _fastest(
+        lambda: wp_campaign_with_metrics("compiled"), FOLD_ROUNDS
+    )
+    (wp_interp, wp_interp_dump), t_wp_interp = _timed(
+        lambda: wp_campaign_with_metrics("interp")
+    )
+    wp_identical = (
+        wp_compiled == wp_interp == wp_plain
+        and wp_compiled_dump == wp_interp_dump
+    )
+    fold_ratio = t_wp_compiled / t_wp_plain if t_wp_plain else float("inf")
+
     # --- pair-space fixpoints ---
     big = counter(6)  # 64 states -> 2016 unordered pairs
     mat_interp, t_mat_interp = _timed(
@@ -185,6 +233,12 @@ def test_compiled_kernel_speedup(benchmark):
             f"  interp:   {t_fsm_interp:8.3f}s",
             f"  compiled: {t_fsm_compiled:8.3f}s   "
             f"speedup {fsm_speedup:6.1f}x   identical: {fsm_identical}",
+            f"Wp FSM campaign with metrics: {wp_interp.total} mutants x "
+            f"{wp_interp.test_length}-step suite (counter-5)",
+            f"  interp + registry:   {t_wp_interp:8.3f}s",
+            f"  compiled + registry: {t_wp_compiled:8.3f}s   "
+            f"({fold_ratio:4.1f}x the {t_wp_plain:.3f}s plain compiled run)"
+            f"   identical: {wp_identical}",
             f"pair fixpoints: {len(mat_interp)} pairs (counter-6), "
             f"matrix + forall-k",
             f"  interp:   {t_mat_interp + t_fk_interp:8.3f}s",
@@ -212,6 +266,13 @@ def test_compiled_kernel_speedup(benchmark):
             "fsm_compiled_seconds": t_fsm_compiled,
             "fsm_speedup": fsm_speedup,
             "fsm_identical": fsm_identical,
+            "fsm_wp_steps": wp_interp.test_length,
+            "fsm_wp_mutants": wp_interp.total,
+            "fsm_wp_plain_compiled_seconds": t_wp_plain,
+            "fsm_wp_registry_compiled_seconds": t_wp_compiled,
+            "fsm_wp_registry_interp_seconds": t_wp_interp,
+            "fsm_wp_registry_ratio": fold_ratio,
+            "fsm_wp_identical": wp_identical,
             "pairs": len(mat_interp),
             "pair_interp_seconds": t_mat_interp + t_fk_interp,
             "pair_compiled_seconds": t_mat_compiled + t_fk_compiled,
@@ -230,6 +291,7 @@ def test_compiled_kernel_speedup(benchmark):
     # every lane width and in both dirty-set modes.
     assert dlx_identical
     assert fsm_identical
+    assert wp_identical
     assert pair_identical
     assert sweep_identical
     if REPORT_ONLY:
@@ -244,6 +306,12 @@ def test_compiled_kernel_speedup(benchmark):
     # the legacy 63-lane kernel on a clone-scale population.
     assert wide_geomean >= MIN_WIDE_GEOMEAN, (
         f"wide lanes only {wide_geomean:.1f}x geomean over 63 lanes"
+    )
+    # The metrics fold must not re-simulate detected faults: its
+    # latency queries are kernel walks over the trajectory the sweep
+    # already built.
+    assert fold_ratio <= MAX_FOLD_RATIO, (
+        f"registry-on Wp campaign {fold_ratio:.1f}x the plain one"
     )
 
 

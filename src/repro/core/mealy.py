@@ -448,6 +448,10 @@ class MealyMachine:
         return m
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            # Memo lookups (weak-keyed on the machine) compare a key
+            # with itself: answer without walking the tables.
+            return True
         if not isinstance(other, MealyMachine):
             return NotImplemented
         return (

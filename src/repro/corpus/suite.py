@@ -363,14 +363,18 @@ def _run_circuit(
         test_length=len(test),
     )
     start = time.perf_counter()
-    identity = fsm_campaign_identity(
-        run_machine, test, population, kernel, timeout
-    )
-    key = store_key(identity)
     cached = False
     executed = 0
     degraded = False
-    hit = store.get(key, identity=identity) if store is not None else None
+    hit = None
+    if store is not None:
+        # Hashing the campaign identity costs a pass over every fault;
+        # only the store reads it (a journaled run pins its own).
+        identity = fsm_campaign_identity(
+            run_machine, test, population, kernel, timeout
+        )
+        key = store_key(identity)
+        hit = store.get(key, identity=identity)
     if hit is not None:
         stored = hit["report"]
         detected = int(stored["detected"])

@@ -29,6 +29,9 @@ from ..obs import (
     span,
 )
 from ..core.theorems import CompletenessCertificate
+from ..kernel.mealy_kernel import (
+    detection_latency_compiled as detection_latency,
+)
 from ..parallel import (
     CampaignCache,
     batch_unit,
@@ -38,7 +41,7 @@ from ..parallel import (
     parallel_map_batched,
 )
 from .inject import Fault, all_single_faults
-from .simulate import Detection, detect_fault, detection_latency, pad_inputs
+from .simulate import Detection, detect_fault, pad_inputs
 
 
 class CampaignExecutionError(RuntimeError):
@@ -155,8 +158,9 @@ def _detect_batch_task(
 
     Returns one ``("ok", bool)`` / ``("err", message)`` tuple per
     fault so an invalid fault reports exactly like the interpreter
-    path instead of poisoning its batchmates.  The kernel import is
-    deferred: it compiles nothing until a compiled campaign runs.
+    path instead of poisoning its batchmates.  The kernel function is
+    looked up at call time, so a substitute installed on
+    :mod:`repro.kernel` takes effect.
     """
     spec, inputs = shared
     from ..kernel import detect_faults_compiled
@@ -304,9 +308,13 @@ class FsmKind:
         Runs entirely in the parent process *after* verdict assembly,
         from data that is identical at any ``jobs`` setting -- which is
         what keeps the coverage/latency aggregates byte-identical
-        between serial and parallel sweeps.  The extra per-detected-
-        fault latency re-simulation only happens when a live registry
-        is installed.
+        between serial and parallel sweeps.  Only a live registry pays
+        for it: one ``detection_latency`` query per detected fault
+        that did not time out, answered by the compiled kernel's walk
+        over the spec trajectory the sweep already built (the
+        interpreter's mutant replay in
+        :func:`repro.faults.simulate.detection_latency` is its
+        differential oracle), whatever kernel the sweep used.
         """
         reg = get_registry()
         if not reg.enabled:

@@ -14,8 +14,10 @@ replays it with flat-array indexing and machine-word bitwise ops:
   = 1024 total lanes, and the event-driven dirty-set mode skips
   cycles where every live mutant is quiescent).
 * :mod:`.mealy_kernel` -- interns states/inputs to dense indices and
-  replays tours by array indexing; fault campaigns reuse one
-  precomputed spec trajectory per test set.
+  replays tours by array indexing; a fault campaign precomputes one
+  spec trajectory per test set, and each single fault's verdict and
+  detection latency come from one table walk over it
+  (:func:`detect_faults_compiled`, :func:`detection_latency_compiled`).
 * :mod:`.pairs_kernel` -- layered fixpoints over the triangular pair
   space shared by ``distinguishability_matrix`` and
   ``analyze_forall_k``.
@@ -30,7 +32,9 @@ Compiled artifacts contain exec-generated functions and are therefore
 unpicklable; they are memoized in module-level ``WeakKeyDictionary``
 side tables rather than attached to the netlist/machine objects, so
 campaign payloads shipped to worker processes still pickle (workers
-recompile once per chunk).
+recompile once per chunk).  A compiled artifact refers to its source
+object only weakly, so a memo entry dies with the machine or netlist
+it was compiled from.
 """
 
 from .mealy_kernel import (
@@ -38,6 +42,7 @@ from .mealy_kernel import (
     dense_mealy,
     detect_fault_compiled,
     detect_faults_compiled,
+    detection_latency_compiled,
 )
 from .netlist_kernel import (
     DEFAULT_LANES,
@@ -64,6 +69,7 @@ __all__ = [
     "dense_mealy",
     "detect_fault_compiled",
     "detect_faults_compiled",
+    "detection_latency_compiled",
     "distinguishability_matrix_kernel",
     "resolve_lanes",
     "stuck_at_first_divergences",

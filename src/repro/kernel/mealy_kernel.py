@@ -6,26 +6,31 @@ dense integer indices (sorted by ``repr``, the library's canonical
 order) and flattens ``delta``/``lambda`` into plain lists indexed by
 ``state * n_inputs + input`` -- replay becomes array indexing.
 
-On top of that sits the campaign kernel
-:func:`detect_faults_compiled`: the specification trajectory for one
-test set is computed *once* (state indices, outputs, per-site visit
-times and -- for incomplete machines -- the exact step and message of
-the first undefined spec step), after which
+On top of that sits the campaign kernel: the specification trajectory
+for one test set is computed *once* (state indices, outputs, per-site
+visit times and -- for incomplete machines -- the exact step and
+message of the first undefined spec step).  Every question about a
+valid single fault is then one walk, :func:`_first_divergence`, which
+returns the step at which the mutant's outputs first differ from the
+spec's:
 
-* an :class:`~repro.core.errors.OutputError` verdict is a single
-  visit-table lookup (the mutant tracks the spec state exactly, so
-  the fault is detected iff its site is ever visited), and
-* a :class:`~repro.core.errors.TransferError` verdict simulates only
-  the *desynchronized* stretches: from each visit of the fault site
-  the walk follows the dense tables until the mutant either diverges
-  (detected), resynchronizes (binary-search jump to the next site
-  visit), or the test ends.
+* an :class:`~repro.core.errors.OutputError` mutant tracks the spec
+  state exactly, so it diverges at the first visit of its site;
+* a :class:`~repro.core.errors.TransferError` mutant is simulated
+  only over its *desynchronized* stretches: from each visit of the
+  fault site the walk follows the dense tables until the mutant
+  either diverges, resynchronizes (binary-search jump to the next
+  site visit), or the test ends.
 
-Both reproduce :func:`repro.faults.simulate.compare_runs` verdicts --
-including the ``MealyError`` raised when the *spec* hits an undefined
-step before any divergence -- byte-for-byte; the property suite in
-``tests/test_kernel_differential.py`` pins this against the
-interpreter.
+The verdict is "the walk found a divergence"
+(:func:`detect_faults_compiled`, :func:`detect_fault_compiled`) and
+the detection latency is that step minus the spec's first visit of the
+site (:func:`detection_latency_compiled`).  Both reproduce the
+interpreter -- :func:`repro.faults.simulate.compare_runs` verdicts and
+:func:`repro.faults.simulate.detection_latency` values, including the
+``MealyError`` raised when the *spec* hits an undefined step first --
+byte-for-byte; the property suite in
+``tests/test_kernel_differential.py`` pins this.
 """
 
 from __future__ import annotations
@@ -49,7 +54,9 @@ class DenseMealy:
     """A Mealy machine compiled to flat transition tables."""
 
     def __init__(self, machine: MealyMachine) -> None:
-        self.machine = machine
+        # Weak: the compile memo is keyed weakly on the machine, and a
+        # strong reference from its value would keep the key alive.
+        self._machine = weakref.ref(machine)
         self.states: Tuple[State, ...] = tuple(
             sorted(machine.states, key=repr)
         )
@@ -84,7 +91,7 @@ class DenseMealy:
     def _undefined(self, state_idx: int, inp: Input) -> MealyError:
         # Exact message of MealyMachine.step for byte-identical errors.
         return MealyError(
-            f"{self.machine.name}: no transition from "
+            f"{self._machine().name}: no transition from "
             f"{self.states[state_idx]!r} on {inp!r}"
         )
 
@@ -137,19 +144,12 @@ class _Trajectory:
     ``t`` (0-based) for ``t < steps``; ``steps < len(test)`` iff the
     spec itself hits an undefined step there, in which case ``error``
     is the exact :class:`MealyError` message ``compare_runs`` would
-    surface at that step.  ``visits`` maps a dense ``(state, input)``
-    site to the sorted list of step times the spec traverses it.
+    surface at that step.  ``visits`` maps a flat ``state * n_inputs
+    + input`` site to the sorted list of step times the spec
+    traverses it.
     """
 
-    __slots__ = (
-        "state_idx",
-        "inp_idx",
-        "outs",
-        "steps",
-        "error",
-        "visits",
-        "visited_mask",
-    )
+    __slots__ = ("state_idx", "inp_idx", "outs", "steps", "error", "visits")
 
     def __init__(self, dense: DenseMealy, test: Tuple[Input, ...]) -> None:
         s = dense.initial
@@ -159,6 +159,7 @@ class _Trajectory:
         self.inp_idx: List[int] = []
         self.outs: List[Output] = []
         self.error: Optional[str] = None
+        self.visits: Dict[int, List[int]] = {}
         for t, inp in enumerate(test):
             i = input_index.get(inp, -1)
             k = s * n_inputs + i
@@ -167,24 +168,19 @@ class _Trajectory:
                 break
             self.inp_idx.append(i)
             self.outs.append(out[k])
+            self.visits.setdefault(k, []).append(t)
             s = nxt[k]
             self.state_idx.append(s)
         self.steps = len(self.inp_idx)
-        self.visits: Dict[Tuple[int, int], List[int]] = {}
-        # Lane-packed visit set: bit ``state * n_inputs + input`` is
-        # set iff the spec ever traverses that site, so a word-sized
-        # batch of output-error faults adjudicates with one bit test
-        # per fault instead of a tuple-keyed dict probe.
-        self.visited_mask: int = 0
-        for t in range(self.steps):
-            site = (self.state_idx[t], self.inp_idx[t])
-            self.visits.setdefault(site, []).append(t)
-            self.visited_mask |= 1 << (site[0] * n_inputs + site[1])
 
 
-def _trajectory(dense: DenseMealy, test: Tuple[Input, ...]) -> _Trajectory:
+def _trajectory(dense: DenseMealy, inputs: Sequence[Input]) -> _Trajectory:
+    # A campaign passes one tuple object to every batch and to every
+    # latency query: keep the caller's tuple itself as the key, so a
+    # hit is recognised without comparing elements.
+    test = inputs if isinstance(inputs, tuple) else tuple(inputs)
     cached = dense._trajectory
-    if cached is not None and cached[0] == test:
+    if cached is not None and (cached[0] is test or cached[0] == test):
         return cached[1]
     traj = _Trajectory(dense, test)
     dense._trajectory = (test, traj)
@@ -218,78 +214,82 @@ def dense_mealy(machine: MealyMachine) -> DenseMealy:
     return dense
 
 
-def _spec_error(traj: _Trajectory) -> bool:
-    """Did the spec itself die before the end of the test set?"""
-    return traj.error is not None
+def _fault_site(dense: DenseMealy, fault: Any) -> Optional[Tuple[int, int]]:
+    """``(site, wrong)`` for a valid output or transfer fault.
+
+    ``site`` is the flat ``state * n_inputs + input`` index of the
+    transition the fault corrupts; ``wrong`` is a transfer fault's
+    dense wrong destination and -1 for an output fault, whose mutant
+    keeps the spec's.  ``None`` marks an invalid fault or an unknown
+    fault type: only the per-fault path raises their authentic
+    ``FaultError`` (via ``fault.apply``) or simulates them.
+    """
+    if isinstance(fault, TransferError):
+        wrong = dense.state_index.get(fault.wrong_dst, -1)
+        if wrong < 0:
+            return None
+    elif isinstance(fault, OutputError):
+        wrong = -1
+    else:
+        return None
+    si = dense.state_index.get(fault.src, -1)
+    ii = dense.input_index.get(fault.inp, -1)
+    if si < 0 or ii < 0:
+        return None
+    site = si * dense.n_inputs + ii
+    dst = dense.nxt[site]
+    if dst < 0 or dst == wrong:
+        return None
+    if wrong < 0 and dense.out[site] == fault.wrong_out:
+        return None
+    return site, wrong
 
 
-def _detect_output_fault(
-    dense: DenseMealy, traj: _Trajectory, fault: OutputError
-) -> bool:
-    src = dense.state_index[fault.src]
-    inp = dense.input_index[fault.inp]
-    if (src, inp) in traj.visits:
-        # The mutant's state tracks the spec exactly (only an output
-        # label differs), so the first site visit detects -- and every
-        # visit happens strictly before any undefined spec step.
-        return True
-    if _spec_error(traj):
-        raise MealyError(traj.error)
-    return False
+def _first_divergence(
+    dense: DenseMealy, traj: _Trajectory, site: int, wrong: int
+) -> Optional[int]:
+    """0-based step at which the mutant of :func:`_fault_site`'s
+    ``(site, wrong)`` first emits an output the spec does not (or
+    loses a transition), or ``None`` when the test set ends first.
 
-
-def _detect_transfer_fault(
-    dense: DenseMealy, traj: _Trajectory, fault: TransferError
-) -> bool:
-    src = dense.state_index[fault.src]
-    inp_i = dense.input_index[fault.inp]
-    wrong = dense.state_index[fault.wrong_dst]
-    visits = traj.visits.get((src, inp_i))
-    if not visits:
-        if _spec_error(traj):
-            raise MealyError(traj.error)
-        return False
-    nxt, out, n_inputs = dense.nxt, dense.out, dense.n_inputs
-    steps, total = traj.steps, len(traj.inp_idx) if traj.error is None else -1
-    spec_state, spec_out, inp_idx = traj.state_idx, traj.outs, traj.inp_idx
-    t = visits[0]
-    while True:
-        # Take the diverted transition at time t (output unchanged).
-        s = wrong
-        u = t + 1
-        resynced_at: Optional[int] = None
+    Raises the interpreter's ``MealyError`` when the spec reaches an
+    undefined step before any divergence: ``compare_runs`` steps the
+    spec first, so it raises there before checking the mutant.
+    """
+    visits = traj.visits.get(site)
+    if visits and wrong < 0:
+        # An output fault's mutant tracks the spec state exactly, so
+        # the first site visit diverges -- and every visit happens
+        # strictly before any undefined spec step.
+        return visits[0]
+    if visits:
+        nxt, out, n_inputs = dense.nxt, dense.out, dense.n_inputs
+        steps = traj.steps
+        spec_state, spec_out, inp_idx = traj.state_idx, traj.outs, traj.inp_idx
+        t = visits[0]
         while True:
+            # Take the diverted transition at time t (output unchanged)
+            # and follow the mutant until it rejoins the spec's state.
+            s = wrong
+            u = t + 1
+            while u < steps and s != spec_state[u]:
+                k = s * n_inputs + inp_idx[u]
+                n = wrong if k == site else nxt[k]
+                if n < 0 or out[k] != spec_out[u]:
+                    return u
+                s = n
+                u += 1
             if u >= steps:
-                if traj.error is not None:
-                    # compare_runs steps the spec first: it raises at
-                    # the undefined step before checking the mutant.
-                    raise MealyError(traj.error)
-                return False  # test set exhausted while desynced
-            if s == spec_state[u]:
-                resynced_at = u
+                break  # test set exhausted while desynced
+            # Back in sync: behaviour is identical until the next site
+            # visit, so jump straight there.
+            pos = bisect_left(visits, u)
+            if pos == len(visits):
                 break
-            i = inp_idx[u]
-            if s == src and i == inp_i:
-                o: Optional[Output] = out[s * n_inputs + i]
-                n = wrong
-            else:
-                k = s * n_inputs + i
-                n = nxt[k]
-                if n < 0:
-                    return True  # mutant lost the transition: detected
-                o = out[k]
-            if o != spec_out[u]:
-                return True
-            s = n
-            u += 1
-        # Back in sync: behaviour is identical until the next site
-        # visit, so jump straight there.
-        pos = bisect_left(visits, resynced_at)
-        if pos == len(visits):
-            if _spec_error(traj):
-                raise MealyError(traj.error)
-            return False
-        t = visits[pos]
+            t = visits[pos]
+    if traj.error is not None:
+        raise MealyError(traj.error)
+    return None
 
 
 def detect_fault_compiled(
@@ -298,30 +298,19 @@ def detect_fault_compiled(
     """Compiled verdict for one fault: does ``inputs`` detect it?
 
     Matches ``bool(detect_fault(spec, fault, inputs))`` including the
-    exceptions: invalid faults raise the authentic ``FaultError`` (by
-    delegating to ``fault.apply``) and a spec-undefined step reached
-    before detection raises the interpreter's exact ``MealyError``.
-    Unknown fault types fall back to the interpreter.
+    exceptions: a spec-undefined step reached before detection raises
+    the interpreter's exact ``MealyError``.  Invalid faults and
+    unknown fault types take the interpreter, which raises the
+    authentic ``FaultError`` or simulates the mutant.
     """
     dense = dense_mealy(spec)
-    traj = _trajectory(dense, tuple(inputs))
-    if isinstance(fault, OutputError):
-        t = spec.transition(fault.src, fault.inp)
-        if t is None or t.out == fault.wrong_out:
-            fault.apply(spec)  # raises the authentic FaultError
-        return _detect_output_fault(dense, traj, fault)
-    if isinstance(fault, TransferError):
-        t = spec.transition(fault.src, fault.inp)
-        if (
-            t is None
-            or t.dst == fault.wrong_dst
-            or fault.wrong_dst not in spec.states
-        ):
-            fault.apply(spec)  # raises the authentic FaultError
-        return _detect_transfer_fault(dense, traj, fault)
-    from ..faults.simulate import detect_fault
+    compiled = _fault_site(dense, fault)
+    if compiled is None:
+        from ..faults.simulate import detect_fault
 
-    return bool(detect_fault(spec, fault, inputs))
+        return bool(detect_fault(spec, fault, inputs))
+    traj = _trajectory(dense, inputs)
+    return _first_divergence(dense, traj, *compiled) is not None
 
 
 def detect_faults_compiled(
@@ -336,54 +325,27 @@ def detect_faults_compiled(
     instead of raised, so one invalid fault in a word-sized batch does
     not poison its batchmates' verdicts.
 
-    Output-error faults take a lane-packed fast path: the batch is
-    adjudicated against the precomputed spec trajectory with one
-    bitmask visit test per fault (``visited_mask`` bit ``state *
-    n_inputs + input``), skipping the per-fault dict probes and call
-    layers of :func:`detect_fault_compiled`.  Invalid faults (and
-    every other fault type) fall back to the per-fault path so the
-    authentic exception types and messages are preserved byte-for-
-    byte.
+    Every valid output and transfer fault is decided against the
+    batch's one :class:`DenseMealy` and spec trajectory by
+    :func:`_first_divergence`.  Invalid faults (and every other fault
+    type) go through :func:`detect_fault_compiled` so the authentic
+    exception types and messages are preserved byte-for-byte.
     """
     from ..parallel import TaskTimeout
 
     dense = dense_mealy(spec)
-    test = tuple(inputs)
-    traj = _trajectory(dense, test)
-    nxt, out, n_inputs = dense.nxt, dense.out, dense.n_inputs
-    state_index, input_index = dense.state_index, dense.input_index
-    visited = traj.visited_mask
-    spec_died = traj.error is not None
+    traj = _trajectory(dense, inputs)
     results: List[Tuple[str, Any]] = []
     for fault in faults:
         try:
-            if isinstance(fault, OutputError):
-                si = state_index.get(fault.src, -1)
-                ii = input_index.get(fault.inp, -1)
-                if (
-                    si < 0
-                    or ii < 0
-                    or nxt[si * n_inputs + ii] < 0
-                    or out[si * n_inputs + ii] == fault.wrong_out
-                ):
-                    # Invalid fault: the slow path raises the
-                    # authentic FaultError via fault.apply.
-                    results.append(
-                        ("ok", detect_fault_compiled(spec, fault, test))
-                    )
-                elif (visited >> (si * n_inputs + ii)) & 1:
-                    # The mutant tracks the spec state exactly, so the
-                    # first site visit detects -- and every visit
-                    # happens strictly before any undefined spec step.
-                    results.append(("ok", True))
-                elif spec_died:
-                    raise MealyError(traj.error)
-                else:
-                    results.append(("ok", False))
+            compiled = _fault_site(dense, fault)
+            if compiled is None:
+                detected = detect_fault_compiled(spec, fault, inputs)
             else:
-                results.append(
-                    ("ok", detect_fault_compiled(spec, fault, test))
+                detected = (
+                    _first_divergence(dense, traj, *compiled) is not None
                 )
+            results.append(("ok", detected))
         except TaskTimeout:
             # Timeouts force singleton batches, so this is our whole
             # batch: let the executor record it as timed out.
@@ -391,3 +353,28 @@ def detect_faults_compiled(
         except Exception as exc:  # noqa: BLE001 - reported per fault
             results.append(("err", f"{type(exc).__name__}: {exc}"))
     return results
+
+
+def detection_latency_compiled(
+    spec: MealyMachine, fault: Any, inputs: Sequence[Input]
+) -> Optional[int]:
+    """Compiled twin of :func:`repro.faults.simulate.detection_latency`.
+
+    Until the spec first visits the fault site the mutant runs the
+    spec's states, so the first excitation is that visit and the
+    latency is the first divergence minus it (0 for an output fault).
+    ``None`` when the test set does not expose the fault; the
+    exceptions are the interpreter's.  Invalid faults and unknown
+    fault types take the interpreter.
+    """
+    dense = dense_mealy(spec)
+    compiled = _fault_site(dense, fault)
+    if compiled is None:
+        from ..faults.simulate import detection_latency
+
+        return detection_latency(spec, fault, inputs)
+    traj = _trajectory(dense, inputs)
+    first = _first_divergence(dense, traj, *compiled)
+    if first is None:
+        return None
+    return first - traj.visits[compiled[0]][0]

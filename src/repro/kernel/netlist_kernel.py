@@ -171,7 +171,9 @@ class CompiledNetlist:
         dirty: bool = DEFAULT_DIRTY,
     ) -> None:
         netlist.validate()
-        self.netlist = netlist
+        # Weak: the compile memo is keyed weakly on the netlist, and a
+        # strong reference from its value would keep the key alive.
+        self._netlist = weakref.ref(netlist)
         self.lanes: int = resolve_lanes(lanes)
         #: Mutant lanes per pass (total lanes minus the golden lane).
         self.mutant_lanes: int = self.lanes - 1
@@ -225,7 +227,7 @@ class CompiledNetlist:
                         names[node] = f"b{self.base_slot[node.name]}"
                     except KeyError:
                         raise KernelError(
-                            f"{self.netlist.name}: unbound bit "
+                            f"{self._netlist().name}: unbound bit "
                             f"{node.name!r}"
                         ) from None
                     continue
@@ -255,7 +257,7 @@ class CompiledNetlist:
         source = "\n".join(lines)
         namespace: Dict[str, Any] = {}
         exec(
-            compile(source, f"<kernel {self.netlist.name}>", "exec"),
+            compile(source, f"<kernel {self._netlist().name}>", "exec"),
             namespace,
         )
         return namespace["_cycle"]
@@ -334,7 +336,7 @@ class CompiledNetlist:
                 ]
             except KeyError as exc:
                 raise NetlistError(
-                    f"{self.netlist.name}: state misses register "
+                    f"{self._netlist().name}: state misses register "
                     f"{exc.args[0]!r}"
                 ) from None
         cycle = self._cycle
@@ -347,7 +349,7 @@ class CompiledNetlist:
                     base[k] = 1 if vec[name] else 0
                 except KeyError:
                     raise NetlistError(
-                        f"{self.netlist.name}: input {name!r} not driven"
+                        f"{self._netlist().name}: input {name!r} not driven"
                     ) from None
             base[n_inputs:] = word_state
             nxt, out = cycle(base, 1)
@@ -411,7 +413,7 @@ class CompiledNetlist:
             if slot is None:
                 # Same diagnostic as StuckAt.apply on a bad bit name.
                 raise ValueError(
-                    f"{self.netlist.name}: no bit {fault.bit!r}"
+                    f"{self._netlist().name}: no bit {fault.bit!r}"
                 )
             bit = 1 << lane
             and_patch[slot] = and_patch.get(slot, mask) & ~bit
@@ -632,9 +634,9 @@ class CompiledNetlist:
 
 def _netlist_signature(netlist: Netlist) -> Tuple:
     """Cheap structural fingerprint: expressions are immutable, so
-    identity of the referenced trees (kept alive via the compiled
-    object's netlist reference) captures any mutation through
-    ``set_next`` / ``set_output``."""
+    identity of the referenced trees (kept alive by the compiled
+    object's ``_next_exprs`` / ``_output_exprs``) captures any
+    mutation through ``set_next`` / ``set_output``."""
     registers = netlist.registers
     return (
         netlist.inputs,

@@ -38,9 +38,12 @@ def edge_imbalances(machine: MealyMachine) -> Dict[State, int]:
 
     A state with positive imbalance has more arrivals than departures,
     so a closed tour must leave it via duplicated edges; negative
-    imbalance is the symmetric demand.
+    imbalance is the symmetric demand.  States are keyed in ``repr``
+    order: the flow solver breaks ties between equally distant demand
+    nodes by this order, and a frozenset's iteration order would make
+    the tour depend on the hash seed.
     """
-    bal: Dict[State, int] = {s: 0 for s in machine.states}
+    bal: Dict[State, int] = {s: 0 for s in sorted(machine.states, key=repr)}
     for t in machine.transitions:
         bal[t.src] -= 1
         bal[t.dst] += 1

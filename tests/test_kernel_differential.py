@@ -9,12 +9,18 @@ sets and test sets; machines are built from integer seeds so
 hypothesis shrinks the seed while the builder stays deterministic.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.faults.campaign as fault_campaign
+import repro.kernel.mealy_kernel as mealy_kernel
+import repro.kernel.netlist_kernel as netlist_kernel
+from repro.campaign import Campaign
 from repro.core.distinguish import (
     _pair_distance_table,
     analyze_forall_k,
@@ -23,16 +29,18 @@ from repro.core.distinguish import (
 )
 from repro.core.errors import OutputError, TransferError
 from repro.core.mealy import MealyMachine
-from repro.faults.campaign import run_campaign
+from repro.faults.campaign import FsmKind, run_campaign
 from repro.faults.inject import all_single_faults
-from repro.faults.simulate import detect_fault
+from repro.faults.simulate import detect_fault, detection_latency
 from repro.kernel import (
     MUTANT_LANES,
     compiled_netlist,
     dense_mealy,
     detect_fault_compiled,
+    detection_latency_compiled,
     stuck_at_first_divergences,
 )
+from repro.models import counter
 from repro.obs import scoped_registry
 from repro.rtl.expr import Const, Var, and_, mux, not_, or_, xor_
 from repro.rtl.faults import (
@@ -42,6 +50,8 @@ from repro.rtl.faults import (
     run_stuck_at_campaign,
 )
 from repro.rtl.netlist import Netlist, NetlistError
+from repro.runtime import METRICS_NAME, run_campaign_resumable
+from repro.tour import FaultDomain, generate_suite
 
 SETTINGS = settings(max_examples=30, deadline=None)
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -132,6 +142,43 @@ def outcome_of(fn):
         return ("err", type(exc).__name__, str(exc))
 
 
+def invalid_faults(machine: MealyMachine):
+    """The five invalid-fault shapes: unknown site state, no-op
+    corruption, no-op diversion and a diversion to a non-state."""
+    some_state = sorted(machine.states, key=repr)[0]
+    some_inp = sorted(machine.inputs, key=repr)[0]
+    t = machine.transition(some_state, some_inp)
+    return [
+        OutputError("ghost", some_inp, "x"),
+        TransferError("ghost", some_inp, some_state),
+        OutputError(some_state, some_inp, t.out),   # no-op corrupt
+        TransferError(some_state, some_inp, t.dst),  # no-op divert
+        TransferError(some_state, some_inp, "ghost"),
+    ]
+
+
+class CountedTable(dict):
+    """A transition table that counts how often it is compared."""
+
+    compares = 0
+
+    def __eq__(self, other):
+        CountedTable.compares += 1
+        return dict.__eq__(self, other)
+
+    __hash__ = None
+
+
+class UncomparableTest(tuple):
+    """A test tuple that fails any element-by-element comparison."""
+
+    def __eq__(self, other):
+        raise AssertionError("test tuple compared element by element")
+
+    __ne__ = __eq__
+    __hash__ = tuple.__hash__
+
+
 # ----------------------------------------------------------------------
 # Mealy replay
 # ----------------------------------------------------------------------
@@ -177,6 +224,16 @@ class TestDenseMealyReplay:
         after = dense_mealy(m)
         assert after is not before
         assert "fresh" in after.states
+
+    def test_memo_entry_dies_with_its_machine(self, monkeypatch):
+        memo = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(mealy_kernel, "_DENSE_MEMO", memo)
+        m = build_machine(8)
+        dense_mealy(m)
+        assert len(memo) == 1
+        del m
+        gc.collect()
+        assert len(memo) == 0
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +313,24 @@ class TestMealyFaultVerdicts:
                 dumps.append(reg.deterministic_dump())
         assert dumps[0] == dumps[1] == dumps[2]
 
+    def test_memo_hits_compare_neither_spec_nor_test(self):
+        """A compiled campaign with the registry on fetches the dense
+        tables and the spec trajectory once per batch and once per
+        detected fault; every hit must be O(1): no comparison of the
+        spec's transition table, no element-wise test comparison."""
+        m = build_machine(5)
+        m._delta = CountedTable(m._delta)
+        kind = FsmKind(m, build_test(m, 32, 40), all_single_faults(m))
+        kind.test = UncomparableTest(kind.test)
+        CountedTable.compares = 0
+        with scoped_registry() as reg:
+            result = Campaign(kind).run(None, kernel="compiled", lanes=8)
+            histograms = reg.deterministic_dump()["histograms"]
+        assert CountedTable.compares == 0
+        assert not result.degraded
+        assert result.by_class()["transfer"]["detected"] > 7
+        assert "campaign.detection_latency_steps{cls=transfer}" in histograms
+
     def test_unknown_kernel_rejected(self):
         m = build_machine(1)
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -266,6 +341,56 @@ class TestMealyFaultVerdicts:
             analyze_forall_k(m, kernel="turbo")
         with pytest.raises(ValueError, match="unknown kernel"):
             run_stuck_at_campaign(build_netlist(1), [], kernel="turbo")
+
+
+class TestDetectionLatencyTwin:
+    @SETTINGS
+    @given(seed=seeds, tseed=seeds, complete=st.booleans())
+    def test_every_single_fault_latency_identical(self, seed, tseed,
+                                                  complete):
+        m = build_machine(seed, complete=complete)
+        test = build_test(m, tseed, 12)
+        for fault in all_single_faults(m):
+            ref = outcome_of(lambda: detection_latency(m, fault, test))
+            got = outcome_of(
+                lambda: detection_latency_compiled(m, fault, test)
+            )
+            assert ref == got, f"{fault} on rand{seed}"
+
+    @SETTINGS
+    @given(seed=seeds, tseed=seeds)
+    def test_invalid_faults_raise_identically(self, seed, tseed):
+        m = build_machine(seed)
+        test = build_test(m, tseed, 6)
+        for fault in invalid_faults(m):
+            ref = outcome_of(lambda: detection_latency(m, fault, test))
+            got = outcome_of(
+                lambda: detection_latency_compiled(m, fault, test)
+            )
+            assert ref == got, repr(fault)
+
+    def test_journaled_wp_metrics_match_interpreter_latency(
+        self, tmp_path, monkeypatch
+    ):
+        machine = counter(3)
+        ex = generate_suite(
+            machine, "wp", FaultDomain(extra_states=0)
+        ).executable(machine)
+
+        def metrics(name):
+            run_dir = tmp_path / name
+            run_campaign_resumable(
+                ex.machine, ex.inputs, list(ex.faults), run_dir=str(run_dir)
+            )
+            return (run_dir / METRICS_NAME).read_bytes()
+
+        assert fault_campaign.detection_latency is detection_latency_compiled
+        twin = metrics("twin")
+        monkeypatch.setattr(
+            fault_campaign, "detection_latency", detection_latency
+        )
+        assert metrics("oracle") == twin
+        assert b"detection_latency_steps{cls=transfer}" in twin
 
 
 # ----------------------------------------------------------------------
@@ -348,6 +473,17 @@ class TestCompiledNetlist:
         undriven.add_register("r", init=False)
         with pytest.raises(NetlistError, match="no next-state"):
             undriven.run([{}])
+
+    def test_compile_memo_entry_dies_with_its_netlist(self, monkeypatch):
+        memo = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(netlist_kernel, "_COMPILE_MEMO", memo)
+        nl = build_netlist(23)
+        compiled_netlist(nl)
+        compiled_netlist(nl, lanes=MUTANT_LANES + 1)
+        assert len(memo) == 1
+        del nl
+        gc.collect()
+        assert len(memo) == 0
 
     def test_compile_memo_revalidates_on_rewire(self):
         nl = build_netlist(21)

@@ -1,10 +1,14 @@
 """Unit tests for the tour package: mincostflow, eulerian, postman,
 greedy, rural and the tourgen facade."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.coverage import is_state_tour, is_transition_tour
 from repro.core.mealy import MealyMachine
 from repro.tour import (
@@ -199,6 +203,43 @@ class TestPostman:
             chinese_postman_transitions(m)
         with pytest.raises(PostmanError):
             optimal_tour_length(m)
+
+    #: Seeded string-state machines (16-40 states, 4 inputs, a ring on
+    #: input "a" keeps them strongly connected); prints each cpp tour.
+    TOURS_SCRIPT = """
+import random
+from repro.core.mealy import MealyMachine
+from repro.tour import transition_tour
+
+for seed in range(12):
+    rng = random.Random(seed)
+    n = rng.randint(16, 40)
+    states = [f"q{i}" for i in range(n)]
+    m = MealyMachine(states[0], name=f"ring{seed}")
+    for i, s in enumerate(states):
+        for x in "abcd":
+            dst = states[(i + 1) % n] if x == "a" else rng.choice(states)
+            m.add_transition(s, x, rng.choice("01"), dst)
+    print(transition_tour(m, method="cpp").inputs)
+"""
+
+    def test_tour_independent_of_hash_seed(self):
+        """String states hash differently per process; the tour (and
+        so every store key and manifest built from it) must not."""
+        src = os.path.abspath(
+            os.path.join(os.path.dirname(repro.__file__), os.pardir)
+        )
+        tours = []
+        for hash_seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            tours.append(subprocess.run(
+                [sys.executable, "-c", self.TOURS_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+                timeout=120,
+            ).stdout)
+        assert tours[0].count("\n") == 12
+        assert tours[0] == tours[1]
 
 
 class TestGreedy:
