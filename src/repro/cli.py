@@ -28,17 +28,18 @@ re-simulates only the missing entries, producing byte-identical
 reports.
 
 The ``tour``, ``validate`` and ``campaign`` subcommands accept
-``--trace FILE`` (span trace; ``.jsonl`` for raw records, anything
-else for Chrome ``trace_event`` JSON loadable in ``chrome://tracing``
-/ Perfetto) and ``--metrics FILE`` (the metrics-registry dump that
-``repro report`` renders), plus the live observatory flags:
-``--events FILE`` streams the typed event bus as JSONL,
-``--progress {auto,always,never}`` controls the one-line stderr
-progress view (``auto`` = only on a TTY), and ``--status-port N``
-serves ``/status``, ``/metrics`` (Prometheus text) and
-``/events?since=N`` on ``127.0.0.1:N`` for the duration of the
-command (``0`` picks an ephemeral port, announced on stderr).  With
-none of these flags the observability layer stays a no-op.
+``--trace FILE`` (the event stream rendered as a span trace;
+``.jsonl`` for raw records, anything else for Chrome ``trace_event``
+JSON loadable in ``chrome://tracing`` / Perfetto) and ``--metrics
+FILE`` (the metrics-registry dump that ``repro report`` renders),
+plus the live observatory flags: ``--events FILE`` streams the typed
+event bus as JSONL, ``--progress {auto,always,never}`` controls the
+one-line stderr progress view (``auto`` = only on a TTY), and
+``--status-port N`` serves ``/status``, ``/metrics`` (Prometheus
+text) and ``/events?since=N`` on ``127.0.0.1:N`` for the duration of
+the command (``0`` picks an ephemeral port, announced on stderr; a
+port that cannot be bound exits 2).  With none of these flags the
+observability layer stays a no-op.
 """
 
 from __future__ import annotations
@@ -73,105 +74,99 @@ def _campaign_exit(complete: bool, degraded: bool) -> int:
     return 0
 
 
+class _CannotServe(Exception):
+    """A server could not bind its port; :func:`main` reports it."""
+
+
+def _serve(stack: contextlib.ExitStack, start, host: str, port: int):
+    """``start()`` a server and stop it when ``stack`` unwinds; a
+    failed bind raises :class:`_CannotServe`, unwinding the stack."""
+    try:
+        server = start()
+    except OSError as exc:
+        raise _CannotServe(f"cannot serve on {host}:{port}: {exc}") from None
+    stack.callback(server.stop)
+    return server
+
+
+def _write_metrics(registry, path: str) -> None:
+    with open(path, "w") as handle:
+        json.dump(registry.dump(), handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 @contextlib.contextmanager
 def _observability(args: argparse.Namespace) -> Iterator[None]:
     """Install the observability layer the flags ask for.
 
-    ``--trace``/``--metrics`` install a live tracer/registry whose
-    dumps are written after the command body finishes (even on error,
-    so a failing campaign still leaves its telemetry behind).
-    ``--events``/``--progress``/``--status-port`` install a live event
-    bus with the matching sinks: a JSONL file, the stderr progress
+    ``--metrics`` installs a live registry whose dump is written after
+    the command body finishes (even on error, so a failing campaign
+    still leaves its telemetry behind).  ``--trace``/``--events``/
+    ``--progress``/``--status-port`` install a live event bus with the
+    matching sinks: the span trace, a JSONL file, the stderr progress
     renderer, and the ring buffer + progress model behind the HTTP
-    status server.  With none of the flags set this is a pure
-    pass-through: the global no-op registry/tracer/bus stay installed
-    and instrumented hot paths pay nothing.
+    status server.  Everything is entered on one exit stack, so a
+    failed setup (a busy ``--status-port``) unwinds what came before
+    it.  With none of the flags set this is a pure pass-through: the
+    global no-op registry/bus stay installed and instrumented hot
+    paths pay nothing.
     """
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
     events_path = getattr(args, "events", None)
     progress_mode = getattr(args, "progress", "auto") or "auto"
     status_port = getattr(args, "status_port", None)
-    from .obs import progress_enabled
-
-    want_progress = progress_enabled(progress_mode)
-    want_bus = bool(events_path) or want_progress or status_port is not None
-    # The status server's /metrics endpoint reads the *installed*
-    # registry, so --status-port implies a live one even without
-    # --metrics (the dump is simply not written anywhere).
-    want_registry = bool(metrics_path) or status_port is not None
-    if not (trace_path or want_registry or want_bus):
-        yield
-        return
     from .obs import (
-        EventBus,
         JsonlSink,
-        MetricsRegistry,
+        ProgressModel,
         ProgressRenderer,
         RingBufferSink,
-        Tracer,
-        install_bus,
-        install_registry,
-        install_tracer,
+        TraceSink,
+        progress_enabled,
+        scoped_bus,
+        scoped_registry,
         serve_campaign,
     )
 
-    registry = MetricsRegistry() if want_registry else None
-    tracer = Tracer() if trace_path else None
-    previous_registry = (
-        install_registry(registry) if registry is not None else None
-    )
-    previous_tracer = install_tracer(tracer) if tracer is not None else None
-    bus = EventBus() if want_bus else None
-    previous_bus = install_bus(bus) if bus is not None else None
-    jsonl_sink = None
-    renderer = None
-    server = None
-    if bus is not None:
-        if events_path:
-            jsonl_sink = bus.add_sink(JsonlSink(events_path))
-        if want_progress:
-            renderer = ProgressRenderer()
-            bus.add_sink(renderer)
-        if status_port is not None:
-            ring = RingBufferSink()
-            bus.add_sink(ring)
-            # Reuse the renderer's model when both views are up, so
-            # /status and the progress line never disagree.
-            model = renderer.model if renderer else None
-            if model is None:
-                from .obs import ProgressModel
-
-                model = ProgressModel()
-                bus.add_sink(model)
-            server = serve_campaign(model, ring, port=status_port)
-            print(
-                f"status server listening on {server.url} "
-                f"(/status /metrics /events)",
-                file=sys.stderr,
-            )
-    try:
+    want_progress = progress_enabled(progress_mode)
+    serving = status_port is not None
+    with contextlib.ExitStack() as stack:
+        # The status server's /metrics endpoint reads the *installed*
+        # registry, so --status-port implies a live one even without
+        # --metrics (the dump is simply not written anywhere).
+        if metrics_path or serving:
+            registry = stack.enter_context(scoped_registry())
+            if metrics_path:
+                stack.callback(_write_metrics, registry, metrics_path)
+        if trace_path or events_path or want_progress or serving:
+            bus = stack.enter_context(scoped_bus())
+            if trace_path:
+                stack.callback(bus.add_sink(TraceSink(trace_path)).close)
+            if events_path:
+                stack.callback(bus.add_sink(JsonlSink(events_path)).close)
+            renderer = None
+            if want_progress:
+                renderer = bus.add_sink(ProgressRenderer())
+                stack.callback(renderer.close)
+            if serving:
+                ring = bus.add_sink(RingBufferSink())
+                # Reuse the renderer's model when both views are up,
+                # so /status and the progress line never disagree.
+                model = (
+                    renderer.model if renderer
+                    else bus.add_sink(ProgressModel())
+                )
+                server = _serve(
+                    stack,
+                    lambda: serve_campaign(model, ring, port=status_port),
+                    "127.0.0.1", status_port,
+                )
+                print(
+                    f"status server listening on {server.url} "
+                    f"(/status /metrics /events)",
+                    file=sys.stderr,
+                )
         yield
-    finally:
-        if server is not None:
-            server.stop()
-        if renderer is not None:
-            renderer.close()
-        if jsonl_sink is not None:
-            jsonl_sink.close()
-        if bus is not None:
-            install_bus(previous_bus)
-        if tracer is not None:
-            install_tracer(previous_tracer)
-        if registry is not None:
-            install_registry(previous_registry)
-        if metrics_path and registry is not None:
-            with open(metrics_path, "w") as handle:
-                json.dump(registry.dump(), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
-        if trace_path and tracer is not None:
-            tracer.write(trace_path)
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -649,46 +644,48 @@ def cmd_watch(args: argparse.Namespace) -> int:
     snapshot = take()
     if snapshot is None:
         return 2
-    server = None
-    if args.status_port is not None:
-        from .obs import StatusServer
+    with contextlib.ExitStack() as stack:
+        if args.status_port is not None:
+            from .obs import StatusServer
 
-        def metrics_provider() -> dict:
-            from .runtime import run_paths
+            def metrics_provider() -> dict:
+                from .runtime import run_paths
 
-            try:
-                with open(run_paths(args.run_dir).metrics) as handle:
-                    loaded = json.load(handle)
-                return loaded if isinstance(loaded, dict) else {}
-            except (OSError, ValueError):
-                return {}
+                try:
+                    with open(run_paths(args.run_dir).metrics) as handle:
+                        loaded = json.load(handle)
+                    return loaded if isinstance(loaded, dict) else {}
+                except (OSError, ValueError):
+                    return {}
 
-        server = StatusServer(
-            status_provider=lambda: watch_snapshot(args.run_dir),
-            metrics_provider=metrics_provider,
-            port=args.status_port,
-        ).start()
-        print(
-            f"status server listening on {server.url} (/status /metrics)",
-            file=sys.stderr,
-        )
-    try:
-        while True:
-            if args.json:
-                print(json.dumps(snapshot, sort_keys=True))
-            else:
-                print(_watch_line(snapshot))
-            if args.once or snapshot.get("phase") == "done":
-                return 0
-            time.sleep(max(0.05, args.interval))
-            snapshot = take()
-            if snapshot is None:
-                return 2
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        if server is not None:
-            server.stop()
+            server = _serve(
+                stack,
+                lambda: StatusServer(
+                    status_provider=lambda: watch_snapshot(args.run_dir),
+                    metrics_provider=metrics_provider,
+                    port=args.status_port,
+                ).start(),
+                "127.0.0.1", args.status_port,
+            )
+            print(
+                f"status server listening on {server.url} "
+                f"(/status /metrics)",
+                file=sys.stderr,
+            )
+        try:
+            while True:
+                if args.json:
+                    print(json.dumps(snapshot, sort_keys=True))
+                else:
+                    print(_watch_line(snapshot))
+                if args.once or snapshot.get("phase") == "done":
+                    return 0
+                time.sleep(max(0.05, args.interval))
+                snapshot = take()
+                if snapshot is None:
+                    return 2
+        except KeyboardInterrupt:
+            return 0
 
 
 def cmd_bench_report(args: argparse.Namespace) -> int:
@@ -743,7 +740,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the fault-tolerant campaign service until interrupted."""
     import time
 
-    from .obs import MetricsRegistry, install_registry
+    from .obs import JsonlSink, scoped_bus, scoped_registry
     from .service import Coordinator, ServiceServer
 
     try:
@@ -758,39 +755,33 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    # A live registry so /metrics reports real counters; an optional
-    # live bus so --events captures the service.* lifecycle stream.
-    previous_registry = install_registry(MetricsRegistry())
-    jsonl_sink = previous_bus = bus = None
-    if args.events:
-        from .obs import EventBus, JsonlSink, install_bus
-
-        bus = EventBus()
-        jsonl_sink = bus.add_sink(JsonlSink(args.events))
-        previous_bus = install_bus(bus)
-    server = ServiceServer(
-        coordinator, host=args.host, port=args.port
-    ).start()
-    # The URL on stdout (scripts read it); the prose on stderr.
-    print(server.url, flush=True)
-    print(
-        f"campaign service listening on {server.url} "
-        f"(state under {args.root}; POST /api/campaigns to submit)",
-        file=sys.stderr,
-    )
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        server.stop()
-        if bus is not None:
-            from .obs import install_bus
-
-            install_bus(previous_bus)
-            jsonl_sink.close()
-        install_registry(previous_registry)
+    with contextlib.ExitStack() as stack:
+        # A live registry so /metrics reports real counters; an
+        # optional live bus so --events captures the service.*
+        # lifecycle stream.
+        stack.enter_context(scoped_registry())
+        if args.events:
+            bus = stack.enter_context(scoped_bus())
+            stack.callback(bus.add_sink(JsonlSink(args.events)).close)
+        server = _serve(
+            stack,
+            lambda: ServiceServer(
+                coordinator, host=args.host, port=args.port
+            ).start(),
+            args.host, args.port,
+        )
+        # The URL on stdout (scripts read it); the prose on stderr.
+        print(server.url, flush=True)
+        print(
+            f"campaign service listening on {server.url} "
+            f"(state under {args.root}; POST /api/campaigns to submit)",
+            file=sys.stderr,
+        )
+        try:
+            while True:
+                time.sleep(3600)
+        except KeyboardInterrupt:
+            return 0
 
 
 def cmd_shard_worker(args: argparse.Namespace) -> int:
@@ -1335,7 +1326,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CannotServe as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main()

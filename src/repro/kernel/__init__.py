@@ -46,7 +46,6 @@ from .mealy_kernel import (
 )
 from .netlist_kernel import (
     DEFAULT_LANES,
-    MUTANT_LANES,
     CompiledNetlist,
     KernelError,
     compiled_netlist,
@@ -60,7 +59,6 @@ from .pairs_kernel import (
 
 __all__ = [
     "DEFAULT_LANES",
-    "MUTANT_LANES",
     "CompiledNetlist",
     "DenseMealy",
     "KernelError",

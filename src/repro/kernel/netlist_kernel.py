@@ -15,13 +15,11 @@ independent simulations:
 
 The lane count is a parameter: Python integers are arbitrary
 precision, so a pass is not limited to machine-word width.  The
-default is :data:`DEFAULT_LANES` (1023 mutants per pass); the legacy
-machine-word width survives as :data:`MUTANT_LANES` for callers that
-want one word per hardware register.  Per-operation interpreter
-overhead dominates bigint arithmetic until words grow to many
-thousands of bits, so widening lanes converts per-cycle Python
-dispatch into bulk bit-parallel work almost for free -- see
-METHODOLOGY section 15 for the measured crossover.
+default is :data:`DEFAULT_LANES` (1023 mutants per pass).
+Per-operation interpreter overhead dominates bigint arithmetic until
+words grow to many thousands of bits, so widening lanes converts
+per-cycle Python dispatch into bulk bit-parallel work almost for free
+-- see METHODOLOGY section 15 for the measured crossover.
 
 A stuck-at fault is a pair of per-slot masks: before every cycle the
 faulted slot is rewritten as ``(v & and_mask) | or_mask``, clearing or
@@ -72,13 +70,6 @@ from typing import (
 from ..rtl.expr import And, Const, Expr, Mux, Not, Or, Var, Xor
 from ..rtl.faults import StuckAt
 from ..rtl.netlist import Netlist, NetlistError
-
-#: Mutant lanes per machine word (lane 0 is reserved for the golden
-#: design, so a 64-lane word carries 63 mutants).  This is the legacy
-#: fixed width of the PR-3 kernel and the parallel executor's default
-#: batch unit; the kernel itself now takes any width (see
-#: :data:`DEFAULT_LANES` and the ``lanes`` parameters below).
-MUTANT_LANES = 63
 
 #: Default total lane count (golden lane 0 + 1023 mutant lanes) when a
 #: caller passes ``lanes=None``/``"auto"``.  Python ints are arbitrary

@@ -1,4 +1,4 @@
-"""Observability: metrics, tracing, events and the live observatory.
+"""Observability: metrics, events and the live observatory.
 
 A dependency-free instrumentation layer for the validation runner.
 All pieces are zero-cost when disabled (the default):
@@ -8,16 +8,16 @@ All pieces are zero-cost when disabled (the default):
   histograms.  ``get_registry()`` returns a shared no-op registry
   until a live one is installed (``scoped_registry()`` for tests,
   the CLI's ``--metrics FILE`` for runs).
-* :mod:`repro.obs.trace` -- ``span("campaign.run", ...)`` context
-  managers and instant events, exported as JSONL or Chrome
-  ``trace_event`` JSON (``chrome://tracing`` / Perfetto).
+* :mod:`repro.obs.events` -- the typed event bus, the one timeline:
+  campaign lifecycle, per-fault verdicts, coverage snapshots,
+  scheduling events and ``span("campaign.run", ...)`` regions
+  (``span.begin``/``span.end``) fan out to pluggable sinks (JSONL
+  file, in-memory ring, callbacks).  :class:`TraceSink` renders the
+  stream as a Chrome ``trace_event`` JSON or JSONL span trace
+  (``chrome://tracing`` / Perfetto; the CLI's ``--trace FILE``).
 * :mod:`repro.obs.telemetry` -- :class:`CoverageTelemetry`, the
   instrumented replay hook streaming per-transition visit counts,
   first-visit steps and incremental coverage snapshots.
-* :mod:`repro.obs.events` -- the typed event bus behind the live
-  observatory: campaign lifecycle, per-fault verdicts, coverage
-  snapshots and scheduling events fan out to pluggable sinks (JSONL
-  file, in-memory ring, callbacks).
 * :mod:`repro.obs.progress` -- :class:`ProgressModel` folds the event
   stream into phase/ETA/throughput state; :class:`ProgressRenderer`
   draws it as a single-line TTY dashboard.
@@ -34,8 +34,8 @@ results; every metric outside the ``*_seconds`` / ``parallel.*``
 / ``cache.*`` namespaces is byte-identical at any ``jobs`` setting
 (see :meth:`MetricsRegistry.deterministic_dump`); and every event
 outside the scheduling namespaces (``chunk.*``, ``worker.*``,
-``journal.*``, ``run.*``) has byte-identical payloads at any
-``jobs``/``kernel`` setting (see
+``journal.*``, ``run.*``, ``service.*``, ``span.*``) has
+byte-identical payloads at any ``jobs``/``kernel`` setting (see
 :func:`repro.obs.events.deterministic_payloads`).
 """
 
@@ -49,18 +49,22 @@ from .bench import (
     render_trajectory,
 )
 from .events import (
+    NOOP_SPAN,
     NULL_BUS,
     Event,
     EventBus,
     JsonlSink,
     NullBus,
     RingBufferSink,
+    Span,
+    TraceSink,
     deterministic_payloads,
     emit_event,
     get_bus,
     install_bus,
     is_deterministic_event,
     scoped_bus,
+    span,
 )
 from .metrics import (
     NULL_REGISTRY,
@@ -90,16 +94,6 @@ from .telemetry import (
     record_detection_latencies,
     replay_with_telemetry,
 )
-from .trace import (
-    NOOP_SPAN,
-    Span,
-    Tracer,
-    event,
-    get_tracer,
-    install_tracer,
-    scoped_tracer,
-    span,
-)
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -124,17 +118,14 @@ __all__ = [
     "RingBufferSink",
     "Span",
     "StatusServer",
-    "Tracer",
+    "TraceSink",
     "deterministic_payloads",
     "emit_event",
-    "event",
     "find_regressions",
     "get_bus",
     "get_registry",
-    "get_tracer",
     "install_bus",
     "install_registry",
-    "install_tracer",
     "is_deterministic_event",
     "load_bench",
     "load_bench_dir",
@@ -153,7 +144,6 @@ __all__ = [
     "ring_events_provider",
     "scoped_bus",
     "scoped_registry",
-    "scoped_tracer",
     "serve_campaign",
     "span",
 ]

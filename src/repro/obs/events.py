@@ -1,11 +1,11 @@
 """The campaign event bus: typed structured events, pluggable sinks.
 
-The third leg of the observability layer (metrics are the numeric
-half, spans the temporal half): a process-global stream of *what the
-run is doing right now*, fanned out to pluggable sinks -- a JSONL
-file, an in-memory ring buffer (the ``/events`` endpoint's backing
-store), or arbitrary callbacks (the progress view, the status
-tracker).
+The temporal half of the observability layer (the metrics registry is
+the numeric half): one process-global stream of *what the run is
+doing right now*, timed regions included, fanned out to pluggable
+sinks -- a JSONL file, a span trace (:class:`TraceSink`), an
+in-memory ring buffer (the ``/events`` endpoint's backing store), or
+arbitrary callbacks (the progress view, the status tracker).
 
 Event taxonomy (names are dotted, lowest-frequency first):
 
@@ -32,6 +32,12 @@ Event taxonomy (names are dotted, lowest-frequency first):
     Campaign-service lifecycle: submissions admitted, shards leased,
     leases expired, shards completed/bisected, result-store hits.
     Lease traffic is timing-dependent by nature.
+``span.begin`` / ``span.end``
+    A timed region (:func:`span`) opened / closed in the emitting
+    thread, properly nested per thread.  Both carry the span name; the
+    end also carries the span's arguments (coerced to JSON scalars,
+    plus any :meth:`Span.set` attributes and, when the body raised,
+    ``error``) and its duration in ``seconds``.
 
 **The determinism contract.**  Event *payloads* carry only data that
 is byte-identical at any ``--jobs`` / ``--kernel`` setting; wall-clock
@@ -39,22 +45,25 @@ timestamps, sequence numbers and process ids live in the envelope
 (:meth:`Event.to_json_dict` puts them under ``"meta"``), mirroring how
 the metrics registry segregates ``*_seconds`` timings.  Events whose
 very *occurrence* is scheduling- or environment-dependent --
-``chunk.*``, ``worker.*``, ``journal.*``, ``run.*`` -- are excluded
-from the deterministic view altogether, exactly like the
-``parallel.*`` / ``runtime.*`` metric namespaces:
+``chunk.*``, ``worker.*``, ``journal.*``, ``run.*``, ``service.*``,
+``span.*`` -- are excluded from the deterministic view altogether,
+exactly like the ``parallel.*`` / ``runtime.*`` metric namespaces:
 :func:`deterministic_payloads` keeps only the events the differential
 tests compare.
 
 **Zero cost when disabled.**  The process-global bus defaults to
 :data:`NULL_BUS`; :func:`emit_event` is one global read and a
 truthiness check when no live bus is installed, and no event object is
-ever allocated.
+ever allocated; :func:`span` then returns the shared
+:data:`NOOP_SPAN`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -71,15 +80,16 @@ from typing import (
 
 #: Event-name prefixes whose occurrence depends on scheduling or the
 #: environment (task placement, worker failures, journal slicing,
-#: resume accounting, campaign-service lease/shard traffic).  Excluded
-#: from the deterministic view, exactly like the ``parallel.*`` /
-#: ``runtime.*`` metric namespaces.
+#: resume accounting, campaign-service lease/shard traffic, span
+#: timing).  Excluded from the deterministic view, exactly like the
+#: ``parallel.*`` / ``runtime.*`` metric namespaces.
 SCHEDULING_PREFIXES: Tuple[str, ...] = (
     "chunk.",
     "worker.",
     "journal.",
     "run.",
     "service.",
+    "span.",
 )
 
 
@@ -187,6 +197,78 @@ class RingBufferSink:
             return [e for e in self._events if e.seq > seq]
 
 
+class TraceSink:
+    """Render the event stream as a span trace, written on close.
+
+    Each ``span.end`` becomes a Chrome ``trace_event`` complete record
+    (``"ph": "X"`` with microsecond ``ts``/``dur``), every other event
+    an instant (``"ph": "i"``).  ``pid`` comes from the event envelope;
+    ``tid`` is read here, since sinks run in the emitting thread.
+    :meth:`close` writes ``{"traceEvents": [...]}`` JSON (loadable in
+    ``chrome://tracing`` / Perfetto), or one record per line when
+    ``path`` ends in ``.jsonl``.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._origin = time.perf_counter()
+        self._records: List[Dict[str, Any]] = []
+        self._lock = threading.Lock()
+
+    def _us(self, t: float) -> int:
+        return max(0, int((t - self._origin) * 1_000_000))
+
+    def __call__(self, event: Event) -> None:
+        now = time.perf_counter()
+        tid = threading.get_ident()
+        if event.name == "span.end":
+            seconds = event.payload["seconds"]
+            record = {
+                "name": event.payload["span"],
+                "cat": "repro",
+                "ph": "X",
+                "ts": self._us(now - seconds),
+                "dur": max(0, int(seconds * 1_000_000)),
+                "pid": event.pid,
+                "tid": tid,
+                "args": dict(event.payload["args"]),
+            }
+        else:
+            record = {
+                "name": event.name,
+                "cat": "repro",
+                "ph": "i",
+                "ts": self._us(now),
+                "s": "t",
+                "pid": event.pid,
+                "tid": tid,
+                "args": dict(event.payload),
+            }
+        with self._lock:
+            self._records.append(record)
+
+    @property
+    def records(self) -> List[Dict[str, Any]]:
+        """A snapshot of the rendered records (emission order)."""
+        with self._lock:
+            return list(self._records)
+
+    def close(self) -> None:
+        records = self.records
+        with open(self.path, "w") as handle:
+            if self.path.endswith(".jsonl"):
+                for record in records:
+                    handle.write(json.dumps(record, sort_keys=True))
+                    handle.write("\n")
+            else:
+                json.dump(
+                    {"traceEvents": records, "displayTimeUnit": "ms"},
+                    handle,
+                    indent=1,
+                )
+                handle.write("\n")
+
+
 class EventBus:
     """A live event bus: numbered events fanned out to sinks.
 
@@ -215,9 +297,6 @@ class EventBus:
                 self._sinks.remove(sink)
 
     def emit(self, name: str, **payload: Any) -> Optional[Event]:
-        import os
-        import time
-
         with self._lock:
             self._seq += 1
             event = Event(
@@ -291,3 +370,71 @@ def emit_event(name: str, **payload: Any) -> None:
     bus = _ACTIVE
     if bus.enabled:
         bus.emit(name, **payload)
+
+
+class _NoopSpan:
+    """Shared do-nothing span for the disabled path."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NoopSpan":
+        return self
+
+    def __exit__(self, *_exc: Any) -> bool:
+        return False
+
+    def set(self, **_attrs: Any) -> None:
+        pass
+
+
+NOOP_SPAN = _NoopSpan()
+
+
+def _jsonable(value: Any) -> Any:
+    """Coerce a span attribute to a JSON scalar."""
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return repr(value)
+
+
+class Span:
+    """One live span: ``span.begin`` on entry, ``span.end`` on exit,
+    both on the bus that was installed when the span was opened."""
+
+    __slots__ = ("_bus", "name", "args", "_t0")
+
+    def __init__(self, bus: EventBus, name: str, args: Dict[str, Any]):
+        self._bus = bus
+        self.name = name
+        self.args = args
+        self._t0 = 0.0
+
+    def set(self, **attrs: Any) -> None:
+        """Attach attributes to the span after creation."""
+        self.args.update(attrs)
+
+    def __enter__(self) -> "Span":
+        self._bus.emit("span.begin", span=self.name)
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type: Any, *_exc: Any) -> bool:
+        seconds = time.perf_counter() - self._t0
+        if exc_type is not None:
+            self.args["error"] = exc_type.__name__
+        self._bus.emit(
+            "span.end",
+            span=self.name,
+            args={k: _jsonable(v) for k, v in self.args.items()},
+            seconds=seconds,
+        )
+        return False
+
+
+def span(name: str, **args: Any) -> Any:
+    """A timed region on the global bus; the shared :data:`NOOP_SPAN`
+    when the bus is disabled."""
+    bus = _ACTIVE
+    if not bus.enabled:
+        return NOOP_SPAN
+    return Span(bus, name, args)

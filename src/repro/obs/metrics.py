@@ -1,10 +1,11 @@
 """Deterministic metrics: counters, gauges and fixed-bucket histograms.
 
 The registry is the numeric half of the observability layer (the
-tracer in :mod:`repro.obs.trace` is the temporal half).  Three design
-rules keep it compatible with the differential guarantee that campaign
-results -- and their coverage/latency aggregates -- are byte-identical
-at any worker count:
+event stream in :mod:`repro.obs.events`, spans included, is the
+temporal half).  Three design rules keep it compatible with the
+differential guarantee that campaign results -- and their
+coverage/latency aggregates -- are byte-identical at any worker
+count:
 
 * **Fixed bucket boundaries.**  Histograms never rebucket; boundaries
   are chosen at creation (or taken from the deterministic defaults),

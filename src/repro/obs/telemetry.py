@@ -32,7 +32,6 @@ from ..core.coverage import CoverageReport, reachable_transitions
 from ..core.mealy import Input, MealyMachine, State, Transition
 from .events import emit_event
 from .metrics import STEP_BUCKETS, MetricsRegistry, get_registry
-from .trace import event
 
 
 class CoverageTelemetry:
@@ -46,7 +45,7 @@ class CoverageTelemetry:
         Start state (default: the machine's initial state).
     snapshot_every:
         When > 0, a :class:`CoverageReport` snapshot is recorded (and
-        an instant trace event emitted) every that many steps.
+        a ``coverage.snapshot`` event emitted) every that many steps.
     """
 
     def __init__(
@@ -109,17 +108,7 @@ class CoverageTelemetry:
     def _take_snapshot(self) -> None:
         report = self.snapshot()
         self.snapshots.append((self._steps, report))
-        # Twice: once to the trace (Chrome timeline), once to the
-        # event bus (progress view / status server / JSONL stream).
-        # Step-indexed, so both are deterministic across jobs/kernel.
-        event(
-            "coverage.snapshot",
-            model=self._machine.name,
-            step=self._steps,
-            covered=len(report.covered & report.total),
-            total=len(report.total),
-            fraction=round(report.fraction, 6),
-        )
+        # Step-indexed, so deterministic across jobs/kernel.
         emit_event(
             "coverage.snapshot",
             model=self._machine.name,

@@ -25,7 +25,6 @@ from .cache import (
     machine_fingerprint,
 )
 from .executor import (
-    MUTANT_BATCH,
     TaskOutcome,
     TaskTimeout,
     batch_unit,
@@ -37,7 +36,6 @@ from .executor import (
 )
 
 __all__ = [
-    "MUTANT_BATCH",
     "BackoffPolicy",
     "CampaignCache",
     "TaskOutcome",

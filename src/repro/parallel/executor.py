@@ -69,17 +69,7 @@ class TaskOutcome:
         return self.error is None and not self.timed_out
 
 
-# Word-parallel kernels simulate the golden design plus up to 63 fault
-# mutants in the lanes of one machine word (see
-# repro.kernel.netlist_kernel); a batch of this size is the natural
-# default unit of work to hand a worker process.  Kernels with wider
-# lane words size their batches with :func:`batch_unit` instead.
-MUTANT_BATCH = 63
-
-
-def batch_unit(
-    n_items: int, jobs: int, width: Optional[int] = None
-) -> int:
+def batch_unit(n_items: int, jobs: int, width: int) -> int:
     """Batch size for word-parallel kernels with ``width`` lanes of
     payload per pass.
 
@@ -90,7 +80,7 @@ def batch_unit(
     :func:`parallel_map`'s chunking) -- but never below 1 and never
     above the lane width, so no batch overflows a simulation word.
     """
-    width = MUTANT_BATCH if width is None else max(1, int(width))
+    width = max(1, int(width))
     jobs = max(1, int(jobs))
     if jobs <= 1 or n_items <= 0:
         return width
@@ -406,7 +396,7 @@ def parallel_map_batched(
     jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
-    batch_size: int = MUTANT_BATCH,
+    batch_size: int,
     backoff: Optional[BackoffPolicy] = None,
 ) -> List[TaskOutcome]:
     """Run a *batched* ``fn`` over ``items``; per-item outcomes in

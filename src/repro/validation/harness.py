@@ -21,7 +21,6 @@ from ..dlx.isa import Instruction
 from ..dlx.pipeline import PipelineBugs, PipelinedDLX
 from ..obs import STEP_BUCKETS, get_registry, span
 from ..parallel import (
-    MUTANT_BATCH,
     CampaignCache,
     TaskTimeout,
     batch_unit,
@@ -261,12 +260,9 @@ def sweep_bug_verdicts(
     if not entries:
         return []
     if kernel == "compiled":
-        if lanes is None or lanes == "auto":
-            width = MUTANT_BATCH
-        else:
-            from ..kernel import resolve_lanes
+        from ..kernel import resolve_lanes
 
-            width = resolve_lanes(lanes) - 1
+        width = resolve_lanes(lanes) - 1
         # Keep at least jobs*4 batches in flight so a short catalog
         # still fans out across every worker.
         outcomes = parallel_map_batched(

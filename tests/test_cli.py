@@ -241,6 +241,8 @@ class TestObservatoryFlags:
     def test_campaign_events_jsonl(self, tmp_path, capsys):
         import json
 
+        from repro.obs import is_deterministic_event
+
         events = tmp_path / "events.jsonl"
         assert main(["campaign", "counter", "--jobs", "2",
                      "--events", str(events)]) == 1
@@ -250,10 +252,13 @@ class TestObservatoryFlags:
             for line in events.read_text().splitlines()
         ]
         names = [r["name"] for r in records]
-        assert names[0] == "campaign.started"
+        # Spans (and other scheduling events) may wrap the campaign.
+        deterministic = [n for n in names if is_deterministic_event(n)]
+        assert deterministic[0] == "campaign.started"
         assert "fault.verdict" in names
         assert "chunk.dispatched" in names
-        assert names[-1] == "campaign.finished"
+        assert deterministic[-1] == "campaign.finished"
+        assert names.count("span.begin") == names.count("span.end") > 0
         # Envelope metadata segregated from payloads.
         assert all(
             "ts" in r["meta"] and "ts" not in r["payload"]
@@ -279,6 +284,57 @@ class TestObservatoryFlags:
         assert main(["campaign", "counter", "--progress", "never",
                      "--events", str(tmp_path / "e.jsonl")]) == 1
         assert capsys.readouterr().out == plain
+
+
+class TestBusyPort:
+    """A port that cannot be bound is one stderr line and exit 2, and
+    the observability globals are left as they were."""
+
+    @pytest.fixture
+    def busy_port(self):
+        import socket
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.listen(1)
+            yield sock.getsockname()[1]
+
+    def _assert_refused(self, status, capsys, port):
+        import re
+
+        from repro.obs import NULL_BUS, NULL_REGISTRY, get_bus, get_registry
+
+        assert status == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"cannot serve on 127\.0\.0\.1:{port}: \[Errno \d+\] [^\n]+\n",
+            err,
+        ), err
+        assert get_registry() is NULL_REGISTRY
+        assert get_bus() is NULL_BUS
+
+    def test_campaign(self, tmp_path, capsys, busy_port):
+        status = main([
+            "campaign", "vending", "--status-port", str(busy_port),
+            "--events", str(tmp_path / "events.jsonl"),
+            "--trace", str(tmp_path / "trace.json"),
+        ])
+        self._assert_refused(status, capsys, busy_port)
+
+    def test_serve(self, tmp_path, capsys, busy_port):
+        status = main([
+            "serve", "--root", str(tmp_path / "root"),
+            "--port", str(busy_port),
+            "--events", str(tmp_path / "events.jsonl"),
+        ])
+        self._assert_refused(status, capsys, busy_port)
+
+    def test_watch(self, tmp_path, capsys, busy_port):
+        run_dir = str(tmp_path / "run")
+        assert main(["campaign", "counter", "--run-dir", run_dir]) == 1
+        capsys.readouterr()
+        status = main(["watch", run_dir, "--status-port", str(busy_port)])
+        self._assert_refused(status, capsys, busy_port)
 
 
 class TestOthers:

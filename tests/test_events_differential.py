@@ -9,13 +9,19 @@ metrics.
 """
 
 import json
+from collections import defaultdict
 
 import pytest
 
 from repro.faults import run_campaign
 from repro.models import counter, figure2_fragment
 from repro.obs import scoped_registry
-from repro.obs.events import RingBufferSink, deterministic_payloads, scoped_bus
+from repro.obs.events import (
+    RingBufferSink,
+    TraceSink,
+    deterministic_payloads,
+    scoped_bus,
+)
 from repro.runtime import chaos_scope, parse_plan, run_campaign_resumable
 from repro.tour import transition_tour
 
@@ -284,3 +290,142 @@ class TestEveryFilledSlotEmitsItsVerdict:
         verdicts = [e for e in warm if e.name == "fault.verdict"]
         assert len(verdicts) == warm_result.total
         assert _projection_bytes(warm) == _projection_bytes(cold)
+
+
+# --------------------------------------------------------------------
+# --trace watches without changing anything
+# --------------------------------------------------------------------
+
+
+def _observe(work, run, traced):
+    """``run(work)`` under a live registry and bus, with a
+    :class:`TraceSink` attached when ``traced`` (what ``--trace``
+    does).  Returns ``((projection, report, metrics), trace records)``,
+    the first three in canonical serialized form."""
+    sink = TraceSink(str(work / "trace.json"))
+    with scoped_registry() as registry, scoped_bus() as bus:
+        ring = bus.add_sink(RingBufferSink(capacity=100_000))
+        if traced:
+            bus.add_sink(sink)
+        report = run(work)
+    sink.close()
+    metrics = json.dumps(registry.deterministic_dump(), sort_keys=True)
+    return (_projection_bytes(ring.events()), report, metrics), sink.records
+
+
+def _assert_spans_nest(records):
+    """Every ``span.begin`` is closed by its own ``span.end``,
+    last-in-first-out within the emitting thread."""
+    open_spans = defaultdict(list)
+    ended = 0
+    for record in records:
+        if record["name"] == "span.begin":
+            open_spans[record["tid"]].append(record["args"]["span"])
+        elif record["ph"] == "X":
+            assert open_spans[record["tid"]].pop() == record["name"]
+            ended += 1
+    assert ended > 0
+    assert not any(open_spans.values())
+
+
+def _tour(machine):
+    return machine, transition_tour(machine).inputs
+
+
+class TestTraceChangesNothing:
+    """Attaching a trace sink leaves the deterministic projection, the
+    report and the deterministic metrics dump byte-identical, and its
+    spans pair up per thread."""
+
+    def _compare(self, tmp_path, run, prepare=lambda work: None):
+        observed = []
+        for traced in (False, True):
+            work = tmp_path / ("traced" if traced else "plain")
+            work.mkdir()
+            prepare(work)
+            observed.append(_observe(work, run, traced))
+        (plain, _), (traced, records) = observed
+        assert traced == plain
+        _assert_spans_nest(records)
+        return {r["name"] for r in records if r["ph"] == "X"}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_counter(self, tmp_path, jobs):
+        machine, inputs = _tour(counter(3))
+
+        def run(_work):
+            result = run_campaign(machine, inputs, jobs=jobs)
+            return json.dumps(result.to_json_dict(), sort_keys=True)
+
+        spans = self._compare(tmp_path, run)
+        assert {"campaign.run", "parallel.map"} <= spans
+
+    def test_resumed_from_half_cut_journal(self, tmp_path):
+        machine, inputs = _tour(counter(3))
+
+        def prepare(work):
+            run_dir = work / "run"
+            run_campaign_resumable(machine, inputs, run_dir=str(run_dir),
+                                   slice_size=16)
+            journal = run_dir / "journal.jsonl"
+            lines = journal.read_bytes().splitlines(keepends=True)
+            journal.write_bytes(b"".join(lines[: len(lines) // 2]))
+            (run_dir / "report.json").unlink()
+            (run_dir / "metrics.json").unlink()
+
+        def run(work):
+            run_dir = work / "run"
+            resumed = run_campaign_resumable(
+                machine, inputs, run_dir=str(run_dir), resume=True,
+                jobs=2, slice_size=16,
+            )
+            assert resumed.stats.replayed and resumed.stats.executed
+            return (run_dir / "report.json").read_bytes() + (
+                run_dir / "metrics.json"
+            ).read_bytes()
+
+        spans = self._compare(tmp_path, run, prepare)
+        assert {"runtime.campaign", "parallel.map"} <= spans
+
+    def test_dlx_directed_programs(self, tmp_path):
+        from repro.dlx.programs import DIRECTED_PROGRAMS
+        from repro.validation import run_bug_campaign
+
+        tests = [(list(p), None, None) for p in DIRECTED_PROGRAMS.values()]
+
+        def run(_work):
+            result = run_bug_campaign(tests, test_name="directed programs",
+                                      jobs=2)
+            return json.dumps(result.to_json_dict(), sort_keys=True)
+
+        spans = self._compare(tmp_path, run)
+        assert {"bugcampaign.run", "validate.spec_run"} <= spans
+
+    @pytest.mark.parametrize("target", ["fsm", "dlx"])
+    def test_raising_span_ends_with_error(self, tmp_path, target):
+        from repro.kernel import KernelError
+
+        if target == "fsm":
+            machine, inputs = _tour(counter(3))
+            name = "campaign.run"
+
+            def campaign():
+                run_campaign(machine, inputs, lanes=1)
+        else:
+            from repro.dlx.programs import DIRECTED_PROGRAMS
+            from repro.validation import run_bug_campaign
+
+            program = next(iter(DIRECTED_PROGRAMS.values()))
+            name = "bugcampaign.run"
+
+            def campaign():
+                run_bug_campaign([(list(program), None, None)], lanes=1)
+
+        def run(_work):
+            with pytest.raises(KernelError):
+                campaign()
+
+        _, records = _observe(tmp_path, run, traced=True)
+        (end,) = [r for r in records if r["ph"] == "X" and r["name"] == name]
+        assert end["args"]["error"] == "KernelError"
+        _assert_spans_nest(records)

@@ -33,7 +33,6 @@ from repro.faults.campaign import FsmKind, run_campaign
 from repro.faults.inject import all_single_faults
 from repro.faults.simulate import detect_fault, detection_latency
 from repro.kernel import (
-    MUTANT_LANES,
     compiled_netlist,
     dense_mealy,
     detect_fault_compiled,
@@ -421,12 +420,12 @@ class TestCompiledNetlist:
         nl = build_netlist(3)
         vectors = build_vectors(nl, 4, 8)
         base = all_stuck_at_faults(nl, include_inputs=True)
-        faults = (base * ((2 * MUTANT_LANES) // len(base) + 1))
+        faults = (base * (126 // len(base) + 1))
         ref = [detects_stuck_at(nl, f, vectors) for f in faults]
         # The legacy machine-word width chunks this into 3 passes; the
         # default width packs it into one.  Both must match per fault.
         assert stuck_at_first_divergences(
-            nl, vectors, faults, lanes=MUTANT_LANES + 1
+            nl, vectors, faults, lanes=64
         ) == ref
         assert stuck_at_first_divergences(nl, vectors, faults) == ref
 
@@ -479,7 +478,7 @@ class TestCompiledNetlist:
         monkeypatch.setattr(netlist_kernel, "_COMPILE_MEMO", memo)
         nl = build_netlist(23)
         compiled_netlist(nl)
-        compiled_netlist(nl, lanes=MUTANT_LANES + 1)
+        compiled_netlist(nl, lanes=64)
         assert len(memo) == 1
         del nl
         gc.collect()

@@ -15,21 +15,38 @@ import pytest
 from repro.faults import run_campaign
 from repro.models import counter, vending_machine
 from repro.obs import (
+    NOOP_SPAN,
+    NULL_BUS,
     NULL_REGISTRY,
     STEP_BUCKETS,
     CoverageTelemetry,
     Histogram,
     MetricsRegistry,
+    RingBufferSink,
+    TraceSink,
+    emit_event,
+    get_bus,
     get_registry,
-    get_tracer,
     record_detection_latencies,
     replay_with_telemetry,
+    scoped_bus,
     scoped_registry,
-    scoped_tracer,
     span,
 )
-from repro.obs.trace import NOOP_SPAN
 from repro.tour import transition_tour
+
+
+def _span_events(body):
+    """Run ``body`` under a fresh bus; its ``span.*`` events."""
+    with scoped_bus() as bus:
+        ring = bus.add_sink(RingBufferSink())
+        body()
+    return [e for e in ring.events() if e.name.startswith("span.")]
+
+
+def _span_ends(body):
+    """The ``span.end`` payloads ``body`` emits, in emission order."""
+    return [e.payload for e in _span_events(body) if e.name == "span.end"]
 
 
 class TestHistogram:
@@ -141,46 +158,63 @@ class TestRegistry:
 
 class TestTracing:
     def test_span_disabled_by_default(self):
-        assert get_tracer() is None
+        assert get_bus() is NULL_BUS
         assert span("anything", x=1) is NOOP_SPAN
 
     def test_span_nesting_depths(self):
-        with scoped_tracer() as tracer:
+        def body():
             with span("outer", model="m"):
                 with span("inner"):
                     pass
-        names = {r["name"]: r for r in tracer.records}
-        # Inner span completes (and records) first.
-        assert [r["name"] for r in tracer.records] == ["inner", "outer"]
-        assert names["outer"]["depth"] == 0
-        assert names["inner"]["depth"] == 1
-        assert names["outer"]["args"] == {"model": "m"}
+
+        events = _span_events(body)
+        ends = {e.payload["span"]: e.payload for e in events
+                if e.name == "span.end"}
+        # Inner span completes (and ends) first.
+        assert [e.payload["span"] for e in events
+                if e.name == "span.end"] == ["inner", "outer"]
+        # Depth is implied by the stream: the spans open at a begin.
+        depths, open_spans = {}, 0
+        for e in events:
+            if e.name == "span.begin":
+                depths[e.payload["span"]] = open_spans
+                open_spans += 1
+            else:
+                open_spans -= 1
+        assert depths["outer"] == 0
+        assert depths["inner"] == 1
+        assert ends["outer"]["args"] == {"model": "m"}
 
     def test_span_records_error_on_exception(self):
-        with scoped_tracer() as tracer:
+        def body():
             with pytest.raises(RuntimeError):
                 with span("boom"):
                     raise RuntimeError("nope")
-        (record,) = tracer.records
-        assert record["args"]["error"] == "RuntimeError"
+
+        (end,) = _span_ends(body)
+        assert end["args"]["error"] == "RuntimeError"
 
     def test_span_set_attributes(self):
-        with scoped_tracer() as tracer:
+        def body():
             with span("work") as sp:
                 sp.set(items=3)
-        (record,) = tracer.records
-        assert record["args"]["items"] == 3
+
+        (end,) = _span_ends(body)
+        assert end["args"]["items"] == 3
 
     def test_chrome_trace_schema(self, tmp_path):
-        with scoped_tracer() as tracer:
-            with span("outer", model="m"):
-                tracer.event("tick", step=1)
         path = tmp_path / "trace.json"
-        tracer.write(str(path))
+        sink = TraceSink(str(path))
+        with scoped_bus() as bus:
+            bus.add_sink(sink)
+            with span("outer", model="m"):
+                emit_event("tick", step=1)
+        sink.close()
         doc = json.loads(path.read_text())
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
-        assert len(events) == 2
+        # span.begin and tick as instants, the span as one "X".
+        assert len(events) == 3
         for e in events:
             assert e["ph"] in ("X", "i")
             assert e["cat"] == "repro"
@@ -194,26 +228,31 @@ class TestTracing:
         assert instant[0]["s"] == "t"
 
     def test_jsonl_export(self, tmp_path):
-        with scoped_tracer() as tracer:
+        path = tmp_path / "trace.jsonl"
+        sink = TraceSink(str(path))
+        with scoped_bus() as bus:
+            bus.add_sink(sink)
             with span("a"):
                 pass
             with span("b"):
                 pass
-        path = tmp_path / "trace.jsonl"
-        tracer.write(str(path))
+        sink.close()
         records = [
             json.loads(line)
             for line in path.read_text().splitlines()
             if line
         ]
-        assert [r["name"] for r in records] == ["a", "b"]
+        assert [r["name"] for r in records if r["ph"] == "X"] == [
+            "a", "b"
+        ]
 
     def test_span_args_coerced_to_jsonable(self):
-        with scoped_tracer() as tracer:
+        def body():
             with span("x", machine=vending_machine()):
                 pass
-        (record,) = tracer.records
-        assert isinstance(record["args"]["machine"], str)
+
+        (end,) = _span_ends(body)
+        assert isinstance(end["args"]["machine"], str)
 
 
 class TestCoverageTelemetry:
@@ -237,10 +276,12 @@ class TestCoverageTelemetry:
         with pytest.raises(ValueError):
             telemetry.feed("no-such-input")
 
-    def test_snapshots_and_trace_events(self):
+    def test_snapshots_and_trace_events(self, tmp_path):
         machine = vending_machine()
         tour = transition_tour(machine)
-        with scoped_tracer() as tracer:
+        sink = TraceSink(str(tmp_path / "trace.json"))
+        with scoped_bus() as bus:
+            bus.add_sink(sink)
             telemetry = replay_with_telemetry(
                 machine, tour.inputs, snapshot_every=5
             )
@@ -248,7 +289,7 @@ class TestCoverageTelemetry:
         steps = [s for s, _report in telemetry.snapshots]
         assert steps == sorted(steps)
         events = [
-            r for r in tracer.records if r["name"] == "coverage.snapshot"
+            r for r in sink.records if r["name"] == "coverage.snapshot"
         ]
         assert len(events) == len(telemetry.snapshots)
         fractions = [e["args"]["fraction"] for e in events]
@@ -328,15 +369,15 @@ class TestInstrumentationOff:
         assert bare == instrumented
 
     def test_hot_paths_record_nothing_when_disabled(self):
-        # With the null registry and no tracer installed (the default),
-        # generation and campaigns leave no observable residue.
+        # With the null registry and the null bus installed (the
+        # default), generation and campaigns leave no observable residue.
         assert not get_registry().enabled
-        assert get_tracer() is None
+        assert get_bus() is NULL_BUS
         machine = vending_machine()
         tour = transition_tour(machine)
         run_campaign(machine, tour.inputs)
         assert not get_registry().enabled
-        assert get_tracer() is None
+        assert get_bus() is NULL_BUS
 
 
 # --------------------------------------------------------------------

@@ -31,7 +31,6 @@ from repro.faults.inject import all_single_faults
 from repro.faults.simulate import detect_fault
 from repro.kernel import (
     DEFAULT_LANES,
-    MUTANT_LANES,
     CompiledNetlist,
     KernelError,
     compiled_netlist,
@@ -200,7 +199,7 @@ class TestOverflowDiagnostic:
         return str(err.value)
 
     def test_legacy_width_message_unchanged(self):
-        assert self._overflowing(MUTANT_LANES + 1) == (
+        assert self._overflowing(64) == (
             "64 faults exceed the 63-mutant word"
         )
 
