@@ -10,30 +10,34 @@ safe -- and an optional journal that records every filled slot.
 
 A *kind* supplies what is specific to one fault domain:
 :class:`repro.faults.campaign.FsmKind` (the single faults of a Mealy
-specification) or :class:`repro.validation.harness.DlxKind` (the DLX
-bug catalog).  Drivers only fill slots: the in-memory drivers from the
-memo cache and one sweep, the journaled runners of
-:mod:`repro.runtime.runner` from the journal replay and fsynced
-slices, the service coordinator from leased shards.
+specification), :class:`repro.validation.harness.DlxKind` (the DLX
+bug catalog) or :class:`repro.rtl.faults.StuckAtKind` (the stuck-at
+faults of a netlist).  Drivers only fill slots: the in-memory drivers
+from one sweep, the journaled runners of :mod:`repro.runtime.runner`
+from the journal replay and fsynced slices, the service coordinator
+from leased shards.  Every sweep dispatches through
+:func:`repro.parallel.parallel_map_batched`; the kernel picks only the
+task body, and an interpreter body is the per-item oracle task run
+through :func:`per_item`.
 
 Only the core emits ``campaign.started``, ``fault.verdict`` and
 ``campaign.finished``.  Each slot's ``fault.verdict`` is emitted
 exactly once, in fault-index order, for the filled prefix whenever the
-driver flushes, so every driver -- cache hits, resumed journals and
-shard fleets included -- projects to the event stream of an
-uninterrupted ``--jobs 1`` run.
+driver flushes, so every driver -- resumed journals and shard fleets
+included -- projects to the event stream of an uninterrupted
+``--jobs 1`` run.
 """
 
 from __future__ import annotations
 
 import time
+import traceback
 from contextlib import nullcontext
-from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .obs import get_registry, scoped_registry
 from .obs.events import NULL_BUS, emit_event, get_bus, scoped_bus
-from .parallel import CampaignCache, run_task_inline
+from .parallel import TaskTimeout, run_task_inline
 
 #: The simulation kernels: ``"compiled"`` (default) and the
 #: ``"interp"`` differential oracle.
@@ -65,27 +69,54 @@ def record_index(record: Any, total: int) -> Optional[int]:
     return None
 
 
+def per_item(
+    task: Callable[[Any, Any], Any], shared: Any, batch: Sequence[Any]
+) -> List[Tuple[str, Any]]:
+    """Run a per-item ``task(shared, item)`` as a batched body: one
+    ``("ok", value)`` or ``("err", traceback)`` per item, so a failing
+    item is quarantined alone instead of poisoning its batchmates.
+
+    A :class:`~repro.parallel.TaskTimeout` propagates: timeouts force
+    singleton batches, so the executor records the whole batch as
+    timed out.  ``functools.partial(per_item, task)`` is the picklable
+    ``fn(shared, batch)`` that
+    :func:`~repro.parallel.parallel_map_batched` calls.
+    """
+    results: List[Tuple[str, Any]] = []
+    for item in batch:
+        try:
+            results.append(("ok", task(shared, item)))
+        except TaskTimeout:
+            raise
+        except Exception as exc:  # noqa: BLE001 - reported per item
+            results.append(("err", "".join(traceback.format_exception(
+                type(exc), exc, exc.__traceback__
+            ))))
+    return results
+
+
 def settle(
     outcomes: Sequence[Any],
     items: Sequence[Any],
     *,
-    batched: bool,
     make: Callable[[Any, bool], Any],
-    timed_out: Callable[[], Any],
+    timed_out: Optional[Callable[[], Any]],
     oracle: Callable[..., Any],
     shared: Any,
     describe: Callable[[Any], Dict[str, Any]],
     failure: Callable[[Any, Optional[str]], Exception],
 ) -> List[Any]:
-    """One verdict per item, in submission order, from executor outcomes.
+    """One verdict per item, in submission order, from the outcomes of
+    :func:`~repro.parallel.parallel_map_batched`.
 
-    ``batched`` outcomes carry one ``("ok", value)``/``("err", message)``
+    Each outcome carries one ``("ok", value)``/``("err", message)``
     per item.  A value becomes ``make(value, False)``, a timeout
-    ``timed_out()``.  A failed task does not abort the sweep: its items
-    are quarantined and re-run in-process on ``oracle`` with bounded
-    exponential backoff, and become degraded verdicts
-    (``make(value, True)``, a ``worker.degraded`` event, ``runtime.*``
-    counters).  An item the oracle cannot simulate raises
+    ``timed_out()`` (None for a sweep without a timeout).  A failed
+    task -- an ``"err"`` item or a batch that raised -- does not abort
+    the sweep: its items are quarantined and re-run in-process on
+    ``oracle`` with bounded exponential backoff, and become degraded
+    verdicts (``make(value, True)``, a ``worker.degraded`` event,
+    ``runtime.*`` counters).  An item the oracle cannot simulate raises
     ``failure(item, error)`` -- with the direct oracle path's error
     text, since the re-run goes through the same executor frames.
     """
@@ -93,7 +124,7 @@ def settle(
     quarantined: List[int] = []
     for i, outcome in enumerate(outcomes):
         error, value = outcome.error, outcome.value
-        if error is None and not outcome.timed_out and batched:
+        if error is None and not outcome.timed_out:
             tag, payload = value
             if tag == "err":
                 error = payload
@@ -144,21 +175,23 @@ class Campaign:
     """Identity, population, first-write-wins verdict slots and an
     optional journal, over one fault-domain ``kind``.
 
-    A kind provides ``name`` (``"fsm"``/``"dlx"``), ``total`` (the
-    population size) and:
+    A kind provides ``name`` (``"fsm"``/``"dlx"``/``"stuck-at"``),
+    ``total`` (the population size) and:
 
     * ``sweep(indices, **options)`` -- one verdict object per index
-      (verdicts carry ``detected``/``timed_out``/``degraded``);
+      (verdicts carry ``detected`` and ``degraded``);
     * ``record(index, verdict)`` -- the verdict's journal record, and
       ``parse(record)`` -- ``(index, verdict)`` from a journal or
-      worker record, or None for a malformed one;
-    * ``cache_keys()`` -- one memo-cache key per index;
+      worker record, or None for a malformed one (only for kinds that
+      are journaled; their verdicts also carry ``timed_out``);
     * ``result(slots)`` and ``fold(slots, result)`` -- the campaign
       result and its metrics fold into the installed registry;
     * ``started()`` -- the ``campaign.started`` payload, ``title()``
-      -- the campaign's name field, and ``describe(index)`` -- the
-      fault's, which lead the ``campaign.finished`` and
-      ``fault.verdict`` payloads.
+      -- the campaign's name field, which leads the
+      ``campaign.finished`` payload, and ``describe(index, verdict)``
+      -- the ``fault.verdict`` payload, which leaves out the
+      environment-dependent ``degraded`` flag (degradation travels via
+      ``worker.degraded`` events).
     """
 
     def __init__(
@@ -239,27 +272,11 @@ class Campaign:
         if self.journal is not None:
             self.journal.sync()
 
-    def run(self, cache: Optional[CampaignCache] = None, **options: Any) -> Any:
-        """Run the whole campaign in memory and finish it: memo-cache
-        hits first, one sweep for the rest.  New verdicts are memoized,
-        except timeouts -- those are environment facts, not properties
-        of the fault."""
+    def run(self, **options: Any) -> Any:
+        """Run the whole campaign in memory -- one sweep -- and finish
+        it."""
         self.start()
-        keys: List[Any] = []
-        if cache is not None:
-            keys = self.kind.cache_keys()
-            for index, key in enumerate(keys):
-                hit = cache.lookup(key)
-                if hit is not CampaignCache.MISSING:
-                    self.slots[index] = hit
-        pending = self.pending()
-        if pending:
-            self.sweep(pending, **options)
-        if cache is not None:
-            for index in pending:
-                verdict = self.slots[index]
-                if not verdict.timed_out:
-                    cache.store(keys[index], replace(verdict, degraded=False))
+        self.sweep(self.pending(), **options)
         return self.finish()
 
     def flush(self) -> None:
@@ -271,13 +288,10 @@ class Campaign:
         self._flushed = end
         bus = get_bus()
         if bus.enabled:
-            # The environment-dependent `degraded` flag stays out of the
-            # payload; degradation travels via worker.degraded events.
             for index in range(start, end):
-                verdict = self.slots[index]
                 bus.emit(
-                    "fault.verdict", **self.kind.describe(index),
-                    detected=verdict.detected, timed_out=verdict.timed_out,
+                    "fault.verdict",
+                    **self.kind.describe(index, self.slots[index]),
                 )
 
     def finish(

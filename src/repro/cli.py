@@ -937,8 +937,9 @@ def _add_campaign_flags(
         "--retries",
         type=int,
         default=0,
-        help="per-task retry budget before a task is quarantined and "
-        "re-run on the interpreter oracle",
+        help="re-runs of a failed task (a batch of faults, under either "
+        "kernel) before its faults are quarantined and re-run on the "
+        "interpreter oracle",
     )
 
 

@@ -16,9 +16,10 @@ machines the escapes are expected and diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..campaign import Campaign, check_kernel, record_index, settle
+from ..campaign import Campaign, check_kernel, per_item, record_index, settle
 from ..core.errors import OutputError, TransferError
 from ..core.mealy import Input, MealyMachine
 from ..obs import (
@@ -32,14 +33,7 @@ from ..core.theorems import CompletenessCertificate
 from ..kernel.mealy_kernel import (
     detection_latency_compiled as detection_latency,
 )
-from ..parallel import (
-    CampaignCache,
-    batch_unit,
-    inputs_fingerprint,
-    machine_fingerprint,
-    parallel_map,
-    parallel_map_batched,
-)
+from ..parallel import batch_unit, parallel_map_batched
 from .inject import Fault, all_single_faults
 from .simulate import Detection, detect_fault, pad_inputs
 
@@ -146,7 +140,9 @@ class CampaignResult:
 
 def _detect_task(shared: Tuple[MealyMachine, Tuple[Input, ...]],
                  fault: Fault) -> bool:
-    """Per-fault campaign task (module-level so workers can unpickle it)."""
+    """Per-fault interpreter task: the oracle, and through
+    :func:`~repro.campaign.per_item` the interp sweep's batch body
+    (module-level so workers can unpickle it)."""
     spec, inputs = shared
     return bool(detect_fault(spec, fault, inputs))
 
@@ -154,11 +150,12 @@ def _detect_task(shared: Tuple[MealyMachine, Tuple[Input, ...]],
 def _detect_batch_task(
     shared: Tuple[MealyMachine, Tuple[Input, ...]], batch: Sequence[Fault]
 ) -> List[Tuple[str, object]]:
-    """Word-sized campaign task: compiled verdicts for a fault batch.
+    """The compiled sweep's batch body: compiled verdicts for a fault
+    batch.
 
     Returns one ``("ok", bool)`` / ``("err", message)`` tuple per
     fault so an invalid fault reports exactly like the interpreter
-    path instead of poisoning its batchmates.  The kernel function is
+    body instead of poisoning its batchmates.  The kernel function is
     looked up at call time, so a substitute installed on
     :mod:`repro.kernel` takes effect.
     """
@@ -190,35 +187,33 @@ def sweep_verdicts(
     verdicts are marked ``degraded``.  Only a fault the oracle itself
     cannot simulate raises :class:`CampaignExecutionError`.
 
-    ``lanes`` sizes the compiled kernel's fault batches (the lane-
-    packed Mealy kernel adjudicates one batch against the precomputed
-    spec trajectory); ``None``/``"auto"`` selects the kernel default.
-    Verdicts are byte-identical at any width.
+    Both kernels dispatch the same fault batches; ``kernel`` picks
+    only the batch body -- the lane-packed Mealy kernel, which
+    adjudicates one batch against the precomputed spec trajectory, or
+    the interpreter oracle per fault.  ``lanes`` sizes the batches
+    (``None``/``"auto"`` selects the kernel default).  Verdicts are
+    byte-identical at any width.
     """
     check_kernel(kernel)
     faults = list(faults)
     if not faults:
         return []
-    if kernel == "compiled":
-        from ..kernel import resolve_lanes
+    from ..kernel import resolve_lanes
 
-        width = resolve_lanes(lanes) - 1
-        outcomes = parallel_map_batched(
-            _detect_batch_task, faults, shared=(spec, test), jobs=jobs,
-            timeout=timeout, retries=retries,
-            batch_size=batch_unit(len(faults), jobs, width),
-        )
-    else:
-        outcomes = parallel_map(
-            _detect_task, faults, shared=(spec, test), jobs=jobs,
-            timeout=timeout, retries=retries,
-        )
+    body = (
+        _detect_batch_task if kernel == "compiled"
+        else partial(per_item, _detect_task)
+    )
+    outcomes = parallel_map_batched(
+        body, faults, shared=(spec, test), jobs=jobs,
+        timeout=timeout, retries=retries,
+        batch_size=batch_unit(len(faults), jobs, resolve_lanes(lanes) - 1),
+    )
     wall = get_registry().histogram(
         "campaign.fault_wall_seconds", buckets=SECONDS_BUCKETS
     )
     verdicts = settle(
         outcomes, faults,
-        batched=kernel == "compiled",
         make=lambda value, degraded: FaultVerdict(
             detected=bool(value), degraded=degraded
         ),
@@ -281,11 +276,6 @@ class FsmKind:
             timed_out=bool(record.get("timed_out")),
             degraded=bool(record.get("degraded")),
         )
-
-    def cache_keys(self) -> List[Tuple]:
-        mfp = machine_fingerprint(self.spec)
-        tfp = inputs_fingerprint(self.test)
-        return [("fsm", mfp, tfp, fault) for fault in self.faults]
 
     def result(self, slots: Sequence[FaultVerdict]) -> CampaignResult:
         return CampaignResult(
@@ -367,8 +357,12 @@ class FsmKind:
     def title(self) -> Dict[str, Any]:
         return {"machine": self.spec.name}
 
-    def describe(self, index: int) -> Dict[str, Any]:
-        return {"fault": repr(self.faults[index])}
+    def describe(self, index: int, verdict: FaultVerdict) -> Dict[str, Any]:
+        return {
+            "fault": repr(self.faults[index]),
+            "detected": verdict.detected,
+            "timed_out": verdict.timed_out,
+        }
 
 
 def run_campaign(
@@ -379,7 +373,6 @@ def run_campaign(
     jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
-    cache: Optional[CampaignCache] = None,
     kernel: str = "compiled",
     lanes: object = None,
 ) -> CampaignResult:
@@ -391,15 +384,13 @@ def run_campaign(
     (faults keep their injection order).  A fault whose simulation
     exceeds ``timeout`` wall-clock seconds is recorded as *detected* --
     the mutant visibly diverged from the always-terminating spec, the
-    campaign-level analogue of a crash detection.  ``cache`` memoizes
-    verdicts by (machine, fault, test-set) so unchanged mutants are not
-    re-simulated across sweeps.
+    campaign-level analogue of a crash detection.
 
-    ``kernel`` selects the simulator: ``"compiled"`` (default) replays
-    faults against a dense-table compilation of the spec in word-sized
-    batches, ``"interp"`` walks the machine per fault.  Verdicts,
-    reports and error messages are byte-identical either way -- the
-    interpreter is kept as the differential oracle.
+    ``kernel`` selects the simulator each fault batch runs on:
+    ``"compiled"`` (default) replays the batch against a dense-table
+    compilation of the spec, ``"interp"`` walks the machine per fault.
+    Verdicts, reports and error messages are byte-identical either way
+    -- the interpreter is kept as the differential oracle.
 
     A failing task does not abort the sweep: the affected faults are
     quarantined and re-run on the interpreter oracle (graceful
@@ -419,8 +410,8 @@ def run_campaign(
         jobs=jobs,
     ):
         return campaign.run(
-            cache, jobs=jobs, timeout=timeout, retries=retries,
-            kernel=kernel, lanes=lanes,
+            jobs=jobs, timeout=timeout, retries=retries, kernel=kernel,
+            lanes=lanes,
         )
 
 
@@ -431,7 +422,6 @@ def run_suite_campaign(
     jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
-    cache: Optional[CampaignCache] = None,
     kernel: str = "compiled",
     lanes: object = None,
 ) -> CampaignResult:
@@ -442,7 +432,7 @@ def run_suite_campaign(
     augmented harness machine, flat reset-separated input sequence,
     the spec's single-fault population) and then runs through the very
     same executor paths as a tour campaign -- so ``jobs``, ``timeout``,
-    ``retries``, ``cache`` and ``kernel`` all behave identically, and
+    ``retries`` and ``kernel`` all behave identically, and
     verdicts are byte-identical at any worker count on either kernel.
 
     When the suite's fault-domain certificate holds, every single
@@ -459,7 +449,6 @@ def run_suite_campaign(
         jobs=jobs,
         timeout=timeout,
         retries=retries,
-        cache=cache,
         kernel=kernel,
         lanes=lanes,
     )
@@ -473,7 +462,6 @@ def certified_tour_campaign(
     *,
     jobs: int = 1,
     timeout: Optional[float] = None,
-    cache: Optional[CampaignCache] = None,
     kernel: str = "compiled",
     lanes: object = None,
 ) -> CampaignResult:
@@ -488,7 +476,7 @@ def certified_tour_campaign(
     k = certificate.k or 0
     padded = pad_inputs(spec, tour_inputs, k)
     return run_campaign(
-        spec, padded, faults=faults, jobs=jobs, timeout=timeout, cache=cache,
+        spec, padded, faults=faults, jobs=jobs, timeout=timeout,
         kernel=kernel, lanes=lanes,
     )
 
@@ -510,7 +498,6 @@ def compare_test_sets(
     faults: Optional[Sequence[Fault]] = None,
     *,
     jobs: int = 1,
-    cache: Optional[CampaignCache] = None,
     kernel: str = "compiled",
 ) -> List[ComparisonRow]:
     """Run the same campaign under several test sets; one row each.
@@ -525,8 +512,7 @@ def compare_test_sets(
     rows: List[ComparisonRow] = []
     for method, inputs in test_sets:
         result = run_campaign(
-            spec, inputs, faults=population, jobs=jobs, cache=cache,
-            kernel=kernel,
+            spec, inputs, faults=population, jobs=jobs, kernel=kernel,
         )
         by_cls = result.by_class()
         rows.append(

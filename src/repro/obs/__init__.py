@@ -31,7 +31,7 @@ All pieces are zero-cost when disabled (the default):
 
 The differential contract: instrumentation never changes campaign
 results; every metric outside the ``*_seconds`` / ``parallel.*``
-/ ``cache.*`` namespaces is byte-identical at any ``jobs`` setting
+/ ``runtime.*`` namespaces is byte-identical at any ``jobs`` setting
 (see :meth:`MetricsRegistry.deterministic_dump`); and every event
 outside the scheduling namespaces (``chunk.*``, ``worker.*``,
 ``journal.*``, ``run.*``, ``service.*``, ``span.*``) has

@@ -14,8 +14,8 @@ count:
 * **Deterministic dumps.**  :meth:`MetricsRegistry.dump` sorts every
   key; :meth:`MetricsRegistry.deterministic_dump` additionally drops
   the metrics that legitimately vary run-to-run -- wall-clock timings
-  (base name ending in ``_seconds``), executor/cache internals
-  (``parallel.*``, ``cache.*``) and crash-tolerance accounting
+  (base name ending in ``_seconds``), executor internals
+  (``parallel.*``) and crash-tolerance accounting
   (``runtime.*``) -- leaving exactly the aggregates the jobs=1 vs
   jobs=N differential tests compare.
 * **Zero cost when disabled.**  The process-global registry defaults
@@ -167,7 +167,6 @@ def _is_nondeterministic(full_name: str) -> bool:
     return (
         base.endswith("_seconds")
         or base.startswith("parallel.")
-        or base.startswith("cache.")
         or base.startswith("runtime.")
     )
 
@@ -244,11 +243,11 @@ class MetricsRegistry:
     def deterministic_dump(self) -> Dict[str, Dict[str, Any]]:
         """The dump restricted to run-invariant aggregates.
 
-        Drops wall-clock metrics (``*_seconds``), executor/cache
-        internals (``parallel.*``, ``cache.*``) and crash-tolerance
-        accounting (``runtime.*``); what remains --
-        coverage counts, verdict counters, detection-latency
-        histograms -- must be byte-identical at any ``jobs`` setting.
+        Drops wall-clock metrics (``*_seconds``), executor internals
+        (``parallel.*``) and crash-tolerance accounting
+        (``runtime.*``); what remains -- coverage counts, verdict
+        counters, detection-latency histograms -- must be
+        byte-identical at any ``jobs`` setting.
         """
         full = self.dump()
         return {

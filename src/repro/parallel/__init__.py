@@ -3,27 +3,24 @@
 Fault-injection campaigns are embarrassingly parallel: every mutant is
 simulated independently against the same test set, and only the
 per-mutant verdicts matter.  This package provides the worker-pool
-engine the campaign layers (:mod:`repro.faults.campaign` and
-:mod:`repro.validation.harness`) route through:
+engine the campaign sweeps (:mod:`repro.faults.campaign`,
+:mod:`repro.validation.harness` and :mod:`repro.rtl.faults`) route
+through:
 
 * :func:`parallel_map` -- chunked fan-out over a
   ``ProcessPoolExecutor`` with a deterministic in-process fallback,
   per-task wall-clock timeouts and bounded retries.  Results always
   come back in submission order, so campaign results are byte-identical
   regardless of worker count.
-* :class:`CampaignCache` -- a memo cache keyed by
-  (machine, fault, test-set) fingerprints that lets repeated sweeps
-  skip re-simulating unchanged mutants.
+* :func:`parallel_map_batched` -- the same map over batches of
+  consecutive items, one outcome per item.  Every campaign sweep
+  dispatches through it; the kernel picks only the batch body.
+* :func:`machine_fingerprint`, :func:`inputs_fingerprint` and
+  :func:`battery_fingerprint` -- the structural fingerprints campaign
+  identities are made of.
 """
 
 from .backoff import BackoffPolicy
-from .cache import (
-    CampaignCache,
-    battery_fingerprint,
-    global_cache,
-    inputs_fingerprint,
-    machine_fingerprint,
-)
 from .executor import (
     TaskOutcome,
     TaskTimeout,
@@ -34,16 +31,19 @@ from .executor import (
     parallel_map_batched,
     run_task_inline,
 )
+from .fingerprints import (
+    battery_fingerprint,
+    inputs_fingerprint,
+    machine_fingerprint,
+)
 
 __all__ = [
     "BackoffPolicy",
-    "CampaignCache",
     "TaskOutcome",
     "TaskTimeout",
     "batch_unit",
     "battery_fingerprint",
     "default_jobs",
-    "global_cache",
     "inputs_fingerprint",
     "install_task_wrapper",
     "machine_fingerprint",

@@ -15,11 +15,12 @@ control logic, which the test suite checks on small netlists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..campaign import check_kernel
-from ..obs.events import emit_event, get_bus
+from ..campaign import Campaign, check_kernel, per_item, settle
+from ..parallel import batch_unit, parallel_map_batched
 from .expr import Expr, const, substitute
 from .netlist import Netlist
 
@@ -86,6 +87,9 @@ class StructuralCampaignResult:
     vectors: int
     detected: Tuple[StuckAt, ...]
     escaped: Tuple[StuckAt, ...]
+    #: True when a failed task's faults were re-run on the interpreter
+    #: oracle; excluded from equality, like ``CampaignResult.degraded``.
+    degraded: bool = field(default=False, compare=False)
 
     @property
     def total(self) -> int:
@@ -126,24 +130,148 @@ def detects_stuck_at(
     return None
 
 
-def _stuck_detect_task(
-    shared: Tuple[Netlist, Tuple[Mapping[str, bool], ...]], fault: StuckAt
-) -> Optional[int]:
-    """Per-fault interpreter task (module-level so workers unpickle it)."""
-    golden, vectors = shared
+#: What a stuck-at task shares across faults: the golden netlist, the
+#: vectors and the total lane width of a compiled pass.
+_Shared = Tuple[Netlist, Tuple[Mapping[str, bool], ...], int]
+
+
+def _stuck_detect_task(shared: _Shared, fault: StuckAt) -> Optional[int]:
+    """Per-fault interpreter task: the oracle, and through
+    :func:`~repro.campaign.per_item` the interp sweep's batch body
+    (module-level so workers unpickle it)."""
+    golden, vectors, _lanes = shared
     return detects_stuck_at(golden, fault, vectors)
 
 
 def _stuck_batch_task(
-    shared: Tuple[Netlist, Tuple[Mapping[str, bool], ...], object],
-    batch: Sequence[StuckAt],
-) -> List[Optional[int]]:
-    """Word-sized worker task: first divergences for one lane word's
-    worth of faults in a single bit-parallel pass over the vectors."""
+    shared: _Shared, batch: Sequence[StuckAt]
+) -> List[Tuple[str, Optional[int]]]:
+    """The compiled sweep's batch body: first divergences for one lane
+    word's worth of faults in a single bit-parallel pass over the
+    vectors.  The kernel function is looked up at call time, so a
+    substitute installed on :mod:`repro.kernel` takes effect."""
     golden, vectors, lanes = shared
     from ..kernel import stuck_at_first_divergences
 
-    return stuck_at_first_divergences(golden, vectors, batch, lanes=lanes)
+    return [
+        ("ok", first)
+        for first in stuck_at_first_divergences(
+            golden, vectors, batch, lanes=lanes
+        )
+    ]
+
+
+class StuckAtCampaignError(RuntimeError):
+    """A stuck-at fault the interpreter oracle cannot simulate."""
+
+
+@dataclass(frozen=True)
+class StuckVerdict:
+    """One stuck-at fault's verdict: the 1-based index of the first
+    vector whose outputs diverge from the golden netlist's (None: the
+    fault escaped)."""
+
+    first_divergence: Optional[int]
+    degraded: bool = False
+
+    @property
+    def detected(self) -> bool:
+        return self.first_divergence is not None
+
+
+class StuckAtKind:
+    """The stuck-at faults of a netlist as a campaign fault domain:
+    slot ``i`` holds the :class:`StuckVerdict` of ``faults[i]`` under
+    ``vectors`` (see :class:`repro.campaign.Campaign`).  Nothing
+    journals stuck-at campaigns, so the kind has no records."""
+
+    name = "stuck-at"
+
+    def __init__(
+        self,
+        golden: Netlist,
+        vectors: Sequence[Mapping[str, bool]],
+        faults: Sequence[StuckAt],
+    ) -> None:
+        self.golden = golden
+        self.vectors = tuple(vectors)
+        self.faults = tuple(faults)
+        self.total = len(self.faults)
+
+    def sweep(
+        self, indices: List[int], *, jobs: int, kernel: str, lanes: object
+    ) -> List[StuckVerdict]:
+        from ..kernel import resolve_lanes
+
+        golden, faults = self.golden, [self.faults[i] for i in indices]
+        # Surface bad fault targets eagerly (and from the parent
+        # process), with the same error apply() would raise.
+        known = set(golden.inputs) | set(golden.register_names)
+        for fault in faults:
+            if fault.bit not in known:
+                raise ValueError(f"{golden.name}: no bit {fault.bit!r}")
+        width = resolve_lanes(lanes)
+        shared = (golden, self.vectors, width)
+        body = (
+            _stuck_batch_task if kernel == "compiled"
+            else partial(per_item, _stuck_detect_task)
+        )
+        outcomes = parallel_map_batched(
+            body, faults, shared=shared, jobs=jobs,
+            batch_size=batch_unit(len(faults), jobs, width - 1),
+        )
+        return settle(
+            outcomes, faults,
+            make=lambda first, degraded: StuckVerdict(first, degraded),
+            timed_out=None,
+            oracle=_stuck_detect_task,
+            shared=shared,
+            describe=lambda fault: {"fault": str(fault)},
+            failure=lambda fault, error: StuckAtCampaignError(
+                f"stuck-at fault {fault} failed to simulate: {error}"
+            ),
+        )
+
+    def result(
+        self, slots: Sequence[StuckVerdict]
+    ) -> StructuralCampaignResult:
+        return StructuralCampaignResult(
+            netlist_name=self.golden.name,
+            vectors=len(self.vectors),
+            detected=tuple(
+                f for f, v in zip(self.faults, slots) if v.detected
+            ),
+            escaped=tuple(
+                f for f, v in zip(self.faults, slots) if not v.detected
+            ),
+            degraded=any(v.degraded for v in slots),
+        )
+
+    def fold(
+        self,
+        slots: Sequence[StuckVerdict],
+        result: StructuralCampaignResult,
+    ) -> None:
+        """Stuck-at campaigns record no metrics."""
+
+    def started(self) -> Dict[str, Any]:
+        return {
+            **self.title(),
+            "faults": self.total,
+            "vectors": len(self.vectors),
+        }
+
+    def title(self) -> Dict[str, Any]:
+        return {"netlist": self.golden.name}
+
+    def describe(self, index: int, verdict: StuckVerdict) -> Dict[str, Any]:
+        # The first-divergence index is part of the payload: both
+        # kernels must agree on it, not just on detected/escaped.
+        return {
+            "fault": str(self.faults[index]),
+            "detected": verdict.detected,
+            "first_divergence": verdict.first_divergence,
+        }
 
 
 def run_stuck_at_campaign(
@@ -157,104 +285,24 @@ def run_stuck_at_campaign(
 ) -> StructuralCampaignResult:
     """Fault-simulate every stuck-at fault against the vector set.
 
+    A :class:`~repro.campaign.Campaign` over :class:`StuckAtKind`: the
+    core emits the campaign's events, and a failed task's faults are
+    quarantined and re-run on the interpreter oracle (the result's
+    ``degraded`` flag records that it happened).
+
     ``kernel="compiled"`` (default) simulates the golden netlist plus
     ``lanes - 1`` mutants per pass in the bit-lanes of wide integer
     words (see :mod:`repro.kernel.netlist_kernel`; ``lanes=None`` /
     ``"auto"`` selects the kernel default of 1024 total lanes);
     ``"interp"`` compiles and steps each mutant netlist separately.
-    ``jobs`` fans word-batches (or single faults, under ``interp``)
-    out to worker processes.  Verdicts are byte-identical across
-    kernels, job counts, and lane widths.
+    Both kernels dispatch the same batches of up to ``lanes - 1``
+    faults, which ``jobs`` fans out to worker processes.  Verdicts are
+    byte-identical across kernels, job counts, and lane widths.
     """
     check_kernel(kernel)
     population = (
         all_stuck_at_faults(golden) if faults is None else list(faults)
     )
-    vec_list = tuple(vectors)
-    emit_event(
-        "campaign.started",
-        netlist=golden.name,
-        faults=len(population),
-        vectors=len(vec_list),
+    return Campaign(StuckAtKind(golden, vectors, population)).run(
+        jobs=jobs, kernel=kernel, lanes=lanes
     )
-    divergences: List[Optional[int]]
-    if kernel == "compiled":
-        from ..kernel import resolve_lanes
-
-        width = resolve_lanes(lanes)
-        # Surface bad fault targets eagerly (and from the parent
-        # process), with the same error apply() would raise.
-        known = set(golden.inputs) | set(golden.register_names)
-        for fault in population:
-            if fault.bit not in known:
-                raise ValueError(f"{golden.name}: no bit {fault.bit!r}")
-        if jobs <= 1:
-            from ..kernel import stuck_at_first_divergences
-
-            divergences = stuck_at_first_divergences(
-                golden, vec_list, population, lanes=width
-            )
-        else:
-            from ..parallel import batch_unit, parallel_map_batched
-
-            outcomes = parallel_map_batched(
-                _stuck_batch_task, population,
-                shared=(golden, vec_list, width), jobs=jobs,
-                batch_size=batch_unit(len(population), jobs, width - 1),
-            )
-            divergences = [
-                outcome.value if outcome.ok
-                # A failed batch (e.g. an unpicklable payload edge) is
-                # re-run in-process so the authentic exception, if
-                # any, surfaces exactly as it would serially.
-                else detects_stuck_at(golden, fault, vec_list)
-                for fault, outcome in zip(population, outcomes)
-            ]
-    elif jobs > 1:
-        from ..parallel import parallel_map
-
-        outcomes = parallel_map(
-            _stuck_detect_task, population,
-            shared=(golden, vec_list), jobs=jobs,
-        )
-        divergences = [
-            outcome.value if outcome.ok
-            else detects_stuck_at(golden, fault, vec_list)
-            for fault, outcome in zip(population, outcomes)
-        ]
-    else:
-        divergences = [
-            detects_stuck_at(golden, fault, vec_list)
-            for fault in population
-        ]
-    detected: List[StuckAt] = []
-    escaped: List[StuckAt] = []
-    bus = get_bus()
-    for fault, first in zip(population, divergences):
-        if first is not None:
-            detected.append(fault)
-        else:
-            escaped.append(fault)
-        if bus.enabled:
-            # The first-divergence index is part of the payload: both
-            # kernels must agree on it, not just on detected/escaped.
-            bus.emit(
-                "fault.verdict",
-                fault=str(fault),
-                detected=first is not None,
-                first_divergence=first,
-            )
-    result = StructuralCampaignResult(
-        netlist_name=golden.name,
-        vectors=len(vec_list),
-        detected=tuple(detected),
-        escaped=tuple(escaped),
-    )
-    emit_event(
-        "campaign.finished",
-        netlist=golden.name,
-        detected=len(detected),
-        escaped=len(escaped),
-        coverage=round(result.coverage, 6),
-    )
-    return result

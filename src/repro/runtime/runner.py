@@ -20,8 +20,8 @@ directory with a manifest and a checksummed write-ahead journal:
   to an uninterrupted run**: verdicts are order-kept by fault index,
   timed-out verdicts are journaled as *provisional* and re-run on
   resume (wall-clock timeouts are environment facts, not properties
-  of the mutant -- the same rule that keeps them out of the memo
-  cache), and the metrics dump is the deterministic subset only.  The
+  of the mutant), and the metrics dump is the deterministic subset
+  only.  The
   event stream of a resumed run projects to the uninterrupted run's
   too: replayed slots emit their verdicts like swept ones.
 
@@ -390,6 +390,8 @@ def watch_snapshot(run_dir: str) -> Dict[str, Any]:
         index = record.get("i")
         if isinstance(index, int):
             seen[index] = record
+    # A timed-out verdict is journaled detected (by crash), so it counts
+    # among `detected`, as in the report and the progress model.
     detected = sum(1 for r in seen.values() if r.get("detected"))
     timed_out = sum(1 for r in seen.values() if r.get("timed_out"))
     degraded = sum(1 for r in seen.values() if r.get("degraded"))
@@ -400,7 +402,7 @@ def watch_snapshot(run_dir: str) -> Dict[str, Any]:
         "total": total,
         "journaled": len(seen),
         "detected": detected,
-        "escaped": len(seen) - detected - timed_out,
+        "escaped": len(seen) - detected,
         "timed_out": timed_out,
         "degraded": degraded,
         "dropped": replay.dropped,

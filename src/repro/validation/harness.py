@@ -10,24 +10,17 @@ Theorem 3 certificate for the DLX model.
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..campaign import Campaign, check_kernel, record_index, settle
+from ..campaign import Campaign, check_kernel, per_item, record_index, settle
 from ..dlx.behavioral import BehavioralDLX, Checkpoint, ExecutionError
 from ..dlx.buggy import BUG_CATALOG, BugEntry
 from ..dlx.isa import Instruction
 from ..dlx.pipeline import PipelineBugs, PipelinedDLX
 from ..obs import STEP_BUCKETS, get_registry, span
-from ..parallel import (
-    CampaignCache,
-    TaskTimeout,
-    batch_unit,
-    battery_fingerprint,
-    parallel_map,
-    parallel_map_batched,
-)
+from ..parallel import batch_unit, parallel_map_batched
 from .checkpoints import compare_streams
 from .report import (
     BugCampaignResult,
@@ -192,8 +185,10 @@ def validate_concrete_test(
 def _bug_entry_task(
     shared: Tuple[Tuple, ...], entry: BugEntry
 ) -> Tuple[bool, Optional[Mismatch]]:
-    """Per-catalog-entry campaign task: run the battery until the bug
-    produces a mismatch (module-level so workers can unpickle it)."""
+    """Per-catalog-entry interpreter task: run the battery until the
+    bug produces a mismatch.  The oracle, and through
+    :func:`~repro.campaign.per_item` the interp sweep's batch body
+    (module-level so workers can unpickle it)."""
     for program, data, oracle, expected in shared:
         result = _co_simulate(
             list(program),
@@ -211,30 +206,15 @@ def _bug_entry_task(
 def _bug_entry_batch_task(
     shared: Tuple[Tuple, ...], batch: Sequence[BugEntry]
 ) -> List[Tuple[str, object]]:
-    """Batched campaign task: one ``("ok", (detected, mismatch))`` or
-    ``("err", message)`` per catalog entry, so a failing entry reports
-    exactly like the per-entry path without poisoning its batchmates.
+    """The compiled sweep's batch body: one ``("ok", (detected,
+    mismatch))`` or ``("err", message)`` per catalog entry.
 
-    Batching amortizes the per-task pickling of the shared battery
-    (programs + precomputed spec streams), which for the DLX campaign
-    dominates the dispatch cost.
+    The DLX has no compiled co-simulator: this runs
+    :func:`_bug_entry_task` per entry, as the interp body does.  The
+    sweep looks it up at call time, so a substitute installed here
+    takes effect.
     """
-    results: List[Tuple[str, object]] = []
-    for entry in batch:
-        try:
-            results.append(("ok", _bug_entry_task(shared, entry)))
-        except TaskTimeout:
-            # Timeouts force singleton batches, so this is our whole
-            # batch: let the executor record it as timed out.
-            raise
-        except Exception as exc:  # noqa: BLE001 - reported per entry
-            results.append((
-                "err",
-                "".join(traceback.format_exception(
-                    type(exc), exc, exc.__traceback__
-                )),
-            ))
-    return results
+    return per_item(_bug_entry_task, shared, batch)
 
 
 def sweep_bug_verdicts(
@@ -253,34 +233,33 @@ def sweep_bug_verdicts(
     (through :class:`DlxKind`).  Task failures quarantine the affected
     entries and re-run them in-process (graceful degradation, see
     :func:`repro.campaign.settle`) instead of aborting the sweep.
-    ``lanes`` sizes the compiled batches (``None``/``"auto"`` = the
-    kernel default width); verdicts are width-independent.
+    Batching amortizes the per-task pickling of the shared battery
+    (programs + precomputed spec streams), which dominates the
+    dispatch cost; ``kernel`` picks only the batch body, and ``lanes``
+    sizes the batches (``None``/``"auto"`` = the kernel default
+    width).  Verdicts are width-independent.
     """
     entries = list(entries)
     if not entries:
         return []
-    if kernel == "compiled":
-        from ..kernel import resolve_lanes
+    from ..kernel import resolve_lanes
 
-        width = resolve_lanes(lanes) - 1
-        # Keep at least jobs*4 batches in flight so a short catalog
-        # still fans out across every worker.
-        outcomes = parallel_map_batched(
-            _bug_entry_batch_task, entries, shared=prepared, jobs=jobs,
-            timeout=timeout, retries=retries,
-            batch_size=batch_unit(len(entries), jobs, width),
-        )
-    else:
-        outcomes = parallel_map(
-            _bug_entry_task, entries, shared=prepared, jobs=jobs,
-            timeout=timeout, retries=retries,
-        )
+    body = (
+        _bug_entry_batch_task if kernel == "compiled"
+        else partial(per_item, _bug_entry_task)
+    )
+    # Keep at least jobs*4 batches in flight so a short catalog still
+    # fans out across every worker.
+    outcomes = parallel_map_batched(
+        body, entries, shared=prepared, jobs=jobs, timeout=timeout,
+        retries=retries,
+        batch_size=batch_unit(len(entries), jobs, resolve_lanes(lanes) - 1),
+    )
     # The correct design always halts well inside the budget, so a
     # timed-out mutant has visibly diverged: detected by crash, same as
     # a livelock that exhausts max_cycles -- just without the wait.
     return settle(
         outcomes, entries,
-        batched=kernel == "compiled",
         make=lambda value, degraded: BugVerdict(
             detected=bool(value[0]), mismatch=value[1], degraded=degraded
         ),
@@ -365,12 +344,6 @@ class DlxKind:
             degraded=bool(record.get("degraded")),
         )
 
-    def cache_keys(self) -> List[Tuple]:
-        bfp = battery_fingerprint(
-            [(p, dict(d) if d else None, o) for p, d, o, _e in self.prepared()]
-        )
-        return [("dlx", bfp, e.name, e.bugs) for e in self.catalog]
-
     def result(self, slots: Sequence[BugVerdict]) -> BugCampaignResult:
         return BugCampaignResult(
             test_name=self.test_name,
@@ -425,8 +398,12 @@ class DlxKind:
     def title(self) -> Dict[str, Any]:
         return {"test_name": self.test_name}
 
-    def describe(self, index: int) -> Dict[str, Any]:
-        return {"bug": self.catalog[index].name}
+    def describe(self, index: int, verdict: BugVerdict) -> Dict[str, Any]:
+        return {
+            "bug": self.catalog[index].name,
+            "detected": verdict.detected,
+            "timed_out": verdict.timed_out,
+        }
 
 
 def run_bug_campaign(
@@ -438,7 +415,6 @@ def run_bug_campaign(
     jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
-    cache: Optional[CampaignCache] = None,
     kernel: str = "compiled",
     lanes: object = None,
 ) -> BugCampaignResult:
@@ -455,13 +431,12 @@ def run_bug_campaign(
     wall-clock time: a mutant that livelocks (e.g. a bug that traps
     the PC in a loop the squash logic never exits) is recorded as
     detected with a "crash" mismatch instead of stalling the sweep for
-    the full ``max_cycles`` bound.  ``cache`` memoizes rows by
-    (catalog entry, test battery).
+    the full ``max_cycles`` bound.
 
-    ``kernel="compiled"`` (default) hands workers small *batches* of
-    catalog entries instead of single entries, amortizing the per-task
-    shipping of the shared battery; ``"interp"`` keeps the one-entry-
-    per-task dispatch.  Rows are byte-identical either way.
+    Either ``kernel`` hands workers small *batches* of catalog
+    entries, amortizing the per-task shipping of the shared battery;
+    both co-simulate each entry of a batch in turn (the interp body is
+    the per-entry oracle), and rows are byte-identical either way.
     """
     check_kernel(kernel)
     campaign = Campaign(DlxKind(tests, catalog, test_name))
@@ -473,8 +448,8 @@ def run_bug_campaign(
         jobs=jobs,
     ):
         return campaign.run(
-            cache, jobs=jobs, timeout=timeout, retries=retries,
-            kernel=kernel, lanes=lanes,
+            jobs=jobs, timeout=timeout, retries=retries, kernel=kernel,
+            lanes=lanes,
         )
 
 
@@ -486,7 +461,6 @@ def campaign_from_concrete_test(
     *,
     jobs: int = 1,
     timeout: Optional[float] = None,
-    cache: Optional[CampaignCache] = None,
     kernel: str = "compiled",
 ) -> BugCampaignResult:
     """Bug campaign driven by a single converted tour test."""
@@ -497,7 +471,6 @@ def campaign_from_concrete_test(
         test_name=test_name,
         jobs=jobs,
         timeout=timeout,
-        cache=cache,
         kernel=kernel,
     )
 

@@ -237,8 +237,8 @@ class TestResumableRunnerEvents:
 
 class TestEveryFilledSlotEmitsItsVerdict:
     """Each slot's ``fault.verdict`` is emitted exactly once, in
-    fault-index order, however the slot was filled: a fresh sweep, a
-    journal replay or a memo-cache hit."""
+    fault-index order, however the slot was filled: a fresh sweep or a
+    journal replay."""
 
     def test_resumed_run_projects_like_uninterrupted(self, tmp_path):
         from repro.models import build_model
@@ -277,19 +277,6 @@ class TestEveryFilledSlotEmitsItsVerdict:
         assert status["detected"] == report["detected"]
         assert status["escaped"] == report["escaped"]
 
-    def test_warm_cache_run_projects_like_cold(self):
-        from repro.parallel import CampaignCache
-
-        machine = counter(3)
-        inputs = transition_tour(machine).inputs
-        cache = CampaignCache()
-        cold_result, cold = _run_fsm(machine, inputs, cache=cache)
-        warm_result, warm = _run_fsm(machine, inputs, cache=cache)
-        assert cache.hits == cold_result.total
-        assert warm_result.to_json_dict() == cold_result.to_json_dict()
-        verdicts = [e for e in warm if e.name == "fault.verdict"]
-        assert len(verdicts) == warm_result.total
-        assert _projection_bytes(warm) == _projection_bytes(cold)
 
 
 # --------------------------------------------------------------------

@@ -323,7 +323,7 @@ class TestMealyFaultVerdicts:
         kind.test = UncomparableTest(kind.test)
         CountedTable.compares = 0
         with scoped_registry() as reg:
-            result = Campaign(kind).run(None, kernel="compiled", lanes=8)
+            result = Campaign(kind).run(kernel="compiled", lanes=8)
             histograms = reg.deterministic_dump()["histograms"]
         assert CountedTable.compares == 0
         assert not result.degraded

@@ -120,7 +120,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("campaign.faults_total").inc()
         reg.counter("parallel.tasks_total").inc()
-        reg.counter("cache.hits_total").inc()
+        reg.counter("runtime.degradations_total").inc()
         reg.histogram("campaign.fault_wall_seconds").observe(0.5)
         reg.histogram(
             "campaign.detection_latency_steps", cls="output"
@@ -128,7 +128,7 @@ class TestRegistry:
         det = reg.deterministic_dump()
         assert "campaign.faults_total" in det["counters"]
         assert "parallel.tasks_total" not in det["counters"]
-        assert "cache.hits_total" not in det["counters"]
+        assert "runtime.degradations_total" not in det["counters"]
         assert "campaign.fault_wall_seconds" not in det["histograms"]
         assert (
             "campaign.detection_latency_steps{cls=output}"

@@ -1,4 +1,4 @@
-"""Unit tests for the parallel execution engine and the memo cache."""
+"""Unit tests for the parallel execution engine and the fingerprints."""
 
 import time
 
@@ -6,10 +6,8 @@ import pytest
 
 from repro.models import counter, vending_machine
 from repro.parallel import (
-    CampaignCache,
     TaskOutcome,
     default_jobs,
-    global_cache,
     inputs_fingerprint,
     machine_fingerprint,
     parallel_map,
@@ -109,29 +107,6 @@ class TestParallelMap:
 
 
 class TestCampaignCache:
-    def test_lookup_store_roundtrip(self):
-        cache = CampaignCache()
-        assert cache.lookup("k") is CampaignCache.MISSING
-        cache.store("k", False)
-        assert cache.lookup("k") is False
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-
-    def test_clear(self):
-        cache = CampaignCache()
-        cache.store("k", 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.lookup("k") is CampaignCache.MISSING
-
-    def test_eviction_bounds_size(self):
-        cache = CampaignCache(max_entries=10)
-        for i in range(50):
-            cache.store(i, i)
-        assert len(cache) <= 10
-
-    def test_global_cache_is_shared(self):
-        assert global_cache() is global_cache()
-
     def test_machine_fingerprint_structural(self):
         a = counter(3)
         b = counter(3)

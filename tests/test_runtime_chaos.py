@@ -459,6 +459,44 @@ class TestDegradation:
         assert result.to_json_dict() == plain.to_json_dict()
         assert result.degraded and not plain.degraded
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stuck_at_degradation_matches_interp(self, monkeypatch, jobs):
+        import repro.kernel
+        from repro.obs.events import RingBufferSink, scoped_bus
+        from repro.rtl import Netlist, and_, not_, or_, var
+        from repro.rtl.faults import (
+            all_stuck_at_faults,
+            run_stuck_at_campaign,
+        )
+
+        net = Netlist("toy")
+        net.add_input("a")
+        net.add_register("q0", next=or_(var("a"), var("q1")))
+        net.add_register("q1", next=and_(var("a"), not_(var("q0"))))
+        net.add_output("y", or_(var("q0"), var("q1")))
+        vectors = [{"a": bool(i % 3 == 0)} for i in range(12)]
+        faults = all_stuck_at_faults(net, include_inputs=True)
+        plain = run_stuck_at_campaign(net, vectors, faults, kernel="interp")
+
+        def poisoned(golden, vectors, batch, lanes=None):
+            raise RuntimeError("kernel poisoned")
+
+        monkeypatch.setattr(
+            repro.kernel, "stuck_at_first_divergences", poisoned
+        )
+        with scoped_registry() as registry, scoped_bus() as bus:
+            ring = bus.add_sink(RingBufferSink())
+            result = run_stuck_at_campaign(net, vectors, faults, jobs=jobs)
+        assert result == plain
+        assert result.degraded and not plain.degraded
+        counters = registry.dump()["counters"]
+        assert counters["runtime.quarantined_tasks_total"] == len(faults)
+        degraded = [
+            event.payload["fault"] for event in ring.events()
+            if event.name == "worker.degraded"
+        ]
+        assert degraded == [str(fault) for fault in faults]
+
 
 # --------------------------------------------------------------------
 # CLI exit codes

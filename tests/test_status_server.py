@@ -324,6 +324,36 @@ class TestWatchSnapshot:
         assert snapshot["progress"] == pytest.approx(0.4)
         assert snapshot["coverage"] is None
 
+    def test_timed_out_verdicts_tally_like_the_report(self, tmp_path):
+        """A timed-out verdict is journaled detected (by crash): the
+        snapshot counts it among the detected, as the report does, and
+        escapes are the journaled verdicts that were not detected."""
+        import os
+
+        from repro.faults import all_single_faults
+        from repro.runtime import (
+            ChaosPlan,
+            chaos_scope,
+            run_campaign_resumable,
+            watch_snapshot,
+        )
+
+        machine = counter(3)
+        inputs = transition_tour(machine).inputs
+        run_dir = str(tmp_path / "run")
+        with chaos_scope(ChaosPlan(seed=1, hang=1.0, hang_seconds=1.0)):
+            run_campaign_resumable(
+                machine, inputs, all_single_faults(machine)[:6],
+                run_dir=run_dir, jobs=2, timeout=0.2, kernel="interp",
+            )
+        with open(os.path.join(run_dir, "report.json")) as handle:
+            report = json.load(handle)
+        snapshot = watch_snapshot(run_dir)
+        assert snapshot["timed_out"] == snapshot["journaled"] == 6
+        assert (snapshot["detected"], snapshot["escaped"]) == (6, 0)
+        assert snapshot["detected"] == report["detected"]
+        assert snapshot["escaped"] == report["escaped"]
+
     def test_missing_manifest_raises(self, tmp_path):
         from repro.runtime import RunDirError, watch_snapshot
 
