@@ -310,7 +310,7 @@ def _campaign_result(args: argparse.Namespace, run, run_resumable,
     reporting an unusable run directory."""
     options = dict(
         jobs=args.jobs, timeout=args.timeout, retries=args.retries,
-        kernel=args.kernel, lanes=args.lanes, **kwargs,
+        kernel=args.kernel, **kwargs,
     )
     if not args.run_dir:
         return run(*params, **options)
@@ -374,31 +374,6 @@ def _suite_campaign(args: argparse.Namespace, machine):
     return result, header, extra
 
 
-def _parse_lanes(value) -> "int | None":
-    """Normalize a ``--lanes`` value: None for 'auto', else the total
-    lane count as an int (>= 2).  Raises ValueError on bad input."""
-    if value is None or value == "auto":
-        return None
-    lanes = int(value)  # ValueError on non-numeric input
-    if lanes < 2:
-        raise ValueError(
-            f"--lanes must be >= 2 (golden lane 0 plus at least one "
-            f"mutant lane), got {lanes}"
-        )
-    return lanes
-
-
-def _lanes_arg(args: argparse.Namespace) -> bool:
-    """Normalize ``args.lanes`` in place with :func:`_parse_lanes`;
-    False, after a usage message on stderr, for a bad value."""
-    try:
-        args.lanes = _parse_lanes(args.lanes)
-    except ValueError as exc:
-        print(f"bad --lanes value: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
 def _chaos_arg(args: argparse.Namespace, parse) -> bool:
     """Replace ``args.chaos`` by its plan, ``parse(spec)`` (None when
     absent); False, after a usage message on stderr, for a bad spec.
@@ -417,7 +392,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     from .runtime import chaos_scope, parse_plan
 
-    if not (_lanes_arg(args) and _chaos_arg(args, parse_plan)):
+    if not _chaos_arg(args, parse_plan):
         return 2
     if args.target == "dlx" and args.suite != "tour":
         print(
@@ -495,14 +470,12 @@ def cmd_bench_suite(args: argparse.Namespace) -> int:
     """Sweep a whole benchmark corpus through the campaign engine.
 
     The stdout table is deterministic -- byte-identical at any
-    ``--jobs``/``--kernel``/``--lanes`` and whether or not ``--store``
+    ``--jobs``/``--kernel`` and whether or not ``--store``
     answered from cache; wall-clock and store facts go to stderr, the
     JSON ``timing`` section, and the bench history file.
     """
     if args.resume and not args.run_root:
         print("--resume requires --run-root", file=sys.stderr)
-        return 2
-    if not _lanes_arg(args):
         return 2
     from .corpus import CorpusError, load_corpus
     from .corpus.suite import run_bench_suite
@@ -530,7 +503,6 @@ def cmd_bench_suite(args: argparse.Namespace) -> int:
                 timeout=args.timeout,
                 retries=args.retries,
                 kernel=args.kernel,
-                lanes=args.lanes,
                 store=store,
                 run_root=args.run_root,
                 resume=args.resume,
@@ -569,7 +541,6 @@ def cmd_bench_suite(args: argparse.Namespace) -> int:
                 "suite": report.suite,
                 "jobs": args.jobs,
                 "kernel": args.kernel,
-                "lanes": args.lanes,
                 "cached_circuits": report.cached_circuits,
             },
         )
@@ -813,15 +784,12 @@ def cmd_submit(args: argparse.Namespace) -> int:
         wait_for_campaign,
     )
 
-    if not _lanes_arg(args):
-        return 2
     spec = {
         "target": args.target,
         "method": args.method,
         "suite": args.suite,
         "extra_states": args.extra_states,
         "kernel": args.kernel,
-        "lanes": args.lanes,
         "timeout": args.timeout,
     }
     try:
@@ -874,8 +842,7 @@ def _add_campaign_flags(
 ) -> None:
     """The campaign flags ``campaign``, ``bench-suite`` and ``submit``
     share; ``executor`` adds the local-executor ones (``--jobs``,
-    ``--retries``).  ``--lanes`` stays a string here: commands
-    normalize it with :func:`_lanes_arg`."""
+    ``--retries``)."""
     parser.add_argument(
         "--method", choices=("cpp", "greedy"), default="cpp",
         help="tour construction for --suite tour",
@@ -909,21 +876,11 @@ def _add_campaign_flags(
         "--kernel",
         choices=KERNELS,
         default="compiled",
-        help="simulation kernel: 'compiled' replays faults against "
-        "dense-table/word-parallel compilations in lane-packed "
-        "batches (width set by --lanes), 'interp' walks the machines "
-        "per fault (the differential oracle); verdicts are "
+        help="simulation kernel: 'compiled' replays fault batches "
+        "against dense-table compilations, 'interp' walks the "
+        "machines per fault (the differential oracle); verdicts are "
         "byte-identical, and the kernel is part of a campaign's "
         "identity",
-    )
-    parser.add_argument(
-        "--lanes",
-        default="auto",
-        metavar="N",
-        help="total simulation lanes per word-parallel pass (golden "
-        "lane 0 plus N-1 mutants; Python ints are arbitrary "
-        "precision, so any N >= 2 works); 'auto' picks the kernel "
-        "default of 1024.  Verdicts are byte-identical at any width",
     )
     if not executor:
         return

@@ -3,13 +3,13 @@
 One invocation sweeps a whole benchmark corpus through the existing
 campaign engine: for every runnable circuit it builds the requested
 test set (transition tour or W/Wp/HSI suite), runs the fault campaign
-at any ``--jobs``/``--kernel``/``--lanes``, and folds the verdicts
-into one per-circuit + aggregate table.  The report's stdout rendering
-is **deterministic by construction** -- no timings, no scheduling
-facts, no store state -- so the table is byte-identical across job
-counts, kernels, lane widths, and store hits; wall-clock numbers
-travel separately (stderr summary, ``timing`` JSON section, and the
-``record_bench``-routed ``BENCH_bench_suite.json`` history).
+at any ``--jobs``/``--kernel``, and folds the verdicts into one
+per-circuit + aggregate table.  The report's stdout rendering is
+**deterministic by construction** -- no timings, no scheduling facts,
+no store state -- so the table is byte-identical across job counts,
+kernels and store hits; wall-clock numbers travel separately (stderr
+summary, ``timing`` JSON section, and the ``record_bench``-routed
+``BENCH_bench_suite.json`` history).
 
 Two integrations make corpus sweeps cheap to repeat:
 
@@ -48,7 +48,7 @@ class CircuitRow:
     """One circuit's line in the bench-suite table.
 
     Everything here except ``seconds``, ``executed`` and ``cached`` is
-    deterministic across jobs/kernel/lanes/store state; the rendered
+    deterministic across jobs/kernel/store state; the rendered
     table only shows the deterministic columns.
     """
 
@@ -178,7 +178,7 @@ class BenchSuiteReport:
 
     def render_table(self) -> str:
         """The aligned per-circuit + aggregate table (deterministic:
-        byte-identical at any jobs/kernel/lanes and from the store)."""
+        byte-identical at any jobs/kernel and from the store)."""
         headers = (
             "circuit", "kind", "states", "in", "trans", "suite",
             "len", "faults", "det", "esc", "coverage", "verdict",
@@ -258,7 +258,6 @@ def run_bench_suite(
     timeout: Optional[float] = None,
     retries: int = 0,
     kernel: str = "compiled",
-    lanes: Optional[int] = None,
     store: Optional[ResultStore] = None,
     run_root: Optional[str] = None,
     resume: bool = False,
@@ -270,7 +269,7 @@ def run_bench_suite(
     does not apply to (combinational netlists, incomplete machines
     under W/Wp/HSI); ``error`` marks circuits that failed to load or
     execute.  The returned report's table rendering is byte-identical
-    at any ``jobs``/``kernel``/``lanes`` and whether or not the store
+    at any ``jobs``/``kernel`` and whether or not the store
     answered -- determinism is the point.
     """
     if suite not in BENCH_SUITES:
@@ -291,8 +290,7 @@ def run_bench_suite(
                 entry, suite,
                 method=method, extra_states=extra_states, jobs=jobs,
                 timeout=timeout, retries=retries, kernel=kernel,
-                lanes=lanes, store=store, run_root=run_root,
-                resume=resume,
+                store=store, run_root=run_root, resume=resume,
             )
         )
     agg = report.aggregate()
@@ -341,7 +339,6 @@ def _run_circuit(
     timeout: Optional[float],
     retries: int,
     kernel: str,
-    lanes: Optional[int],
     store: Optional[ResultStore],
     run_root: Optional[str],
     resume: bool,
@@ -384,7 +381,7 @@ def _run_circuit(
     else:
         options = dict(
             faults=list(population), jobs=jobs, timeout=timeout,
-            retries=retries, kernel=kernel, lanes=lanes,
+            retries=retries, kernel=kernel,
         )
         if run_root is not None:
             from ..runtime import run_campaign_resumable

@@ -30,6 +30,7 @@ from ..obs import (
     span,
 )
 from ..core.theorems import CompletenessCertificate
+from ..kernel import DEFAULT_LANES
 from ..kernel.mealy_kernel import (
     detection_latency_compiled as detection_latency,
 )
@@ -174,7 +175,6 @@ def sweep_verdicts(
     timeout: Optional[float] = None,
     retries: int = 0,
     kernel: str = "compiled",
-    lanes: object = None,
 ) -> List[FaultVerdict]:
     """One :class:`FaultVerdict` per fault, in submission order.
 
@@ -187,19 +187,16 @@ def sweep_verdicts(
     verdicts are marked ``degraded``.  Only a fault the oracle itself
     cannot simulate raises :class:`CampaignExecutionError`.
 
-    Both kernels dispatch the same fault batches; ``kernel`` picks
-    only the batch body -- the lane-packed Mealy kernel, which
-    adjudicates one batch against the precomputed spec trajectory, or
-    the interpreter oracle per fault.  ``lanes`` sizes the batches
-    (``None``/``"auto"`` selects the kernel default).  Verdicts are
-    byte-identical at any width.
+    Both kernels dispatch the same fault batches of up to
+    ``DEFAULT_LANES - 1`` faults; ``kernel`` picks only the batch body
+    -- the compiled Mealy kernel, which adjudicates one batch against
+    the precomputed spec trajectory, or the interpreter oracle per
+    fault.
     """
     check_kernel(kernel)
     faults = list(faults)
     if not faults:
         return []
-    from ..kernel import resolve_lanes
-
     body = (
         _detect_batch_task if kernel == "compiled"
         else partial(per_item, _detect_task)
@@ -207,7 +204,7 @@ def sweep_verdicts(
     outcomes = parallel_map_batched(
         body, faults, shared=(spec, test), jobs=jobs,
         timeout=timeout, retries=retries,
-        batch_size=batch_unit(len(faults), jobs, resolve_lanes(lanes) - 1),
+        batch_size=batch_unit(len(faults), jobs, DEFAULT_LANES - 1),
     )
     wall = get_registry().histogram(
         "campaign.fault_wall_seconds", buckets=SECONDS_BUCKETS
@@ -374,7 +371,6 @@ def run_campaign(
     timeout: Optional[float] = None,
     retries: int = 0,
     kernel: str = "compiled",
-    lanes: object = None,
 ) -> CampaignResult:
     """Test every fault in ``faults`` (default: the full single-fault
     population) against the test set ``inputs``.
@@ -411,7 +407,6 @@ def run_campaign(
     ):
         return campaign.run(
             jobs=jobs, timeout=timeout, retries=retries, kernel=kernel,
-            lanes=lanes,
         )
 
 
@@ -423,7 +418,6 @@ def run_suite_campaign(
     timeout: Optional[float] = None,
     retries: int = 0,
     kernel: str = "compiled",
-    lanes: object = None,
 ) -> CampaignResult:
     """Campaign with a W/Wp/HSI :class:`~repro.tour.methods.TestSuite`
     as the traffic source.
@@ -450,7 +444,6 @@ def run_suite_campaign(
         timeout=timeout,
         retries=retries,
         kernel=kernel,
-        lanes=lanes,
     )
 
 
@@ -463,7 +456,6 @@ def certified_tour_campaign(
     jobs: int = 1,
     timeout: Optional[float] = None,
     kernel: str = "compiled",
-    lanes: object = None,
 ) -> CampaignResult:
     """Campaign with the Theorem 1 simulation discipline applied.
 
@@ -477,7 +469,7 @@ def certified_tour_campaign(
     padded = pad_inputs(spec, tour_inputs, k)
     return run_campaign(
         spec, padded, faults=faults, jobs=jobs, timeout=timeout,
-        kernel=kernel, lanes=lanes,
+        kernel=kernel,
     )
 
 

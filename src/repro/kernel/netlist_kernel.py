@@ -15,7 +15,8 @@ independent simulations:
 
 The lane count is a parameter: Python integers are arbitrary
 precision, so a pass is not limited to machine-word width.  The
-default is :data:`DEFAULT_LANES` (1023 mutants per pass).
+default is :data:`DEFAULT_LANES` (1023 mutants per pass), and every
+campaign runs at it: the width is a parameter of this kernel only.
 Per-operation interpreter overhead dominates bigint arithmetic until
 words grow to many thousands of bits, so widening lanes converts
 per-cycle Python dispatch into bulk bit-parallel work almost for free
@@ -651,8 +652,8 @@ def compiled_netlist(
     """Compile (or fetch the memoized compilation of) ``netlist``.
 
     The memo is keyed weakly on the netlist object *and* on the
-    ``(lanes, dirty)`` configuration -- switching ``--lanes`` or the
-    dirty-set mode mid-process can never return a stale compiled
+    ``(lanes, dirty)`` configuration -- switching the lane width or
+    the dirty-set mode mid-process can never return a stale compiled
     function -- and revalidated against a structural signature, so
     in-place edits recompile while repeated campaigns over one netlist
     compile exactly once per process and configuration.  The compiled

@@ -1,8 +1,8 @@
 """Deterministic jittered exponential backoff.
 
-Retry loops across the package -- the executor's per-task retry path,
-the campaign service's shard reassignment, the shard worker's idle
-polling -- share one delay policy.  Two properties matter:
+Retry loops across the campaign service -- the coordinator's shard
+reassignment, the shard worker's idle polling, the client's submit
+retries -- share one delay policy.  Two properties matter:
 
 * **Exponential with jitter.**  Retrying a failed task immediately is
   the worst possible schedule: a transient fault (an OOM blip, a
@@ -17,8 +17,7 @@ polling -- share one delay policy.  Two properties matter:
   suites stay byte-identical (delays never influence verdicts, and
   the delay *sequence* itself is reproducible).
 
-The policy object is a frozen dataclass, picklable by design so it
-can ride into worker processes next to the task it guards.
+The policy object is a frozen dataclass.
 """
 
 from __future__ import annotations

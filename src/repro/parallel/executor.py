@@ -23,6 +23,7 @@ campaign duty:
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import pickle
 import signal
@@ -31,11 +32,11 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import SECONDS_BUCKETS, get_registry, span
 from ..obs.events import get_bus
-from .backoff import BackoffPolicy
 
 
 class TaskTimeout(Exception):
@@ -70,15 +71,17 @@ class TaskOutcome:
 
 
 def batch_unit(n_items: int, jobs: int, width: int) -> int:
-    """Batch size for word-parallel kernels with ``width`` lanes of
-    payload per pass.
+    """Batch size for a sweep of ``n_items`` whose batches hold at most
+    ``width`` items.  The campaign sweeps pass the netlist kernel's
+    ``DEFAULT_LANES - 1`` mutant lanes, so one stuck-at batch fills
+    one simulation word.
 
-    Serially (``jobs <= 1``) the full lane width is the right unit:
-    every pass is packed.  Under process fan-out a single full-width
-    batch could starve all but one worker, so the batch shrinks until
-    every worker gets ~4 batches (the same heuristic as
+    Serially (``jobs <= 1``) the full width is the right unit: every
+    pass is packed.  Under process fan-out a single full-width batch
+    could starve all but one worker, so the batch shrinks until every
+    worker gets ~4 batches (the same heuristic as
     :func:`parallel_map`'s chunking) -- but never below 1 and never
-    above the lane width, so no batch overflows a simulation word.
+    above ``width``, so no batch overflows a simulation word.
     """
     width = max(1, int(width))
     jobs = max(1, int(jobs))
@@ -175,7 +178,6 @@ def _run_one(
     item: Any,
     timeout: Optional[float],
     retries: int,
-    backoff: Optional[BackoffPolicy] = None,
 ) -> _Record:
     args = (item,) if shared is None else (shared, item)
     attempts = 0
@@ -206,12 +208,6 @@ def _run_one(
                     time.perf_counter() - started,
                     pid,
                 )
-            if backoff is not None:
-                # Jittered exponential backoff, deterministic under the
-                # policy's seed (keyed by submission index, so every
-                # task replays its own schedule).  Delays never touch
-                # verdicts; differential tests stay byte-identical.
-                time.sleep(backoff.delay(attempts, key=str(index)))
 
 
 def _run_chunk(
@@ -220,11 +216,10 @@ def _run_chunk(
     pairs: Sequence[Tuple[int, Any]],
     timeout: Optional[float],
     retries: int,
-    backoff: Optional[BackoffPolicy] = None,
 ) -> List[_Record]:
     """Worker entry point: run one chunk of (index, item) pairs."""
     return [
-        _run_one(fn, shared, index, item, timeout, retries, backoff)
+        _run_one(fn, shared, index, item, timeout, retries)
         for index, item in pairs
     ]
 
@@ -249,12 +244,7 @@ def install_task_wrapper(
 
 
 def run_task_inline(
-    fn: Callable[..., Any],
-    shared: Any,
-    item: Any,
-    *,
-    timeout: Optional[float] = None,
-    retries: int = 0,
+    fn: Callable[..., Any], shared: Any, item: Any
 ) -> TaskOutcome:
     """Run one task in-process through the engine's task machinery.
 
@@ -264,7 +254,30 @@ def run_task_inline(
     pool path -- the differential tests compare campaign error
     messages across kernels and worker counts.
     """
-    return TaskOutcome(*_run_one(fn, shared, 0, item, timeout, retries))
+    return TaskOutcome(*_run_one(fn, shared, 0, item, None, 0))
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: end this worker once the process that
+    created the pool is gone.
+
+    A SIGKILLed campaign cannot shut its pool down, and a worker does
+    not notice on its own: it inherited its siblings' pipe ends, so
+    its task queue never reads EOF.  A daemon thread waits instead on
+    the sentinel of :func:`multiprocessing.parent_process`, a pipe
+    whose write end the creator holds, and exits the process once it
+    reads EOF.  Under the fork start method the workers forked after
+    this one hold that write end too; they exit the same way first.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="repro-parent-watch", daemon=True
+    ).start()
 
 
 def _picklable(payload: Any) -> bool:
@@ -283,8 +296,6 @@ def parallel_map(
     jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
-    chunk_size: Optional[int] = None,
-    backoff: Optional[BackoffPolicy] = None,
 ) -> List[TaskOutcome]:
     """Run ``fn`` over ``items``; outcomes in submission order.
 
@@ -293,11 +304,8 @@ def parallel_map(
     (the spec machine, the test set) that is shipped once per chunk
     instead of once per item.  With ``jobs <= 1`` everything runs
     in-process; otherwise chunks are distributed over a process pool
-    and any chunk the pool fails to deliver is re-run locally.
-
-    ``backoff`` (a :class:`BackoffPolicy`) spaces the ``retries``
-    re-runs of a failing task with deterministic jittered exponential
-    delays; ``None`` (the default) retries immediately.
+    and any chunk the pool fails to deliver is re-run locally.  A
+    failing task is re-run up to ``retries`` times, immediately.
     """
     work = list(items)
     if not work:
@@ -316,18 +324,16 @@ def parallel_map(
             outcomes = []
             for i, item in enumerate(work):
                 outcomes.append(TaskOutcome(
-                    *_run_one(fn, shared, i, item, timeout, retries,
-                              backoff)
+                    *_run_one(fn, shared, i, item, timeout, retries)
                 ))
                 if bus.enabled:
                     bus.emit("chunk.completed", items=1, mode="serial")
         _record_pool_metrics(outcomes, jobs=1)
         return outcomes
 
-    if chunk_size is None:
-        # Several chunks per worker so an unbalanced chunk cannot
-        # serialize the sweep.
-        chunk_size = max(1, math.ceil(len(work) / (jobs * 4)))
+    # Several chunks per worker so an unbalanced chunk cannot serialize
+    # the sweep.
+    chunk_size = max(1, math.ceil(len(work) / (jobs * 4)))
     pairs = list(enumerate(work))
     chunks = [
         pairs[lo:lo + chunk_size] for lo in range(0, len(pairs), chunk_size)
@@ -345,13 +351,13 @@ def parallel_map(
     ):
         try:
             with ProcessPoolExecutor(
-                max_workers=min(jobs, len(chunks))
+                max_workers=min(jobs, len(chunks)),
+                initializer=_exit_with_parent,
             ) as pool:
                 futures = {}
                 for chunk in chunks:
                     futures[pool.submit(
                         _run_chunk, fn, shared, chunk, timeout, retries,
-                        backoff,
                     )] = chunk
                     if bus.enabled:
                         bus.emit(
@@ -380,7 +386,7 @@ def parallel_map(
             if index not in records:
                 fallback += 1
                 records[index] = _run_one(fn, shared, index, item,
-                                          timeout, retries, backoff)
+                                          timeout, retries)
         if fallback and bus.enabled:
             bus.emit("chunk.completed", items=fallback, mode="fallback")
     outcomes = [TaskOutcome(*records[index]) for index in range(len(work))]
@@ -397,7 +403,6 @@ def parallel_map_batched(
     timeout: Optional[float] = None,
     retries: int = 0,
     batch_size: int,
-    backoff: Optional[BackoffPolicy] = None,
 ) -> List[TaskOutcome]:
     """Run a *batched* ``fn`` over ``items``; per-item outcomes in
     submission order.
@@ -427,7 +432,7 @@ def parallel_map_batched(
     ]
     batch_outcomes = parallel_map(
         fn, batches, shared=shared, jobs=jobs, timeout=timeout,
-        retries=retries, backoff=backoff,
+        retries=retries,
     )
     outcomes: List[TaskOutcome] = []
     for batch, outcome in zip(batches, batch_outcomes):

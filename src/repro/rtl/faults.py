@@ -130,16 +130,16 @@ def detects_stuck_at(
     return None
 
 
-#: What a stuck-at task shares across faults: the golden netlist, the
-#: vectors and the total lane width of a compiled pass.
-_Shared = Tuple[Netlist, Tuple[Mapping[str, bool], ...], int]
+#: What a stuck-at task shares across faults: the golden netlist and
+#: the vectors.
+_Shared = Tuple[Netlist, Tuple[Mapping[str, bool], ...]]
 
 
 def _stuck_detect_task(shared: _Shared, fault: StuckAt) -> Optional[int]:
     """Per-fault interpreter task: the oracle, and through
     :func:`~repro.campaign.per_item` the interp sweep's batch body
     (module-level so workers unpickle it)."""
-    golden, vectors, _lanes = shared
+    golden, vectors = shared
     return detects_stuck_at(golden, fault, vectors)
 
 
@@ -150,14 +150,12 @@ def _stuck_batch_task(
     word's worth of faults in a single bit-parallel pass over the
     vectors.  The kernel function is looked up at call time, so a
     substitute installed on :mod:`repro.kernel` takes effect."""
-    golden, vectors, lanes = shared
+    golden, vectors = shared
     from ..kernel import stuck_at_first_divergences
 
     return [
         ("ok", first)
-        for first in stuck_at_first_divergences(
-            golden, vectors, batch, lanes=lanes
-        )
+        for first in stuck_at_first_divergences(golden, vectors, batch)
     ]
 
 
@@ -199,9 +197,9 @@ class StuckAtKind:
         self.total = len(self.faults)
 
     def sweep(
-        self, indices: List[int], *, jobs: int, kernel: str, lanes: object
+        self, indices: List[int], *, jobs: int, kernel: str
     ) -> List[StuckVerdict]:
-        from ..kernel import resolve_lanes
+        from ..kernel import DEFAULT_LANES
 
         golden, faults = self.golden, [self.faults[i] for i in indices]
         # Surface bad fault targets eagerly (and from the parent
@@ -210,15 +208,14 @@ class StuckAtKind:
         for fault in faults:
             if fault.bit not in known:
                 raise ValueError(f"{golden.name}: no bit {fault.bit!r}")
-        width = resolve_lanes(lanes)
-        shared = (golden, self.vectors, width)
+        shared = (golden, self.vectors)
         body = (
             _stuck_batch_task if kernel == "compiled"
             else partial(per_item, _stuck_detect_task)
         )
         outcomes = parallel_map_batched(
             body, faults, shared=shared, jobs=jobs,
-            batch_size=batch_unit(len(faults), jobs, width - 1),
+            batch_size=batch_unit(len(faults), jobs, DEFAULT_LANES - 1),
         )
         return settle(
             outcomes, faults,
@@ -281,7 +278,6 @@ def run_stuck_at_campaign(
     *,
     jobs: int = 1,
     kernel: str = "compiled",
-    lanes: object = None,
 ) -> StructuralCampaignResult:
     """Fault-simulate every stuck-at fault against the vector set.
 
@@ -291,18 +287,19 @@ def run_stuck_at_campaign(
     ``degraded`` flag records that it happened).
 
     ``kernel="compiled"`` (default) simulates the golden netlist plus
-    ``lanes - 1`` mutants per pass in the bit-lanes of wide integer
-    words (see :mod:`repro.kernel.netlist_kernel`; ``lanes=None`` /
-    ``"auto"`` selects the kernel default of 1024 total lanes);
-    ``"interp"`` compiles and steps each mutant netlist separately.
-    Both kernels dispatch the same batches of up to ``lanes - 1``
-    faults, which ``jobs`` fans out to worker processes.  Verdicts are
-    byte-identical across kernels, job counts, and lane widths.
+    one batch of mutants per pass in the bit-lanes of wide integer
+    words, at the kernel's default width of
+    :data:`~repro.kernel.DEFAULT_LANES` total lanes (see
+    :mod:`repro.kernel.netlist_kernel`); ``"interp"`` compiles and
+    steps each mutant netlist separately.  Both kernels dispatch the
+    same batches of up to ``DEFAULT_LANES - 1`` faults, which ``jobs``
+    fans out to worker processes.  Verdicts are byte-identical across
+    kernels and job counts.
     """
     check_kernel(kernel)
     population = (
         all_stuck_at_faults(golden) if faults is None else list(faults)
     )
     return Campaign(StuckAtKind(golden, vectors, population)).run(
-        jobs=jobs, kernel=kernel, lanes=lanes
+        jobs=jobs, kernel=kernel
     )

@@ -80,8 +80,8 @@ def fsm_campaign_identity(
     timeout: Optional[float],
 ) -> Dict[str, Any]:
     """The manifest identity of an FSM campaign: everything a verdict
-    depends on (and nothing scheduling-dependent -- ``jobs``, ``lanes``
-    and slice sizes are settings, not identity).  Shared between the
+    depends on (and nothing scheduling-dependent -- ``jobs``,
+    ``retries`` and slice sizes are settings, not identity).  Shared between the
     run-dir manifest and the service's content-addressed result store,
     so both address the same work by the same digest."""
     return {
@@ -235,7 +235,7 @@ def _run_journaled(
     paths = run_paths(run_dir)
     settings = {
         "jobs": options["jobs"], "retries": options["retries"],
-        "slice_size": slice_size, "lanes": options["lanes"],
+        "slice_size": slice_size,
     }
     replay = prepare_run_dir(paths, campaign.identity, settings, resume)
     campaign.start()
@@ -294,18 +294,16 @@ def run_campaign_resumable(
     timeout: Optional[float] = None,
     retries: int = 0,
     kernel: str = "compiled",
-    lanes: object = None,
     slice_size: int = DEFAULT_SLICE,
 ) -> CampaignRun:
     """:func:`repro.faults.run_campaign` with a journaled run dir.
 
     Identity (manifest-pinned, resume-enforced): machine structure,
     test set, fault population, kernel and timeout -- everything a
-    verdict depends on.  ``jobs``/``retries``/``lanes``/``slice_size``
-    are recorded but may change across resumes; verdicts are
-    independent of them by the differential guarantee (a run
-    interrupted at one lane width resumes byte-identically at any
-    other).
+    verdict depends on.  ``jobs``/``retries``/``slice_size`` are
+    recorded but may change across resumes; verdicts are independent
+    of them by the differential guarantee (a run interrupted at one
+    worker count resumes byte-identically at any other).
     """
     check_kernel(kernel)
     population = (
@@ -323,7 +321,6 @@ def run_campaign_resumable(
             Campaign(FsmKind(spec, test, population), identity),
             run_dir, resume, slice_size,
             jobs=jobs, timeout=timeout, retries=retries, kernel=kernel,
-            lanes=lanes,
         )
 
 
@@ -338,7 +335,6 @@ def run_bug_campaign_resumable(
     timeout: Optional[float] = None,
     retries: int = 0,
     kernel: str = "compiled",
-    lanes: object = None,
     slice_size: int = DEFAULT_SLICE,
 ) -> CampaignRun:
     """:func:`repro.validation.run_bug_campaign` with a journaled run
@@ -358,7 +354,6 @@ def run_bug_campaign_resumable(
             Campaign(DlxKind(tests, catalog, test_name), identity),
             run_dir, resume, slice_size,
             jobs=jobs, timeout=timeout, retries=retries, kernel=kernel,
-            lanes=lanes,
         )
 
 

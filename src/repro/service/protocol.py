@@ -43,8 +43,7 @@ _SUITES = ("tour", "w", "wp", "hsi")
 _METHODS = ("cpp", "greedy")
 
 _SPEC_KEYS = (
-    "target", "method", "suite", "extra_states", "kernel", "lanes",
-    "timeout",
+    "target", "method", "suite", "extra_states", "kernel", "timeout",
 )
 
 
@@ -91,14 +90,6 @@ def normalize_spec(spec: Any) -> Dict[str, Any]:
         ) from None
     if extra_states < 0:
         raise SpecError(f"extra_states must be >= 0: {extra_states}")
-    lanes = spec.get("lanes")
-    if lanes is not None:
-        try:
-            lanes = int(lanes)
-        except (TypeError, ValueError):
-            raise SpecError(f"lanes must be an integer: {lanes!r}") from None
-        if lanes < 2:
-            raise SpecError(f"lanes must be >= 2: {lanes}")
     timeout = spec.get("timeout")
     if timeout is not None:
         try:
@@ -120,7 +111,6 @@ def normalize_spec(spec: Any) -> Dict[str, Any]:
         "suite": suite,
         "extra_states": extra_states,
         "kernel": kernel,
-        "lanes": lanes,
         "timeout": timeout,
     }
 
@@ -222,7 +212,7 @@ def simulate_shard(
     indices = list(range(lo, hi))
     verdicts = resolved.kind.sweep(
         indices, jobs=1, timeout=spec["timeout"],
-        kernel=kernel or spec["kernel"], lanes=spec["lanes"],
+        kernel=kernel or spec["kernel"],
     )
     records = []
     for index, verdict in zip(indices, verdicts):

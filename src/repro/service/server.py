@@ -22,6 +22,9 @@ Routes::
     GET  /metrics                                  -> Prometheus text
     GET  /healthz                                  -> {"ok": true}
 
+A POST body must be a JSON object (an empty body reads as ``{}``);
+anything else gets 400.
+
 A background **ticker** thread calls ``coordinator.tick()`` every
 quarter-lease, so leases expire (and shards get rescheduled) even when
 no request happens to arrive -- expiry must not depend on traffic.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlparse
 
 from ..obs.metrics import get_registry
@@ -53,7 +56,7 @@ class _ServiceHandler(JsonHandler):
 
     # -- plumbing ----------------------------------------------------
 
-    def _read_json(self) -> Tuple[Optional[Any], Optional[str]]:
+    def _read_json(self) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
@@ -71,9 +74,12 @@ class _ServiceHandler(JsonHandler):
         if not raw:
             return {}, None
         try:
-            return json.loads(raw), None
+            payload = json.loads(raw)
         except ValueError:
             return None, "request body is not valid JSON"
+        if not isinstance(payload, dict):
+            return None, "request body must be a JSON object"
+        return payload, None
 
     # -- routes ------------------------------------------------------
 
@@ -87,9 +93,7 @@ class _ServiceHandler(JsonHandler):
         try:
             if path == "/api/campaigns":
                 try:
-                    view = coordinator.submit(
-                        (payload or {}).get("spec")
-                    )
+                    view = coordinator.submit(payload.get("spec"))
                 except SpecError as exc:
                     self._send_json(400, {"error": str(exc)})
                     return
@@ -109,14 +113,11 @@ class _ServiceHandler(JsonHandler):
                     return
                 self._send_json(200, view)
             elif path == "/api/lease":
-                worker = (payload or {}).get("worker") or "anonymous"
+                worker = payload.get("worker") or "anonymous"
                 self._send_json(200, coordinator.lease(str(worker)))
             elif path == "/api/heartbeat":
                 self._send_json(
-                    200,
-                    coordinator.heartbeat(
-                        (payload or {}).get("lease")
-                    ),
+                    200, coordinator.heartbeat(payload.get("lease"))
                 )
             elif path == "/api/shard-result":
                 self._send_json(200, coordinator.report_shard(payload))

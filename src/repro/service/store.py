@@ -2,8 +2,8 @@
 
 A finished campaign is stored under the SHA-256 of its canonical
 manifest identity (machine/test fingerprints, fault digest, kernel,
-timeout -- everything that pins the *verdicts*; never jobs/lanes/chaos,
-which are settings).  Two consequences:
+timeout -- everything that pins the *verdicts*; never jobs, retries or
+chaos, which are settings).  Two consequences:
 
 * **Resubmission is free.**  An identical submission hashes to the
   same key and is answered from the store with zero simulations.

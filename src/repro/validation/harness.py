@@ -19,6 +19,7 @@ from ..dlx.behavioral import BehavioralDLX, Checkpoint, ExecutionError
 from ..dlx.buggy import BUG_CATALOG, BugEntry
 from ..dlx.isa import Instruction
 from ..dlx.pipeline import PipelineBugs, PipelinedDLX
+from ..kernel import DEFAULT_LANES
 from ..obs import STEP_BUCKETS, get_registry, span
 from ..parallel import batch_unit, parallel_map_batched
 from .checkpoints import compare_streams
@@ -225,7 +226,6 @@ def sweep_bug_verdicts(
     timeout: Optional[float] = None,
     retries: int = 0,
     kernel: str = "compiled",
-    lanes: object = None,
 ) -> List[BugVerdict]:
     """One :class:`BugVerdict` per catalog entry, in submission order.
 
@@ -235,15 +235,12 @@ def sweep_bug_verdicts(
     :func:`repro.campaign.settle`) instead of aborting the sweep.
     Batching amortizes the per-task pickling of the shared battery
     (programs + precomputed spec streams), which dominates the
-    dispatch cost; ``kernel`` picks only the batch body, and ``lanes``
-    sizes the batches (``None``/``"auto"`` = the kernel default
-    width).  Verdicts are width-independent.
+    dispatch cost; batches hold up to ``DEFAULT_LANES - 1`` entries,
+    and ``kernel`` picks only the batch body.
     """
     entries = list(entries)
     if not entries:
         return []
-    from ..kernel import resolve_lanes
-
     body = (
         _bug_entry_batch_task if kernel == "compiled"
         else partial(per_item, _bug_entry_task)
@@ -253,7 +250,7 @@ def sweep_bug_verdicts(
     outcomes = parallel_map_batched(
         body, entries, shared=prepared, jobs=jobs, timeout=timeout,
         retries=retries,
-        batch_size=batch_unit(len(entries), jobs, resolve_lanes(lanes) - 1),
+        batch_size=batch_unit(len(entries), jobs, DEFAULT_LANES - 1),
     )
     # The correct design always halts well inside the budget, so a
     # timed-out mutant has visibly diverged: detected by crash, same as
@@ -416,7 +413,6 @@ def run_bug_campaign(
     timeout: Optional[float] = None,
     retries: int = 0,
     kernel: str = "compiled",
-    lanes: object = None,
 ) -> BugCampaignResult:
     """Run every catalog bug against a battery of test programs.
 
@@ -449,7 +445,6 @@ def run_bug_campaign(
     ):
         return campaign.run(
             jobs=jobs, timeout=timeout, retries=retries, kernel=kernel,
-            lanes=lanes,
         )
 
 

@@ -44,15 +44,6 @@ class TestDeterministicTable:
                 outputs[(jobs, kernel)] = out
         assert len(set(outputs.values())) == 1
 
-    def test_lane_width_never_shows(self, capsys):
-        _code, narrow = _run_cli(
-            capsys, "--suite", "wp", "--lanes", "2"
-        )
-        _code, wide = _run_cli(
-            capsys, "--suite", "wp", "--lanes", "4096"
-        )
-        assert narrow == wide
-
     def test_wp_sweep_is_complete(self, capsys):
         code, out = _run_cli(capsys, "--suite", "wp")
         assert code == 0
@@ -195,11 +186,6 @@ class TestVerdicts:
     def test_bad_corpus_path_is_usage_error(self, capsys):
         assert main(
             ["bench-suite", "/no/such/corpus", "--no-bench"]
-        ) == 2
-
-    def test_bad_lanes_is_usage_error(self, capsys):
-        assert main(
-            ["bench-suite", BUNDLED, "--no-bench", "--lanes", "1"]
         ) == 2
 
 

@@ -389,24 +389,34 @@ class TestTraceChangesNothing:
         assert {"bugcampaign.run", "validate.spec_run"} <= spans
 
     @pytest.mark.parametrize("target", ["fsm", "dlx"])
-    def test_raising_span_ends_with_error(self, tmp_path, target):
+    def test_raising_span_ends_with_error(self, tmp_path, monkeypatch,
+                                          target):
         from repro.kernel import KernelError
+
+        def broken(*args, **kwargs):
+            raise KernelError("dispatch failed")
 
         if target == "fsm":
             machine, inputs = _tour(counter(3))
             name = "campaign.run"
+            monkeypatch.setattr(
+                "repro.faults.campaign.parallel_map_batched", broken
+            )
 
             def campaign():
-                run_campaign(machine, inputs, lanes=1)
+                run_campaign(machine, inputs)
         else:
             from repro.dlx.programs import DIRECTED_PROGRAMS
             from repro.validation import run_bug_campaign
 
             program = next(iter(DIRECTED_PROGRAMS.values()))
             name = "bugcampaign.run"
+            monkeypatch.setattr(
+                "repro.validation.harness.parallel_map_batched", broken
+            )
 
             def campaign():
-                run_bug_campaign([(list(program), None, None)], lanes=1)
+                run_bug_campaign([(list(program), None, None)])
 
         def run(_work):
             with pytest.raises(KernelError):

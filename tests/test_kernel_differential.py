@@ -323,7 +323,13 @@ class TestMealyFaultVerdicts:
         kind.test = UncomparableTest(kind.test)
         CountedTable.compares = 0
         with scoped_registry() as reg:
-            result = Campaign(kind).run(kernel="compiled", lanes=8)
+            # 8-fault slices: one kernel batch per slice.
+            campaign = Campaign(kind)
+            campaign.start()
+            pending = campaign.pending()
+            for lo in range(0, len(pending), 8):
+                campaign.sweep(pending[lo:lo + 8], kernel="compiled")
+            result = campaign.finish()
             histograms = reg.deterministic_dump()["histograms"]
         assert CountedTable.compares == 0
         assert not result.degraded

@@ -48,13 +48,6 @@ class TestParallelMap:
         )
         assert [o.value for o in outcomes] == [101, 102, 103]
 
-    @pytest.mark.parametrize("chunk_size", [1, 2, 100])
-    def test_chunking_does_not_change_results(self, chunk_size):
-        outcomes = parallel_map(
-            _square, list(range(10)), jobs=2, chunk_size=chunk_size
-        )
-        assert [o.value for o in outcomes] == [i * i for i in range(10)]
-
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_error_captured_not_raised(self, jobs):
         outcomes = parallel_map(_flaky, [7], jobs=jobs)

@@ -478,7 +478,7 @@ class TestDegradation:
         faults = all_stuck_at_faults(net, include_inputs=True)
         plain = run_stuck_at_campaign(net, vectors, faults, kernel="interp")
 
-        def poisoned(golden, vectors, batch, lanes=None):
+        def poisoned(golden, vectors, batch):
             raise RuntimeError("kernel poisoned")
 
         monkeypatch.setattr(
@@ -599,6 +599,54 @@ def _journal_lines(path):
         return handle.read().count(b"\n")
 
 
+def _victim(run_dir):
+    """A journaled ``--jobs 2`` campaign to SIGKILL.  The hang chaos
+    slows every worker task by 50ms, giving the caller a wide window
+    to kill it mid-journal, with pool workers alive."""
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "campaign", "counter",
+            "--kernel", "interp", "--jobs", "2",
+            "--run-dir", run_dir, "--journal-slice", "8",
+            "--chaos", "seed=5,hang=1.0,hang_seconds=0.05",
+        ],
+        env=_repro_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+
+
+def _proc_stat(pid):
+    """``(state, ppid, starttime)`` of ``pid`` from ``/proc``, or None
+    once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            data = handle.read()
+    except OSError:
+        return None
+    # The command name is parenthesized and may hold anything.
+    fields = data[data.rindex(b")") + 2:].split()
+    return fields[0].decode(), int(fields[1]), int(fields[19])
+
+
+def _children(pid):
+    """``{pid: starttime}`` of the processes whose parent is ``pid``."""
+    found = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid:
+                found[int(entry)] = stat[2]
+    return found
+
+
+def _running(pid, starttime):
+    """Whether ``pid`` is still the process that started at
+    ``starttime``, and not a zombie."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[2] == starttime and stat[0] != "Z"
+
+
 class TestKillAndResume:
     def test_sigkilled_campaign_resumes_byte_identical(self, tmp_path):
         ref_dir = str(tmp_path / "ref")
@@ -608,19 +656,7 @@ class TestKillAndResume:
         ]) == 1
         run_dir = str(tmp_path / "run")
         journal = run_paths(run_dir).journal
-        # The hang chaos slows every worker task by 50ms, giving the
-        # poll below a wide window to SIGKILL the campaign mid-journal.
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "campaign", "counter",
-                "--kernel", "interp", "--jobs", "2",
-                "--run-dir", run_dir, "--journal-slice", "8",
-                "--chaos", "seed=5,hang=1.0,hang_seconds=0.05",
-            ],
-            env=_repro_env(),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        proc = _victim(run_dir)
         try:
             deadline = time.time() + 60
             while time.time() < deadline:
@@ -655,6 +691,40 @@ class TestKillAndResume:
         assert resumed.stats.executed > 0
         assert resumed.result.total == 256
         assert _outputs(run_dir) == _outputs(ref_dir)
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/stat"), reason="needs /proc"
+    )
+    def test_sigkilled_campaign_leaves_no_pool_workers(self, tmp_path):
+        """A campaign killed while its pool runs takes its workers
+        with it: each is gone, or a zombie, within 10 s."""
+        proc = _victim(str(tmp_path / "run"))
+        workers = {}
+        try:
+            deadline = time.time() + 60
+            while proc.poll() is None and time.time() < deadline:
+                workers = _children(proc.pid)
+                if len(workers) == 2:  # the whole --jobs 2 pool
+                    break
+                time.sleep(0.005)
+            proc.kill()
+            proc.wait(timeout=30)
+            assert workers, "the campaign never started a pool"
+            deadline = time.time() + 10
+            alive = list(workers)
+            while alive and time.time() < deadline:
+                time.sleep(0.05)
+                alive = [
+                    pid for pid, start in workers.items()
+                    if _running(pid, start)
+                ]
+            assert not alive, f"pool workers {alive} outlived the campaign"
+        finally:
+            if proc.poll() is None:  # pragma: no cover - safety net
+                proc.kill()
+            for pid, start in workers.items():
+                if _running(pid, start):
+                    os.kill(pid, signal.SIGKILL)
 
 
 # --------------------------------------------------------------------

@@ -100,13 +100,18 @@ class TestSpecProtocol:
             "suite": "tour",
             "extra_states": 0,
             "kernel": "compiled",
-            "lanes": None,
             "timeout": None,
         }
 
     def test_normalize_is_idempotent(self):
-        once = normalize_spec({"target": "dlx", "lanes": 64})
+        once = normalize_spec({"target": "dlx", "timeout": 2})
         assert normalize_spec(once) == once
+
+    def test_lane_width_is_not_a_spec_field(self):
+        # Campaigns run at the netlist kernel's default width; a spec
+        # naming one is refused, never silently ignored.
+        with pytest.raises(SpecError, match="lanes"):
+            normalize_spec({"target": "vending", "lanes": 64})
 
     @pytest.mark.parametrize("bad", [
         None,
@@ -131,15 +136,12 @@ class TestSpecProtocol:
 
     def test_identity_excludes_settings(self):
         base = resolve_campaign({"target": "vending"}).identity
-        wide = resolve_campaign(
-            {"target": "vending", "lanes": 16}
-        ).identity
         other = resolve_campaign(
             {"target": "vending", "kernel": "interp"}
         ).identity
-        assert base == wide  # lanes are a setting, not an identity
+        assert not {"jobs", "retries", "slice_size"} & set(base)
         assert base != other  # the kernel is part of the identity
-        assert store_key(base) == store_key(wide)
+        assert store_key(base) != store_key(other)
 
     def test_simulate_shard_range_checked(self):
         resolved = resolve_campaign({"target": "counter"})
@@ -638,29 +640,3 @@ class TestBackoffPolicy:
             BackoffPolicy(jitter=1.5)
         with pytest.raises(ValueError):
             BackoffPolicy(factor=0.5)
-
-    def test_parallel_map_retries_sleep_via_policy(self, monkeypatch):
-        import repro.parallel.executor as executor_mod
-        from repro.parallel import parallel_map
-
-        naps = []
-        monkeypatch.setattr(
-            executor_mod.time,
-            "sleep",
-            lambda seconds: naps.append(seconds),
-        )
-        calls = {}
-
-        def flaky(task):
-            calls[task] = calls.get(task, 0) + 1
-            if task == 2 and calls[task] < 3:
-                raise RuntimeError("transient")
-            return task * 10
-
-        policy = BackoffPolicy(base=0.25, jitter=0.0, seed=0)
-        outcomes = parallel_map(
-            flaky, [1, 2, 3], jobs=1, retries=3, backoff=policy
-        )
-        assert [o.value for o in outcomes] == [10, 20, 30]
-        # Two retries of task 2: base, then base*factor.
-        assert naps == [0.25, 0.5]

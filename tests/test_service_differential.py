@@ -247,6 +247,39 @@ class TestServiceHttpHardening:
             status, body = request_json(server.url + "/healthz")
             assert status == 200 and body == {"ok": True}
 
+    def test_non_object_body_is_400(self, tmp_path):
+        """Every POST route refuses JSON that parses but is not an
+        object with 400, before the coordinator sees it."""
+        import http.client
+
+        bodies = {
+            "/api/campaigns": b"[1,2]",
+            "/api/lease": b"[1]",
+            "/api/heartbeat": b'"x"',
+            "/api/shard-result": b"[1]",
+        }
+        coordinator = Coordinator(str(tmp_path / "svc"))
+        replies = {}
+        with ServiceServer(coordinator) as server:
+            for route, body in bodies.items():
+                conn = http.client.HTTPConnection(
+                    server.host, server.port, timeout=10
+                )
+                try:
+                    conn.request(
+                        "POST", route, body=body,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    reply = conn.getresponse()
+                    replies[route] = (
+                        reply.status, json.loads(reply.read())
+                    )
+                finally:
+                    conn.close()
+        expected = (400, {"error": "request body must be a JSON object"})
+        assert replies == {route: expected for route in bodies}
+        assert coordinator.stats["leases"] == 0
+
 
 class TestServiceCli:
     """`repro serve` / `repro shard-worker` / `repro submit` round

@@ -1,25 +1,28 @@
 """Wide-lane differential tests: any width, one answer.
 
-PR 8 lifted the 63-mutant word cap: the stuck-at kernel packs a
-configurable number of lanes into arbitrary-precision Python ints and
-the dirty-set mode skips quiescent cycles.  These properties pin the
-contract that made that safe to ship:
+The stuck-at kernel packs a configurable number of lanes into
+arbitrary-precision Python ints, and the dirty-set mode skips
+quiescent cycles.  The width is a parameter of the netlist kernel
+only; every campaign runs at :data:`~repro.kernel.DEFAULT_LANES`.
+These properties pin the contract:
 
 * stuck-at first divergences are byte-identical across lane widths
   (2, 63, 64, 257, 1024), both dirty-set modes, and the per-fault
   interpreter -- including exception types and messages;
 * campaign results *and* the deterministic event projection (which
-  carries first-divergence indices) are invariant under
-  kernel/jobs/lanes;
+  carries first-divergence indices) are invariant under kernel/jobs;
 * the batched Mealy kernel agrees with the per-fault path verdict by
   verdict, error string by error string;
 * the word-overflow diagnostic reports the configured width, old and
   new;
-* the compile memo keys on (lanes, dirty) so switching ``--lanes``
+* the compile memo keys on (lanes, dirty) so switching the width
   mid-process can never return a stale kernel;
-* a chaos-interrupted journaled run at ``lanes=1024`` resumes
-  byte-identically at a *different* width.
+* a torn journaled run resumes byte-identically at another worker
+  count, and a run dir whose manifest settings still carry the lane
+  width campaigns used to record resumes byte-identically too.
 """
+
+import os
 
 import pytest
 from hypothesis import given
@@ -48,7 +51,12 @@ from repro.rtl.faults import (
     run_stuck_at_campaign,
 )
 from repro.rtl.netlist import Netlist
-from repro.runtime import run_campaign_resumable, run_paths
+from repro.runtime import (
+    read_manifest,
+    run_campaign_resumable,
+    run_paths,
+    write_manifest,
+)
 from repro.tour import transition_tour
 from tests.test_kernel_differential import (
     SETTINGS,
@@ -173,15 +181,10 @@ class TestCampaignLaneInvariance:
             return result, _projection_bytes(ring.events())
 
         base_result, baseline = run(kernel="interp")
-        for lanes in (2, 64, 1024):
-            for jobs in (1, 2):
-                result, projection = run(
-                    kernel="compiled", lanes=lanes, jobs=jobs
-                )
-                assert result == base_result, f"lanes={lanes}"
-                assert projection == baseline, (
-                    f"lanes={lanes} jobs={jobs}"
-                )
+        for jobs in (1, 2):
+            result, projection = run(kernel="compiled", jobs=jobs)
+            assert result == base_result, f"jobs={jobs}"
+            assert projection == baseline, f"jobs={jobs}"
 
 
 # ----------------------------------------------------------------------
@@ -268,17 +271,6 @@ class TestResolveLanes:
         with pytest.raises(KernelError, match="integer >= 2"):
             resolve_lanes(bad)
 
-    def test_cli_parser_mirrors_kernel_rules(self):
-        from repro.cli import _parse_lanes
-
-        assert _parse_lanes(None) is None
-        assert _parse_lanes("auto") is None
-        assert _parse_lanes("64") == 64
-        with pytest.raises(ValueError, match="golden lane 0"):
-            _parse_lanes("1")
-        with pytest.raises(ValueError):
-            _parse_lanes("wide")
-
 
 # ----------------------------------------------------------------------
 # Batched Mealy kernel
@@ -343,30 +335,39 @@ class TestBatchedMealy:
 
 
 # ----------------------------------------------------------------------
-# Chaos/resume at wide lanes
+# Resume
 # ----------------------------------------------------------------------
+
+def _outputs(run_dir):
+    paths = run_paths(run_dir)
+    with open(paths.report, "rb") as r:
+        report = r.read()
+    with open(paths.metrics, "rb") as m:
+        metrics = m.read()
+    return report, metrics
+
 
 class TestResumeAcrossLaneWidths:
     def test_interrupted_wide_run_resumes_at_another_width(
         self, tmp_path
     ):
-        """lanes is a *setting*, not identity: a run interrupted at
-        ``--lanes 1024`` must resume byte-identically at ``--lanes
-        64`` (and match the plain, unjournaled campaign)."""
+        """A journal torn mid-line and holding a bad-checksum line,
+        written at ``jobs=1``, resumes at ``jobs=2`` byte-identically
+        to an uninterrupted run (and matches the plain, unjournaled
+        campaign)."""
         machine = counter(4)
         inputs = transition_tour(machine).inputs
         plain = run_campaign(machine, inputs, kernel="compiled")
 
         ref_dir = str(tmp_path / "ref")
         ref = run_campaign_resumable(
-            machine, inputs, run_dir=ref_dir, jobs=1, lanes=1024,
+            machine, inputs, run_dir=ref_dir, jobs=1,
         )
         assert ref.result == plain
 
         run_dir = str(tmp_path / "run")
         first = run_campaign_resumable(
-            machine, inputs, run_dir=run_dir, jobs=2, lanes=1024,
-            slice_size=16,
+            machine, inputs, run_dir=run_dir, jobs=1, slice_size=16,
         )
         assert first.result == plain
         journal = run_paths(run_dir).journal
@@ -380,19 +381,42 @@ class TestResumeAcrossLaneWidths:
             handle.write(lines[10].rstrip("\n")[:-4])
         resumed = run_campaign_resumable(
             machine, inputs, run_dir=run_dir, resume=True, jobs=2,
-            lanes=64,
         )
         assert resumed.result == plain
         assert resumed.stats.replayed == 10
         assert resumed.stats.dropped == 2
         assert resumed.stats.executed == plain.total - 10
+        assert _outputs(run_dir) == _outputs(ref_dir)
 
-        def outputs(run_dir):
-            paths = run_paths(run_dir)
-            with open(paths.report, "rb") as r:
-                report = r.read()
-            with open(paths.metrics, "rb") as m:
-                metrics = m.read()
-            return report, metrics
+    def test_manifest_with_recorded_lane_width_resumes(self, tmp_path):
+        """Run dirs written while campaigns recorded ``lanes`` among
+        their manifest settings still resume: settings are never
+        checked, and the outputs are byte-identical."""
+        machine = counter(4)
+        inputs = transition_tour(machine).inputs
+        ref_dir = str(tmp_path / "ref")
+        run_campaign_resumable(machine, inputs, run_dir=ref_dir)
 
-        assert outputs(run_dir) == outputs(ref_dir)
+        run_dir = str(tmp_path / "run")
+        run_campaign_resumable(
+            machine, inputs, run_dir=run_dir, slice_size=16,
+        )
+        paths = run_paths(run_dir)
+        manifest = read_manifest(paths.manifest)
+        write_manifest(
+            paths.manifest,
+            manifest["identity"],
+            {**manifest["settings"], "lanes": 1024},
+        )
+        with open(paths.journal) as handle:
+            lines = handle.readlines()
+        with open(paths.journal, "w") as handle:
+            handle.writelines(lines[:20])
+        os.unlink(paths.report)
+        os.unlink(paths.metrics)
+        resumed = run_campaign_resumable(
+            machine, inputs, run_dir=run_dir, resume=True,
+        )
+        assert resumed.stats.replayed == 20
+        assert read_manifest(paths.manifest)["settings"]["lanes"] == 1024
+        assert _outputs(run_dir) == _outputs(ref_dir)
