@@ -127,9 +127,9 @@ def test_compiled_kernel_speedup(benchmark):
         )
         sweep_seconds[width] = elapsed
         sweep_identical = sweep_identical and got == expected
-    # Dense (non-event-driven) reference at the default-scale width,
-    # so the history records what the dirty-set machinery costs/buys
-    # on this activity-dense workload.
+    # Forced dense reference at the default-scale width: on this
+    # activity-dense workload the kernel's own choice, timed above,
+    # should be the dense pass.
     dense_got, t_dense_1023 = _timed(
         lambda: stuck_at_first_divergences(
             net, vectors, population, lanes=1024, dirty=False
@@ -225,7 +225,7 @@ def test_compiled_kernel_speedup(benchmark):
         ]
         + [
             f"   1023 lanes, dense: {t_dense_1023:8.3f}s   "
-            f"(dirty-set off)",
+            f"(forced)",
             f"  wide-width geomean (>=1023 lanes): {wide_geomean:5.1f}x"
             f"   identical: {sweep_identical}",
             f"FSM campaign: {fsm_interp.total} mutants x "
@@ -288,7 +288,7 @@ def test_compiled_kernel_speedup(benchmark):
     )
 
     # Identity is unconditional: the kernels must be drop-in -- at
-    # every lane width and in both dirty-set modes.
+    # every lane width and in both pass modes.
     assert dlx_identical
     assert fsm_identical
     assert wp_identical
@@ -323,17 +323,21 @@ MIN_SPARSE_SPEEDUP = 1.3
 
 
 def test_dirty_vs_dense_activity_sparse(benchmark):
-    """Activity-sparse workload where the dirty-set mode wins.
+    """Activity-sparse workload where the event-driven pass wins.
 
     The DLX sweep above drives every net every cycle, so there the
-    dense pass is the baseline to beat and dirty-set machinery is pure
-    overhead.  This benchmark builds the opposite shape -- the one the
-    event-driven mode exists for: a "protocol farm" of independent
-    controller blocks (the corpus protocol models, replicated) tested
-    phase by phase with W/Wp-shaped reset-separated sequences.  During
-    any phase one block toggles and the rest idle in self-loops, so
-    once a block's mutants are detected or quiescent the dirty pass
-    skips whole cycles the dense pass must still simulate.
+    dense pass is the one to beat and the kernel picks it.  This
+    benchmark builds the opposite shape -- the one the event-driven
+    pass exists for: a "protocol farm" of independent controller blocks
+    (the corpus protocol models, replicated) tested phase by phase with
+    W/Wp-shaped reset-separated sequences.  During any phase one block
+    toggles and the rest idle in self-loops, so the golden trace
+    re-evaluates only the driven block, and once a block's mutants are
+    detected or quiescent the mutant pass skips whole cycles the dense
+    pass must still simulate.  Both passes are forced here
+    (``dirty=True`` / ``dirty=False``), and the kernel's own choice
+    (``dirty=None``) is timed next to them; all three must give the
+    same first divergences.
     """
     from repro.corpus.protocols import PROTOCOL_MODELS
     from repro.corpus.synth import (
@@ -388,7 +392,12 @@ def test_dirty_vs_dense_activity_sparse(benchmark):
             farm, vectors, population, lanes=1024, dirty=False
         )
     )
-    identical = dirty_got == dense_got
+    auto_got, t_auto = _timed(
+        lambda: stuck_at_first_divergences(
+            farm, vectors, population, lanes=1024
+        )
+    )
+    identical = dirty_got == dense_got == auto_got
     speedup = t_dense / t_dirty if t_dirty else float("inf")
 
     emit(
@@ -402,11 +411,13 @@ def test_dirty_vs_dense_activity_sparse(benchmark):
             f"  dense: {t_dense:8.3f}s",
             f"  dirty: {t_dirty:8.3f}s   speedup {speedup:5.2f}x"
             f"   identical: {identical}",
+            f"  kernel's choice: {t_auto:8.3f}s",
         ],
         name="kernel_sparse",
         data={
             "sparse_dense_seconds": t_dense,
             "sparse_dirty_seconds": t_dirty,
+            "sparse_auto_seconds": t_auto,
             "sparse_speedup": speedup,
             "sparse_identical": identical,
         },
@@ -419,13 +430,14 @@ def test_dirty_vs_dense_activity_sparse(benchmark):
             "report_only": REPORT_ONLY,
         },
     )
-    # Identity first, always: event-driven skipping must be invisible
-    # in the verdicts.
+    # Identity first, always: event-driven skipping, and the kernel's
+    # choice of pass, must be invisible in the verdicts.
     assert identical
     if REPORT_ONLY:
         return
-    # The whole point of the dirty-set mode: on phase-sparse suites it
-    # must actually beat the dense pass.
+    # The whole point of the event-driven pass: on phase-sparse suites
+    # it must actually beat the dense pass.
     assert speedup >= MIN_SPARSE_SPEEDUP, (
-        f"dirty-set only {speedup:.2f}x over dense on the sparse farm"
+        f"event-driven pass only {speedup:.2f}x over dense on the "
+        f"sparse farm"
     )

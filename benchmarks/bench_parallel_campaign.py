@@ -5,8 +5,10 @@ later large-scale sweep grows from), plus an FSM-level scaling check:
 
 * **process fan-out** -- the same sweep at ``--jobs 4``.  The speedup
   assertion (>= 2x) runs where it is physically possible, i.e. when at
-  least 2 CPUs are usable by this process; on a single-CPU box the
-  table is still printed and the differential identity still asserted.
+  least ``JOBS`` CPUs are usable by this process: on 2 CPUs the ideal
+  with zero overhead is exactly 2.0x, so the gate could not pass there.
+  On smaller hosts the table is still printed and the differential
+  identity still asserted.
 * **differential identity** -- every variant produces rows/results
   byte-identical to the serial sweep; speed never buys a different
   answer.
@@ -116,15 +118,15 @@ def test_dlx_sweep_speedup(benchmark):
     # Determinism is unconditional.
     assert parallel.rows == serial.rows
     assert serial.coverage == 1.0
-    # The process-pool win needs real CPUs to land on.
-    if cpus >= 2:
+    # The process-pool win needs a CPU for every worker to land on.
+    if cpus >= JOBS:
         assert speedup >= 2.0, (
             f"jobs={JOBS} only {speedup:.2f}x over serial on {cpus} CPUs"
         )
     else:
         print(
-            f"NOTE: only {cpus} usable CPU(s); >=2x process fan-out "
-            f"assertion skipped"
+            f"NOTE: only {cpus} usable CPU(s) for {JOBS} workers; >=2x "
+            f"process fan-out assertion skipped"
         )
 
 

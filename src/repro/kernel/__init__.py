@@ -11,8 +11,10 @@ replays it with flat-array indexing and machine-word bitwise ops:
   design plus a configurable number of stuck-at mutants in the lanes
   of ordinary Python ints (word-parallel fault simulation with
   drop-on-detect masking; ``lanes`` defaults to :data:`DEFAULT_LANES`
-  = 1024 total lanes, and the event-driven dirty-set mode skips
-  cycles where every live mutant is quiescent).
+  = 1024 total lanes).  Each pass runs dense or event-driven, chosen
+  from the vectors' input toggle rate and the netlist's register
+  blocks; the event-driven pass takes its golden trace block by block
+  and skips cycles where every live mutant is quiescent.
 * :mod:`.mealy_kernel` -- interns states/inputs to dense indices and
   replays tours by array indexing; a fault campaign precomputes one
   spec trajectory per test set, and each single fault's verdict and

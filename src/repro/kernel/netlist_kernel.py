@@ -38,24 +38,35 @@ positions, a lane is only removed *after* its first divergence is
 recorded, and the verdict is exactly "first divergence index" -- see
 METHODOLOGY section 11.
 
-On top of wide words the kernel is **event-driven** (``dirty=True``,
-the default): a one-lane golden pre-pass records every base slot's
-golden value per cycle, each fault site's *activity* mask (cycles
-where the stuck value actually disagrees with the golden value) is
-derived from it by xor, and a cycle is skipped outright when every
-live mutant is quiescent -- no register lane differs from golden and
-no live fault site is active.  Awake cycles restrict output compares
-and next-state diff tracking to the static fanout cones of the dirty
-slots.  Faults whose site cannot reach any output (transitively
-through the register graph) are pruned before simulation.  The
-soundness argument mirrors drop-on-detect and is spelled out in
-METHODOLOGY section 15; the verdicts are byte-identical to the dense
-pass and to the interpreter.
+Each pass runs in one of two modes with byte-identical verdicts.  The
+*dense* pass simulates every cycle of every lane word.  The
+*event-driven* pass first takes the golden trace -- every base slot's
+golden value on every cycle -- from a one-lane pass that splits the
+register logic into independent blocks and re-evaluates a block only
+on cycles where one of its inputs or registers changed.  Each fault
+site's *activity* mask (cycles where the stuck value disagrees with
+the golden value) is derived from the trace by xor, and a cycle is
+skipped outright when every live mutant is quiescent -- no register
+lane differs from golden and no live fault site is active.  Awake
+cycles restrict output compares and next-state diff tracking to the
+static fanout cones of the dirty slots, and faults whose site cannot
+reach any output (transitively through the register graph) are
+pruned before simulation.
+
+:func:`stuck_at_first_divergences` picks the mode per pass from what
+is known before anything is simulated -- the vectors' input toggle
+rate and the netlist's block structure: phase-sparse stimulus on a
+netlist of independent blocks runs event-driven, anything else runs
+the dense pass and pays for no golden trace.  ``dirty=True`` /
+``dirty=False`` force either mode as a reference.  The soundness
+arguments and the measured crossover are in METHODOLOGY section 15.
 """
 
 from __future__ import annotations
 
 import weakref
+from itertools import islice
+from operator import itemgetter, truth
 from typing import (
     Any,
     Callable,
@@ -68,6 +79,7 @@ from typing import (
     Tuple,
 )
 
+from ..obs.events import span
 from ..rtl.expr import And, Const, Expr, Mux, Not, Or, Var, Xor
 from ..rtl.faults import StuckAt
 from ..rtl.netlist import Netlist, NetlistError
@@ -79,9 +91,20 @@ from ..rtl.netlist import Netlist, NetlistError
 #: bigint arithmetic itself becomes the bottleneck.
 DEFAULT_LANES = 1024
 
-#: Event-driven (dirty-set) simulation is on by default; ``dirty=False``
-#: falls back to the dense every-cycle pass (same verdicts).
-DEFAULT_DIRTY = True
+#: A pass runs event-driven when less than this share of the input
+#: bits changes from one vector to the next and the registers split
+#: into more than one block, and dense otherwise (the measurements the
+#: rule rests on are in METHODOLOGY section 15).
+SPARSE_TOGGLE_RATE = 0.1
+
+#: Maps byte 0 to the digit "0" and every other byte to "1", so a
+#: column of truth values becomes a base-2 literal for ``int``.
+_BIT_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
+
+#: Vectors per chunk when input columns are read (256 and 512 read the
+#: protocol farm fastest of the sizes measured; larger chunks only
+#: hold more rows).
+_COLUMN_CHUNK = 256
 
 
 class KernelError(Exception):
@@ -121,24 +144,122 @@ def _children(node: Expr) -> Tuple[Expr, ...]:
     return ()
 
 
-def _render(node: Expr, names: Dict[Expr, str]) -> str:
-    """One SSA right-hand side in word-bitwise form (``M`` = all-lanes
-    mask, so NOT is ``x ^ M`` and MUX is and-or selected)."""
+def _render(node: Expr, kids: Sequence[str]) -> str:
+    """One SSA right-hand side in word-bitwise form over the locals of
+    the node's children (``M`` = all-lanes mask, so NOT is ``x ^ M``
+    and MUX is and-or selected)."""
     if isinstance(node, Not):
-        return f"{names[node.arg]} ^ M"
+        return f"{kids[0]} ^ M"
     if isinstance(node, And):
-        return " & ".join(names[a] for a in node.args)
+        return " & ".join(kids)
     if isinstance(node, Or):
-        return " | ".join(names[a] for a in node.args)
+        return " | ".join(kids)
     if isinstance(node, Xor):
-        return f"{names[node.left]} ^ {names[node.right]}"
+        return f"{kids[0]} ^ {kids[1]}"
     if isinstance(node, Mux):
-        s = names[node.sel]
-        return (
-            f"({s} & {names[node.if_true]}) | "
-            f"(({s} ^ M) & {names[node.if_false]})"
-        )
+        s, if_true, if_false = kids
+        return f"({s} & {if_true}) | (({s} ^ M) & {if_false})"
     raise KernelError(f"unknown expression node {type(node).__name__}")
+
+
+def _tuple_source(locals_: Sequence[str]) -> str:
+    if not locals_:
+        return "()"
+    inner = ", ".join(locals_)
+    return f"({inner},)" if len(locals_) == 1 else f"({inner})"
+
+
+def _compile_function(
+    header: str,
+    prologue: Sequence[str],
+    bound: Mapping[str, str],
+    results: Sequence[Sequence[Expr]],
+    label: str,
+) -> Callable[..., Any]:
+    """Exec one SSA function over the bits ``bound`` maps to locals.
+
+    ``header`` and ``prologue`` bind those locals; every gate the
+    ``results`` reach is emitted once, and the function returns one
+    tuple per entry of ``results``.  Structurally equal gates share one
+    local: a gate is keyed by its type and its children's locals, which
+    by induction are equal exactly when the subtrees are, so no subtree
+    is ever hashed.
+    """
+    names: Dict[int, str] = {}  # id(node) -> local; the roots keep nodes alive
+    shapes: Dict[Tuple[type, Tuple[str, ...]], str] = {}
+    lines: List[str] = [header, *prologue]
+    for roots in results:
+        for root in roots:
+            stack: List[Tuple[Expr, bool]] = [(root, False)]
+            while stack:
+                node, emitted = stack.pop()
+                key = id(node)
+                if key in names:
+                    continue
+                if isinstance(node, Const):
+                    names[key] = "M" if node.value else "0"
+                elif isinstance(node, Var):
+                    try:
+                        names[key] = bound[node.name]
+                    except KeyError:
+                        raise KernelError(
+                            f"{label}: unbound bit {node.name!r}"
+                        ) from None
+                elif not emitted:
+                    stack.append((node, True))
+                    stack.extend((k, False) for k in _children(node))
+                else:
+                    kids = tuple(names[id(k)] for k in _children(node))
+                    shape = (type(node), kids)
+                    name = shapes.get(shape)
+                    if name is None:
+                        name = shapes[shape] = f"t{len(lines)}"
+                        lines.append(f"    {name} = {_render(node, kids)}")
+                    names[key] = name
+    lines.append("    return " + ", ".join(
+        _tuple_source([names[id(e)] for e in roots]) for roots in results
+    ))
+    namespace: Dict[str, Any] = {}
+    exec(compile("\n".join(lines), f"<kernel {label}>", "exec"), namespace)
+    return namespace[header[4:header.index("(")]]
+
+
+def _input_columns(
+    input_names: Sequence[str], vectors: Sequence[Mapping[str, bool]]
+) -> List[int]:
+    """Per input, a bitmask whose bit ``t`` is the input's value in
+    vector ``t``.  The vectors are read once, in chunks of
+    :data:`_COLUMN_CHUNK` rows that are transposed and dropped, so no
+    per-cycle rows outlive their chunk."""
+    columns = [0] * len(input_names)
+    if not input_names:
+        return columns
+    # itemgetter of a single name returns the bare value, not a tuple:
+    # read the first name twice and drop the extra column.
+    row = itemgetter(*input_names, input_names[0])
+    rest = iter(vectors)
+    lo = 0
+    while True:
+        chunk = list(map(row, islice(rest, _COLUMN_CHUNK)))
+        if not chunk:
+            return columns
+        for k, bits in zip(range(len(input_names)), zip(*chunk)):
+            try:
+                raw = bytes(bits)
+            except (TypeError, ValueError):
+                raw = bytes(map(truth, bits))
+            columns[k] |= int(raw[::-1].translate(_BIT_DIGITS), 2) << lo
+        lo += len(chunk)
+
+
+def _toggle_rate(columns: Sequence[int], n_cycles: int) -> Optional[float]:
+    """The share of input bits that differ from the vector before
+    (None when there is no input transition to measure)."""
+    if not columns or n_cycles < 2:
+        return None
+    pairs = (1 << (n_cycles - 1)) - 1
+    toggles = sum(bin((c ^ (c >> 1)) & pairs).count("1") for c in columns)
+    return toggles / (len(columns) * (n_cycles - 1))
 
 
 class CompiledNetlist:
@@ -152,16 +273,12 @@ class CompiledNetlist:
 
     ``lanes`` is the total lane count per simulation word (golden
     lane 0 + ``lanes - 1`` mutant lanes; ``None``/``"auto"`` selects
-    :data:`DEFAULT_LANES`).  ``dirty`` selects event-driven
-    simulation (the default) versus the dense every-cycle pass.
+    :data:`DEFAULT_LANES`).  One compiled object runs both pass
+    modes: the fanout cones and the per-block next-state functions of
+    the event-driven pass are built on its first event-driven use.
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        lanes: object = None,
-        dirty: bool = DEFAULT_DIRTY,
-    ) -> None:
+    def __init__(self, netlist: Netlist, lanes: object = None) -> None:
         netlist.validate()
         # Weak: the compile memo is keyed weakly on the netlist, and a
         # strong reference from its value would keep the key alive.
@@ -169,7 +286,6 @@ class CompiledNetlist:
         self.lanes: int = resolve_lanes(lanes)
         #: Mutant lanes per pass (total lanes minus the golden lane).
         self.mutant_lanes: int = self.lanes - 1
-        self.dirty: bool = bool(dirty)
         self.input_names: Tuple[str, ...] = netlist.inputs
         self.register_names: Tuple[str, ...] = netlist.register_names
         self.output_names: Tuple[str, ...] = netlist.output_names
@@ -190,70 +306,22 @@ class CompiledNetlist:
             self.base_slot[name] = len(self.base_slot)
         self.n_base = len(self.base_slot)
         self.signature = _netlist_signature(netlist)
-        self._cycle = self._compile()
-        if self.dirty:
-            self._compile_cones()
+        self._cycle = _compile_function(
+            "def _cycle(base, M):",
+            [f"    b{slot} = base[{slot}]" for slot in range(self.n_base)],
+            {name: f"b{slot}" for name, slot in self.base_slot.items()},
+            (self._next_exprs, self._output_exprs),
+            netlist.name,
+        )
+        #: (registers, inputs) per register block, built with the cones
+        #: by :meth:`_build_cones_and_blocks`; each block's one-lane
+        #: next-state function is compiled on the first golden pass.
+        self._blocks: Optional[List[Tuple[Tuple[int, ...], ...]]] = None
+        self._block_steps: Optional[List[Callable[..., Tuple[int, ...]]]] = None
 
     # ------------------------------------------------------------------
-    # Compilation
+    # Event-driven structure (built on first use)
     # ------------------------------------------------------------------
-    def _compile(self) -> Callable[[Sequence[int], int], Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        names: Dict[Expr, str] = {}
-        lines: List[str] = ["def _cycle(base, M):"]
-        for slot in range(self.n_base):
-            lines.append(f"    b{slot} = base[{slot}]")
-
-        counter = [0]
-
-        def visit(root: Expr) -> None:
-            stack: List[Tuple[Expr, bool]] = [(root, False)]
-            while stack:
-                node, emitted = stack.pop()
-                if node in names:
-                    continue
-                if isinstance(node, Const):
-                    names[node] = "M" if node.value else "0"
-                    continue
-                if isinstance(node, Var):
-                    try:
-                        names[node] = f"b{self.base_slot[node.name]}"
-                    except KeyError:
-                        raise KernelError(
-                            f"{self._netlist().name}: unbound bit "
-                            f"{node.name!r}"
-                        ) from None
-                    continue
-                if not emitted:
-                    stack.append((node, True))
-                    stack.extend((k, False) for k in _children(node))
-                else:
-                    name = f"t{counter[0]}"
-                    counter[0] += 1
-                    lines.append(f"    {name} = {_render(node, names)}")
-                    names[node] = name
-
-        for expr in self._next_exprs:
-            visit(expr)
-        for expr in self._output_exprs:
-            visit(expr)
-
-        def tup(exprs: Tuple[Expr, ...]) -> str:
-            if not exprs:
-                return "()"
-            inner = ", ".join(names[e] for e in exprs)
-            return f"({inner},)" if len(exprs) == 1 else f"({inner})"
-
-        lines.append(
-            f"    return {tup(self._next_exprs)}, {tup(self._output_exprs)}"
-        )
-        source = "\n".join(lines)
-        namespace: Dict[str, Any] = {}
-        exec(
-            compile(source, f"<kernel {self._netlist().name}>", "exec"),
-            namespace,
-        )
-        return namespace["_cycle"]
-
     def _expr_base_slots(self, root: Expr) -> Set[int]:
         """Base slots an expression reads (its combinational support)."""
         slots: Set[int] = set()
@@ -266,14 +334,14 @@ class CompiledNetlist:
                 continue
             seen.add(key)
             if isinstance(node, Var):
-                # Bound: _compile already rejected unbound bits.
+                # Bound: the cycle compile already rejected unbound bits.
                 slots.add(self.base_slot[node.name])
             else:
                 stack.extend(_children(node))
         return slots
 
-    def _compile_cones(self) -> None:
-        """Static fanout cones for the dirty-set pass.
+    def _build_cones_and_blocks(self) -> None:
+        """Fanout cones and register blocks for the event-driven pass.
 
         ``_reg_cone[s]`` / ``_out_cone[s]`` are bitmasks over register
         / output indices whose expressions combinationally read base
@@ -281,12 +349,18 @@ class CompiledNetlist:
         slot feeding only registers that never reach an output cannot
         diverge at the outputs, ever -- faults there are pruned before
         simulation).
+
+        ``_blocks`` are the connected components of the graph joining
+        each register to the registers its next state reads: a block's
+        next state depends only on its own registers and its inputs,
+        so each block gets its own one-lane next-state function.
         """
         n_inputs = len(self.input_names)
+        supports = [self._expr_base_slots(e) for e in self._next_exprs]
         reg_cone = [0] * self.n_base
         out_cone = [0] * self.n_base
-        for r, expr in enumerate(self._next_exprs):
-            for s in self._expr_base_slots(expr):
+        for r, support in enumerate(supports):
+            for s in support:
                 reg_cone[s] |= 1 << r
         for o, expr in enumerate(self._output_exprs):
             for s in self._expr_base_slots(expr):
@@ -309,6 +383,51 @@ class CompiledNetlist:
         self._reg_cone = reg_cone
         self._out_cone = out_cone
         self._observable = observable
+
+        root = list(range(len(supports)))
+
+        def find(r: int) -> int:
+            while root[r] != r:
+                root[r] = root[root[r]]
+                r = root[r]
+            return r
+
+        for r, support in enumerate(supports):
+            for s in support:
+                if s >= n_inputs:
+                    a, b = find(r), find(s - n_inputs)
+                    root[max(a, b)] = min(a, b)
+        members: Dict[int, List[int]] = {}
+        for r in range(len(supports)):
+            members.setdefault(find(r), []).append(r)
+        self._blocks = [
+            (
+                tuple(regs),
+                tuple(sorted(
+                    {s for r in regs for s in supports[r] if s < n_inputs}
+                )),
+            )
+            for regs in members.values()
+        ]
+
+    def _compile_block(
+        self, regs: Sequence[int], ins: Sequence[int]
+    ) -> Callable[..., Tuple[int, ...]]:
+        """One block's one-lane next-state function ``(state, vec)``:
+        ``state`` holds the block's registers, ``vec`` is the vector."""
+        n_inputs = len(self.input_names)
+        bound = {self.input_names[k]: f"b{k}" for k in ins}
+        bound.update({self.register_names[r]: f"b{n_inputs + r}" for r in regs})
+        prologue = [
+            f"    b{k} = 1 if vec[{self.input_names[k]!r}] else 0" for k in ins
+        ]
+        prologue.append(
+            "    " + "".join(f"b{n_inputs + r}, " for r in regs) + "= state"
+        )
+        return _compile_function(
+            "def _block(state, vec, M=1):", prologue, bound,
+            ([self._next_exprs[r] for r in regs],), self._netlist().name,
+        )
 
     # ------------------------------------------------------------------
     # Single-lane simulation (differential mirror of Netlist.run)
@@ -365,31 +484,70 @@ class CompiledNetlist:
         self,
         vectors: Sequence[Mapping[str, bool]],
         faults: Sequence[StuckAt],
+        dirty: Optional[bool] = None,
     ) -> List[Optional[int]]:
         """First divergence index (1-based) per fault, or None.
 
         Byte-identical to ``[detects_stuck_at(netlist, f, vectors)
-        for f in faults]``; any number of faults is accepted and
-        simulated in word groups of ``self.mutant_lanes`` (the golden
-        pre-pass of the dirty-set mode is shared across groups).
+        for f in faults]`` in either mode; any number of faults is
+        accepted and simulated in word groups of ``self.mutant_lanes``.
+        ``dirty=None`` runs the event-driven pass when the vectors'
+        input toggle rate is below :data:`SPARSE_TOGGLE_RATE` and the
+        registers split into more than one block, and the dense pass
+        otherwise; ``True`` / ``False`` force the event-driven / dense
+        pass.  The pass is one ``kernel.stuck_at`` span on the event
+        bus.
         """
-        results: List[Optional[int]] = []
-        width = self.mutant_lanes
-        golden_holder: List[Optional[List[int]]] = [None]
-        for lo in range(0, len(faults), width):
-            results.extend(
-                self._detect_word(
-                    vectors, faults[lo:lo + width], _golden=golden_holder
-                )
-            )
-        return results
+        name = self._netlist().name
+        for fault in faults:
+            if fault.bit not in self.base_slot:
+                # Same diagnostic as StuckAt.apply on a bad bit name,
+                # raised before any vector is read, as there.
+                raise ValueError(f"{name}: no bit {fault.bit!r}")
+        with span(
+            "kernel.stuck_at",
+            netlist=name,
+            faults=len(faults),
+            cycles=len(vectors),
+        ) as sp:
+            columns: List[int] = []
+            event = bool(dirty)
+            if dirty is not False:
+                columns = _input_columns(self.input_names, vectors)
+            if dirty is None:
+                rate = _toggle_rate(columns, len(vectors))
+                sp.set(toggle_rate=rate)
+                if rate is not None and rate < SPARSE_TOGGLE_RATE:
+                    if self._blocks is None:
+                        self._build_cones_and_blocks()
+                    event = len(self._blocks or ()) > 1
+            sp.set(mode="event" if event else "dense", forced=dirty is not None)
+            trace: List[List[int]] = []
+
+            def golden() -> List[int]:
+                """The golden trace, taken once and shared by all words."""
+                if not trace:
+                    gbits, evals = self._golden_trace(vectors, columns)
+                    trace.append(gbits)
+                    sp.set(block_evals=evals)
+                return trace[0]
+
+            results: List[Optional[int]] = []
+            width = self.mutant_lanes
+            for lo in range(0, len(faults), width):
+                results.extend(self._detect_word(
+                    vectors, faults[lo:lo + width], golden if event else None
+                ))
+            return results
 
     def _detect_word(
         self,
         vectors: Sequence[Mapping[str, bool]],
         faults: Sequence[StuckAt],
-        _golden: Optional[List[Optional[List[int]]]] = None,
+        golden: Optional[Callable[[], List[int]]] = None,
     ) -> List[Optional[int]]:
+        """One lane word: the dense pass, or with ``golden`` (the
+        golden trace's supplier) the event-driven one."""
         n = len(faults)
         if n == 0:
             return []
@@ -401,12 +559,7 @@ class CompiledNetlist:
         and_patch: Dict[int, int] = {}
         or_patch: Dict[int, int] = {}
         for lane, fault in enumerate(faults, start=1):
-            slot = self.base_slot.get(fault.bit)
-            if slot is None:
-                # Same diagnostic as StuckAt.apply on a bad bit name.
-                raise ValueError(
-                    f"{self._netlist().name}: no bit {fault.bit!r}"
-                )
+            slot = self.base_slot[fault.bit]
             bit = 1 << lane
             and_patch[slot] = and_patch.get(slot, mask) & ~bit
             if fault.value:
@@ -415,11 +568,9 @@ class CompiledNetlist:
             (slot, and_patch[slot], or_patch.get(slot, 0))
             for slot in sorted(and_patch)
         )
-        if self.dirty:
-            return self._detect_word_dirty(
-                vectors, faults, patches, mask, _golden
-            )
-        return self._detect_word_dense(vectors, patches, mask, n)
+        if golden is None:
+            return self._detect_word_dense(vectors, patches, mask, n)
+        return self._detect_word_event(vectors, faults, patches, mask, golden)
 
     def _detect_word_dense(
         self,
@@ -428,7 +579,7 @@ class CompiledNetlist:
         mask: int,
         n: int,
     ) -> List[Optional[int]]:
-        """The original every-cycle pass (``dirty=False``)."""
+        """The dense pass: every cycle, every lane."""
         state = [mask if init else 0 for init in self.init_values]
         live = mask & ~1
         first: List[Optional[int]] = [None] * n
@@ -459,38 +610,80 @@ class CompiledNetlist:
             state = list(nxt)
         return first
 
-    def _golden_trace(self, vectors: Sequence[Mapping[str, bool]]) -> List[int]:
-        """One-lane golden pre-pass: per base slot, a bitmask whose
-        bit ``t`` is the slot's golden value entering cycle ``t``."""
-        cycle = self._cycle
-        n_inputs = len(self.input_names)
-        input_names = self.input_names
-        state = [int(v) for v in self.init_values]
-        base = [0] * self.n_base
-        gbits = [0] * self.n_base
-        for t, vec in enumerate(vectors):
-            bit = 1 << t
-            for k, name in enumerate(input_names):
-                if vec[name]:
-                    base[k] = 1
-                    gbits[k] |= bit
-                else:
-                    base[k] = 0
-            base[n_inputs:] = state
-            for k in range(n_inputs, self.n_base):
-                if base[k]:
-                    gbits[k] |= bit
-            nxt, _outs = cycle(base, 1)
-            state = list(nxt)
-        return gbits
+    def _golden_trace(
+        self,
+        vectors: Sequence[Mapping[str, bool]],
+        columns: Sequence[int],
+    ) -> Tuple[List[int], int]:
+        """Event-driven one-lane golden pass: per base slot, a bitmask
+        whose bit ``t`` is the slot's golden value entering cycle
+        ``t``, and the number of block evaluations the pass made.
 
-    def _detect_word_dirty(
+        The input slots are the ``columns``.  Every register block is
+        evaluated on cycle 0; after that, only on a cycle where one of
+        its inputs changed or where its own state changed on the cycle
+        before.  A block whose inputs and registers hold the values
+        they had on the cycle before computes the next state it
+        computed then, which is the state it holds: skipping it
+        changes no bit of the trace (METHODOLOGY section 15).
+        """
+        if self._blocks is None:
+            self._build_cones_and_blocks()
+        blocks = self._blocks or []
+        if self._block_steps is None:
+            self._block_steps = [
+                self._compile_block(regs, ins) for regs, ins in blocks
+            ]
+        n_inputs = len(self.input_names)
+        gbits = list(columns) + [0] * len(self.register_names)
+        n_cycles = len(vectors)
+        evals = 0
+        if not n_cycles:
+            return gbits, evals
+        full = (1 << n_cycles) - 1
+        # Bit t (t >= 1): the input differs from its value on cycle t-1.
+        changes = [(c ^ (c << 1)) & full for c in columns]
+        for (regs, ins), step in zip(blocks, self._block_steps):
+            wake = 0
+            for k in ins:
+                wake |= changes[k]
+            state = tuple(int(self.init_values[r]) for r in regs)
+            # The cycle on which each register took its current value.
+            since = [0] * len(regs)
+            t = 0
+            while True:
+                nxt = step(state, vectors[t])
+                evals += 1
+                t += 1
+                if nxt != state:
+                    for j, old in enumerate(state):
+                        if old != nxt[j]:
+                            if old:
+                                gbits[n_inputs + regs[j]] |= (
+                                    (1 << t) - (1 << since[j])
+                                )
+                            since[j] = t
+                    state = nxt
+                    if t < n_cycles:
+                        continue
+                    break
+                # Held: sleep until the next change of an input.
+                rest = wake >> t
+                if not rest:
+                    break
+                t += (rest & -rest).bit_length() - 1
+            for j, value in enumerate(state):
+                if value:
+                    gbits[n_inputs + regs[j]] |= full ^ ((1 << since[j]) - 1)
+        return gbits, evals
+
+    def _detect_word_event(
         self,
         vectors: Sequence[Mapping[str, bool]],
         faults: Sequence[StuckAt],
         patches: Tuple[Tuple[int, int, int], ...],
         mask: int,
-        _golden: Optional[List[Optional[List[int]]]] = None,
+        golden: Callable[[], List[int]],
     ) -> List[Optional[int]]:
         """Event-driven pass: skip cycles where every live mutant is
         quiescent; restrict compares/diff-tracking to dirty cones.
@@ -510,33 +703,30 @@ class CompiledNetlist:
         n_cycles = len(vectors)
         if not n_cycles:
             return first
-        holder = _golden if _golden is not None else [None]
-        if holder[0] is None:
-            holder[0] = self._golden_trace(vectors)
-        gbits = holder[0]
-        all_cycles = (1 << n_cycles) - 1
+        if self._blocks is None:
+            self._build_cones_and_blocks()
         observable = self._observable
-        live = 0
-        # Lanes grouped by (site slot, stuck value): one activity mask
-        # per group (cycles where the stuck value disagrees with the
-        # golden value -- the only cycles the patch perturbs the lane).
-        groups: Dict[Tuple[int, bool], List[int]] = {}
+        # Lanes grouped by (site slot, stuck value); a site that
+        # reaches no output, ever, is a provable escape and stays out.
+        site_lanes: Dict[Tuple[int, bool], int] = {}
         for lane, fault in enumerate(faults, start=1):
             slot = self.base_slot[fault.bit]
-            if not observable[slot]:
-                # The site reaches no output, ever: provable escape.
-                continue
-            live |= 1 << lane
-            key = (slot, fault.value)
-            entry = groups.get(key)
-            if entry is None:
-                act = (~gbits[slot] if fault.value else gbits[slot])
-                groups[key] = [slot, act & all_cycles, 1 << lane]
-            else:
-                entry[2] |= 1 << lane
-        if not live:
+            if observable[slot]:
+                key = (slot, fault.value)
+                site_lanes[key] = site_lanes.get(key, 0) | (1 << lane)
+        if not site_lanes:
             return first
-        sites = list(groups.values())
+        gbits = golden()
+        all_cycles = (1 << n_cycles) - 1
+        live = 0
+        # One activity mask per group: the cycles where the stuck value
+        # disagrees with the golden value -- the only cycles the patch
+        # perturbs the lane.
+        sites = []
+        for (slot, value), lanes_word in site_lanes.items():
+            act = ~gbits[slot] if value else gbits[slot]
+            sites.append((slot, act & all_cycles, lanes_word))
+            live |= lanes_word
         reg_cone = self._reg_cone
         out_cone = self._out_cone
 
@@ -639,45 +829,39 @@ def _netlist_signature(netlist: Netlist) -> Tuple:
     )
 
 
-_COMPILE_MEMO: "weakref.WeakKeyDictionary[Netlist, Dict[Tuple[int, bool], CompiledNetlist]]" = (
+_COMPILE_MEMO: "weakref.WeakKeyDictionary[Netlist, Dict[int, CompiledNetlist]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def compiled_netlist(
-    netlist: Netlist,
-    lanes: object = None,
-    dirty: Optional[bool] = None,
-) -> CompiledNetlist:
+def compiled_netlist(netlist: Netlist, lanes: object = None) -> CompiledNetlist:
     """Compile (or fetch the memoized compilation of) ``netlist``.
 
-    The memo is keyed weakly on the netlist object *and* on the
-    ``(lanes, dirty)`` configuration -- switching the lane width or
-    the dirty-set mode mid-process can never return a stale compiled
-    function -- and revalidated against a structural signature, so
-    in-place edits recompile while repeated campaigns over one netlist
-    compile exactly once per process and configuration.  The compiled
-    object is *never* attached to the netlist itself: exec-generated
-    functions do not pickle, and a stowaway attribute would silently
-    force the parallel executor's in-process fallback.
+    The memo is keyed weakly on the netlist object *and* on the lane
+    width -- switching the width mid-process can never return a stale
+    compiled function -- and revalidated against a structural
+    signature, so in-place edits recompile while repeated campaigns
+    over one netlist compile exactly once per process and width.  One
+    compiled object serves both pass modes.  It is *never* attached to
+    the netlist itself: exec-generated functions do not pickle, and a
+    stowaway attribute would silently force the parallel executor's
+    in-process fallback.
     """
     lanes = resolve_lanes(lanes)
-    dirty = DEFAULT_DIRTY if dirty is None else bool(dirty)
-    key = (lanes, dirty)
-    per_config = _COMPILE_MEMO.get(netlist)
-    if per_config is None:
-        per_config = {}
-        _COMPILE_MEMO[netlist] = per_config
+    per_width = _COMPILE_MEMO.get(netlist)
+    if per_width is None:
+        per_width = {}
+        _COMPILE_MEMO[netlist] = per_width
     signature = _netlist_signature(netlist)
-    cached = per_config.get(key)
+    cached = per_width.get(lanes)
     if cached is not None and cached.signature == signature:
         return cached
-    if any(c.signature != signature for c in per_config.values()):
-        # The netlist was rewired in place: every cached width/mode
+    if any(c.signature != signature for c in per_width.values()):
+        # The netlist was rewired in place: every cached width
         # compiled the old structure, so drop them all.
-        per_config.clear()
-    compiled = CompiledNetlist(netlist, lanes=lanes, dirty=dirty)
-    per_config[key] = compiled
+        per_width.clear()
+    compiled = CompiledNetlist(netlist, lanes=lanes)
+    per_width[lanes] = compiled
     return compiled
 
 
@@ -693,10 +877,12 @@ def stuck_at_first_divergences(
     :func:`repro.rtl.faults.detects_stuck_at` per fault.
 
     ``lanes`` selects the total lane count per pass (``None``/
-    ``"auto"`` = :data:`DEFAULT_LANES`); ``dirty`` toggles the
-    event-driven pass.  Verdicts are byte-identical at every width
-    and in both modes.
+    ``"auto"`` = :data:`DEFAULT_LANES`).  With ``dirty=None`` the
+    kernel picks the dense or the event-driven pass from the vectors'
+    input toggle rate; ``dirty=True`` / ``dirty=False`` force the
+    event-driven / dense pass as references.  Verdicts are
+    byte-identical at every width and in both modes.
     """
-    return compiled_netlist(golden, lanes=lanes, dirty=dirty).detect_batch(
-        vectors, faults
+    return compiled_netlist(golden, lanes=lanes).detect_batch(
+        vectors, faults, dirty
     )

@@ -6,7 +6,8 @@ directory happened to be, so the perf trajectory never accumulated.
 This module gives them a stable home and a history:
 
 * :func:`record_bench` appends a schema-versioned *entry* (data plus
-  git SHA, host fingerprint, UTC timestamp) to ``BENCH_<name>.json``
+  git SHA, whether tracked files differed from it, host fingerprint,
+  UTC timestamp) to ``BENCH_<name>.json``
   in :func:`default_bench_dir` -- the repo root by default,
   ``BENCH_JSON_DIR`` to redirect (e.g. a CI artifacts folder).
   Legacy single-run files are upgraded in place.
@@ -79,6 +80,26 @@ def git_sha(cwd: Optional[str] = None) -> Optional[str]:
         return None
     sha = out.stdout.strip()
     return sha if out.returncode == 0 and sha else None
+
+
+def git_dirty(cwd: Optional[str] = None) -> Optional[bool]:
+    """Whether tracked files differ from HEAD (staged or not), or None
+    outside a usable git checkout.  An entry recorded from uncommitted
+    changes is not a measurement of its ``git_sha``.  The top-level
+    ``BENCH_*.json`` ledgers themselves do not count: a benchmark run
+    appends to them, and that must not mark the next entry dirty."""
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no",
+             "--", ":(top,exclude,glob)BENCH_*.json"],
+            cwd=cwd,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return bool(out.stdout.strip()) if out.returncode == 0 else None
 
 
 def host_fingerprint() -> Dict[str, Any]:
@@ -158,6 +179,7 @@ def record_bench(
         "title": title,
         "data": dict(data or {}),
         "git_sha": git_sha(),
+        "git_dirty": git_dirty(),
         "host": host_fingerprint(),
         "recorded_at": time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
@@ -269,8 +291,9 @@ def render_trajectory(
     """The bench trajectory as an aligned text table.
 
     One block per benchmark: the entries in chronological order with
-    timestamp, short SHA and up to ``metrics_per_bench`` timing
-    metrics (newest entry decides which ones are interesting).
+    timestamp, short SHA (``<sha>+`` when recorded from a checkout whose
+    tracked files differed from it) and up to ``metrics_per_bench``
+    timing metrics (newest entry decides which ones are interesting).
     """
     if not histories:
         return "(no BENCH_*.json files found)\n"
@@ -290,6 +313,8 @@ def render_trajectory(
         for entry in entries:
             stamp = entry.get("recorded_at") or "-"
             sha = (entry.get("git_sha") or "-")[:8]
+            if entry.get("git_dirty"):
+                sha += "+"
             row = f"  {stamp:<22} {sha:<9}"
             data = seconds_metrics(entry.get("data", {}))
             for metric in chosen:

@@ -16,7 +16,6 @@ control logic, which the test suite checks on small netlists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..campaign import Campaign, check_kernel, per_item, settle
@@ -136,11 +135,70 @@ _Shared = Tuple[Netlist, Tuple[Mapping[str, bool], ...]]
 
 
 def _stuck_detect_task(shared: _Shared, fault: StuckAt) -> Optional[int]:
-    """Per-fault interpreter task: the oracle, and through
-    :func:`~repro.campaign.per_item` the interp sweep's batch body
-    (module-level so workers unpickle it)."""
+    """Per-fault interpreter task: the oracle that failed tasks are
+    re-run on (module-level so workers unpickle it)."""
     golden, vectors = shared
     return detects_stuck_at(golden, fault, vectors)
+
+
+class _GoldenOutputs:
+    """The golden netlist's outputs per vector, compiled once and
+    stepped lazily: only as far as some fault of the batch needs, so a
+    malformed vector raises for exactly the faults that reach it."""
+
+    def __init__(
+        self, golden: Netlist, vectors: Sequence[Mapping[str, bool]]
+    ) -> None:
+        self.golden = golden
+        self.vectors = vectors
+        self._step: Any = None
+        self._state: Any = None
+        self._outputs: List[Dict[str, bool]] = []
+
+    def compile(self) -> None:
+        from .compile import compile_step
+
+        if self._step is None:
+            self._step = compile_step(self.golden)
+            self._state = self.golden.reset_state()
+
+    def output(self, index: int) -> Dict[str, bool]:
+        """The golden outputs under vector ``index`` (0-based)."""
+        outputs = self._outputs
+        while len(outputs) <= index:
+            self._state, out = self._step(
+                self._state, self.vectors[len(outputs)]
+            )
+            outputs.append(out)
+        return outputs[index]
+
+
+def _detect_against(trace: _GoldenOutputs, fault: StuckAt) -> Optional[int]:
+    """:func:`detects_stuck_at` with the golden side read from
+    ``trace``: the same steps in the same order, so the same verdicts
+    and the same exceptions."""
+    from .compile import compile_step
+
+    faulty = fault.apply(trace.golden)
+    trace.compile()
+    step_f = compile_step(faulty)
+    state_f = faulty.reset_state()
+    for idx, vec in enumerate(trace.vectors, start=1):
+        out_g = trace.output(idx - 1)
+        state_f, out_f = step_f(state_f, vec)
+        if out_g != out_f:
+            return idx
+    return None
+
+
+def _stuck_interp_task(
+    shared: _Shared, batch: Sequence[StuckAt]
+) -> List[Tuple[str, Any]]:
+    """The interp sweep's batch body: one golden run per batch, shared
+    by every fault, and one mutant run per fault; a failing fault is
+    reported alone (see :func:`~repro.campaign.per_item`)."""
+    golden, vectors = shared
+    return per_item(_detect_against, _GoldenOutputs(golden, vectors), batch)
 
 
 def _stuck_batch_task(
@@ -210,8 +268,7 @@ class StuckAtKind:
                 raise ValueError(f"{golden.name}: no bit {fault.bit!r}")
         shared = (golden, self.vectors)
         body = (
-            _stuck_batch_task if kernel == "compiled"
-            else partial(per_item, _stuck_detect_task)
+            _stuck_batch_task if kernel == "compiled" else _stuck_interp_task
         )
         outcomes = parallel_map_batched(
             body, faults, shared=shared, jobs=jobs,
@@ -289,12 +346,14 @@ def run_stuck_at_campaign(
     ``kernel="compiled"`` (default) simulates the golden netlist plus
     one batch of mutants per pass in the bit-lanes of wide integer
     words, at the kernel's default width of
-    :data:`~repro.kernel.DEFAULT_LANES` total lanes (see
-    :mod:`repro.kernel.netlist_kernel`); ``"interp"`` compiles and
-    steps each mutant netlist separately.  Both kernels dispatch the
-    same batches of up to ``DEFAULT_LANES - 1`` faults, which ``jobs``
-    fans out to worker processes.  Verdicts are byte-identical across
-    kernels and job counts.
+    :data:`~repro.kernel.DEFAULT_LANES` total lanes; the kernel runs
+    each pass dense or event-driven, whichever the vectors' activity
+    and the netlist's block structure favour (see
+    :mod:`repro.kernel.netlist_kernel`).  ``"interp"`` steps the golden
+    netlist once per batch and each mutant netlist separately.  Both
+    kernels dispatch the same batches of up to ``DEFAULT_LANES - 1``
+    faults, which ``jobs`` fans out to worker processes.  Verdicts are
+    byte-identical across kernels and job counts.
     """
     check_kernel(kernel)
     population = (

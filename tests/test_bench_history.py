@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -11,6 +12,8 @@ from repro.obs.bench import (
     bench_path,
     default_bench_dir,
     find_regressions,
+    git_dirty,
+    git_sha,
     load_bench,
     load_bench_dir,
     record_bench,
@@ -90,6 +93,77 @@ class TestRecord:
         (root / "pyproject.toml").write_text("")
         monkeypatch.chdir(nested)
         assert default_bench_dir() == str(root)
+
+
+def _git(repo, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=bench", "-c", "user.email=bench@example",
+         *args],
+        cwd=repo, check=True, capture_output=True,
+    )
+
+
+class TestGitStamp:
+    """Each entry records whether tracked files differed from the
+    commit it names, so an uncommitted change never passes as its
+    parent."""
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        (repo / "kernel.py").write_text("FAST = False\n")
+        (repo / "notes.txt").write_text("untracked\n")
+        _git(repo, "init", "-q")
+        _git(repo, "add", "kernel.py")
+        _git(repo, "commit", "-q", "-m", "base")
+        monkeypatch.chdir(repo)
+        return repo
+
+    def _entries(self, repo):
+        return load_bench(bench_path("k", str(repo)))["entries"]
+
+    def test_clean_then_dirty(self, repo):
+        record_bench("k", "t", {"x_seconds": 1.0}, out_dir=str(repo))
+        (repo / "kernel.py").write_text("FAST = True\n")
+        record_bench("k", "t", {"x_seconds": 0.5}, out_dir=str(repo))
+        first, second = self._entries(repo)
+        assert first["git_sha"] == second["git_sha"] == git_sha()
+        assert first["git_dirty"] is False
+        assert second["git_dirty"] is True
+        sha = first["git_sha"][:8]
+        lines = render_trajectory(load_bench_dir(str(repo))).splitlines()
+        assert f" {sha} " in lines[2] and f"{sha}+" not in lines[2]
+        assert f" {sha}+ " in lines[3]
+
+    def test_staged_change_is_dirty(self, repo):
+        (repo / "kernel.py").write_text("FAST = True\n")
+        _git(repo, "add", "kernel.py")
+        assert git_dirty() is True
+
+    def test_untracked_files_and_ledgers_do_not_count(self, repo):
+        """Untracked files, and the BENCH ledgers a run appends to,
+        leave the checkout clean."""
+        record_bench("k", "t", {"x_seconds": 1.0}, out_dir=str(repo))
+        _git(repo, "add", "BENCH_k.json")
+        _git(repo, "commit", "-q", "-m", "ledger")
+        for seconds in (0.9, 0.8):
+            record_bench("k", "t", {"x_seconds": seconds},
+                         out_dir=str(repo))
+        assert [e["git_dirty"] for e in self._entries(repo)] == [
+            False, False, False
+        ]
+
+    def test_outside_a_checkout(self, tmp_path, monkeypatch):
+        outside = tmp_path / "plain"
+        outside.mkdir()
+        monkeypatch.chdir(outside)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        assert git_dirty() is None
+        path = record_bench("k", "t", {}, out_dir=str(outside))
+        (entry,) = load_bench(path)["entries"]
+        assert entry["git_dirty"] is None
+        assert entry["git_sha"] is None
 
 
 class TestLoadDir:

@@ -1,10 +1,15 @@
 """Tests for structural stuck-at fault injection and the FSM bridge."""
 
+from functools import partial
+
 import pytest
 
+from repro.campaign import per_item
 from repro.rtl import Netlist, and_, extract_mealy, not_, or_, var, xor_
 from repro.rtl.faults import (
     StuckAt,
+    _stuck_detect_task,
+    _stuck_interp_task,
     all_stuck_at_faults,
     detects_stuck_at,
     run_stuck_at_campaign,
@@ -67,6 +72,44 @@ class TestDetection:
         net = counter_netlist(3)
         result = run_stuck_at_campaign(net, [{"en": True}])  # one cycle
         assert result.coverage < 1.0
+
+
+class TestInterpBatch:
+    """The interp sweep steps the golden netlist once per batch; every
+    fault's outcome must still be the per-fault oracle's."""
+
+    @staticmethod
+    def _outcomes(body, net, vectors, faults):
+        """(tag, verdict or the exception line) per fault."""
+        return [
+            (tag, value if tag == "ok" else value.strip().splitlines()[-1])
+            for tag, value in body((net, tuple(vectors)), faults)
+        ]
+
+    def _compare(self, net, vectors, faults):
+        got = self._outcomes(_stuck_interp_task, net, vectors, faults)
+        ref = self._outcomes(
+            partial(per_item, _stuck_detect_task), net, vectors, faults
+        )
+        assert got == ref
+        return got
+
+    def test_batch_matches_per_fault_oracle(self):
+        net = counter_netlist(3)
+        vectors = [{"en": i % 3 != 1} for i in range(12)]
+        faults = all_stuck_at_faults(net, include_inputs=True)
+        got = self._compare(net, vectors, faults)
+        assert {tag for tag, _ in got} == {"ok"}
+
+    def test_malformed_vector_raises_only_for_faults_reaching_it(self):
+        """Vector 4 drives no input: a fault detected earlier never
+        reaches it, every other fault raises there, as per fault."""
+        net = counter_netlist(2)
+        vectors = [{"en": True}] * 3 + [{}] + [{"en": True}] * 4
+        faults = all_stuck_at_faults(net, include_inputs=True)
+        got = self._compare(net, vectors, faults)
+        assert ("err", "KeyError: 'en'") in got
+        assert any(tag == "ok" for tag, _ in got)
 
 
 class TestTourBridge:

@@ -15,8 +15,9 @@ These properties pin the contract:
   verdict, error string by error string;
 * the word-overflow diagnostic reports the configured width, old and
   new;
-* the compile memo keys on (lanes, dirty) so switching the width
-  mid-process can never return a stale kernel;
+* the compile memo keys on the lane width so switching it
+  mid-process can never return a stale kernel, and one compiled
+  object serves both pass modes;
 * a torn journaled run resumes byte-identically at another worker
   count, and a run dir whose manifest settings still carry the lane
   width campaigns used to record resumes byte-identically too.
@@ -213,15 +214,15 @@ class TestOverflowDiagnostic:
 
 
 # ----------------------------------------------------------------------
-# Memoization: one compiled kernel per (netlist, lanes, dirty)
+# Memoization: one compiled kernel per (netlist, lanes)
 # ----------------------------------------------------------------------
 
 class TestCompileMemo:
     def test_same_config_is_cached(self):
         nl = build_netlist(30)
         assert compiled_netlist(nl) is compiled_netlist(nl)
-        assert compiled_netlist(nl, lanes=64, dirty=False) is (
-            compiled_netlist(nl, lanes=64, dirty=False)
+        assert compiled_netlist(nl, lanes=64) is (
+            compiled_netlist(nl, lanes=64)
         )
 
     def test_lane_switch_never_returns_stale_width(self):
@@ -235,11 +236,15 @@ class TestCompileMemo:
         # or -- worse -- hand back the narrow kernel.
         assert compiled_netlist(nl, lanes=1024) is wide
 
-    def test_dirty_mode_is_part_of_the_key(self):
+    def test_one_compiled_object_serves_both_modes(self):
         nl = build_netlist(32)
-        assert compiled_netlist(nl, dirty=True) is not (
-            compiled_netlist(nl, dirty=False)
-        )
+        vectors = build_vectors(nl, 33, 10)
+        faults = all_stuck_at_faults(nl, include_inputs=True)
+        compiled = compiled_netlist(nl)
+        event = compiled.detect_batch(vectors, faults, dirty=True)
+        dense = compiled.detect_batch(vectors, faults, dirty=False)
+        assert event == dense
+        assert compiled_netlist(nl) is compiled
 
     def test_rewire_recompiles_every_config(self):
         nl = build_netlist(33)
