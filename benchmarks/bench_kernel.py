@@ -1,6 +1,6 @@
 """KERNEL: compiled simulation kernels vs the tree-walking interpreter.
 
-Three measurements, all at ``jobs=1`` so the speedup is purely the
+Four measurements, all at ``jobs=1`` so the speedup is purely the
 compilation win (process fan-out is benchmarked separately in
 ``bench_parallel_campaign.py``):
 
@@ -30,9 +30,6 @@ compilation win (process fan-out is benchmarked separately in
   deterministic dumps; outside report-only mode the registry-on
   compiled campaign may cost at most ``MAX_FOLD_RATIO`` times the
   same campaign without a registry.
-* **pair-space fixpoints** -- the distinguishability matrix and the
-  forall-k analysis on a 64-state counter, answered by one layered
-  sweep over the 2016-pair triangle instead of a BFS per pair.
 
 Every variant asserts byte-identical results before any speed claim:
 speed never buys a different answer.
@@ -44,7 +41,6 @@ import time
 
 from conftest import emit
 
-from repro.core.distinguish import analyze_forall_k, distinguishability_matrix
 from repro.dlx import tour_model_inputs, tour_netlist
 from repro.faults import run_campaign
 from repro.kernel import DEFAULT_LANES, stuck_at_first_divergences
@@ -186,27 +182,6 @@ def test_compiled_kernel_speedup(benchmark):
     )
     fold_ratio = t_wp_compiled / t_wp_plain if t_wp_plain else float("inf")
 
-    # --- pair-space fixpoints ---
-    big = counter(6)  # 64 states -> 2016 unordered pairs
-    mat_interp, t_mat_interp = _timed(
-        lambda: distinguishability_matrix(big, kernel="interp")
-    )
-    mat_compiled, t_mat_compiled = _timed(
-        lambda: distinguishability_matrix(big, kernel="compiled")
-    )
-    fk_interp, t_fk_interp = _timed(
-        lambda: analyze_forall_k(big, kernel="interp")
-    )
-    fk_compiled, t_fk_compiled = _timed(
-        lambda: analyze_forall_k(big, kernel="compiled")
-    )
-    pair_speedup = (
-        (t_mat_interp + t_fk_interp) / (t_mat_compiled + t_fk_compiled)
-        if (t_mat_compiled + t_fk_compiled)
-        else float("inf")
-    )
-    pair_identical = mat_compiled == mat_interp and fk_compiled == fk_interp
-
     emit(
         "KERNEL: compiled simulation kernels vs interpreter (jobs=1)",
         [
@@ -239,11 +214,6 @@ def test_compiled_kernel_speedup(benchmark):
             f"  compiled + registry: {t_wp_compiled:8.3f}s   "
             f"({fold_ratio:4.1f}x the {t_wp_plain:.3f}s plain compiled run)"
             f"   identical: {wp_identical}",
-            f"pair fixpoints: {len(mat_interp)} pairs (counter-6), "
-            f"matrix + forall-k",
-            f"  interp:   {t_mat_interp + t_fk_interp:8.3f}s",
-            f"  compiled: {t_mat_compiled + t_fk_compiled:8.3f}s   "
-            f"speedup {pair_speedup:6.1f}x   identical: {pair_identical}",
         ],
         name="kernel",
         data={
@@ -273,11 +243,6 @@ def test_compiled_kernel_speedup(benchmark):
             "fsm_wp_registry_interp_seconds": t_wp_interp,
             "fsm_wp_registry_ratio": fold_ratio,
             "fsm_wp_identical": wp_identical,
-            "pairs": len(mat_interp),
-            "pair_interp_seconds": t_mat_interp + t_fk_interp,
-            "pair_compiled_seconds": t_mat_compiled + t_fk_compiled,
-            "pair_speedup": pair_speedup,
-            "pair_identical": pair_identical,
         },
         meta={
             "lane_sweep_mutant_widths": list(SWEEP_WIDTHS),
@@ -292,7 +257,6 @@ def test_compiled_kernel_speedup(benchmark):
     assert dlx_identical
     assert fsm_identical
     assert wp_identical
-    assert pair_identical
     assert sweep_identical
     if REPORT_ONLY:
         return

@@ -437,16 +437,20 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def _dlx_campaign(args: argparse.Namespace):
     """The DLX bug-catalog campaign over the directed programs."""
-    from .dlx.programs import DIRECTED_PROGRAMS
     from .runtime import run_bug_campaign_resumable
-    from .validation import run_bug_campaign
+    from .validation import (
+        DIRECTED_TEST_NAME,
+        directed_battery,
+        run_bug_campaign,
+    )
 
-    tests = [(list(p), None, None) for p in DIRECTED_PROGRAMS.values()]
+    tests = directed_battery()
     result = _campaign_result(
         args, run_bug_campaign, run_bug_campaign_resumable,
-        tests, test_name=f"directed programs (jobs={args.jobs})",
+        tests, test_name=DIRECTED_TEST_NAME,
     )
-    return result, (), {}
+    header = (f"{len(tests)} directed programs, jobs={args.jobs}",)
+    return result, header, {}
 
 
 def _tour_campaign(args: argparse.Namespace, machine):

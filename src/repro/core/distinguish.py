@@ -24,15 +24,17 @@ identical-output sequence is identical-output), so the computation
 reaches a fixed point in at most ``|S|^2`` iterations; pairs still
 equal at the fixed point are never forall-k-distinguishable for any k.
 
-This module provides both the fixed-point analysis and a brute-force
-oracle used to validate it in the test suite, plus the classical
-shortest-distinguishing-sequence search used by the golden-model
-comparison.
+Each analysis here has one implementation: the fixed point, whose
+``Eq_j`` step :func:`equal_output_pairs_at` and :func:`analyze_forall_k`
+share, and the classical pair-distance table behind
+:func:`distinguishability_matrix` and the shortest distinguishing
+sequences the W/Wp/HSI suites are built from.  A brute-force oracle
+validates the fixed point in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .mealy import Input, MealyMachine, State, sequences
@@ -61,6 +63,32 @@ def _require_complete(machine: MealyMachine) -> None:
         )
 
 
+def _all_pairs(states: List[State]) -> Set[Pair]:
+    """``Eq_0``: every unordered distinct pair of ``states`` (sorted)."""
+    return {
+        _canonical(a, b)
+        for idx, a in enumerate(states)
+        for b in states[idx + 1:]
+    }
+
+
+def _eq_step(
+    machine: MealyMachine, inputs: List[Input], current: Set[Pair]
+) -> Set[Pair]:
+    """One step of the recurrence: ``Eq_j`` from ``current = Eq_{j-1}``."""
+    nxt: Set[Pair] = set()
+    for (a, b) in current:
+        for inp in inputs:
+            da, oa = machine.step(a, inp)
+            db, ob = machine.step(b, inp)
+            if oa != ob:
+                continue
+            if da == db or _canonical(da, db) in current:
+                nxt.add((a, b))
+                break
+    return nxt
+
+
 def equal_output_pairs_at(
     machine: MealyMachine, k: int
 ) -> Set[Pair]:
@@ -72,24 +100,10 @@ def equal_output_pairs_at(
     valid for every larger ``k``).
     """
     _require_complete(machine)
-    states = sorted(machine.states, key=repr)
     inputs = sorted(machine.inputs, key=repr)
-    current: Set[Pair] = {
-        _canonical(a, b)
-        for idx, a in enumerate(states)
-        for b in states[idx + 1:]
-    }
+    current = _all_pairs(sorted(machine.states, key=repr))
     for _round in range(k):
-        nxt: Set[Pair] = set()
-        for (a, b) in current:
-            for inp in inputs:
-                da, oa = machine.step(a, inp)
-                db, ob = machine.step(b, inp)
-                if oa != ob:
-                    continue
-                if da == db or _canonical(da, db) in current:
-                    nxt.add((a, b))
-                    break
+        nxt = _eq_step(machine, inputs, current)
         if nxt == current:
             return current
         current = nxt
@@ -162,52 +176,27 @@ class ForallKReport:
 
 
 def analyze_forall_k(
-    machine: MealyMachine,
-    max_k: Optional[int] = None,
-    kernel: str = "compiled",
+    machine: MealyMachine, max_k: Optional[int] = None
 ) -> ForallKReport:
     """Find the least ``k`` making *all* distinct state pairs
     forall-k-distinguishable.
 
     Runs the ``Eq_j`` iteration to its fixed point (or to ``max_k``).
     If the fixed point still contains pairs, no finite ``k`` works and
-    the report carries those residual pairs as diagnostics.
-
-    ``kernel="compiled"`` (default) runs the iteration over the dense
-    pair-space kernel; ``"interp"`` keeps the set-of-tuples reference
-    the kernel is differentially tested against.  Reports are
-    identical (same ``k``, ``residual_pairs`` and ``rounds``).
+    the report carries those residual pairs as diagnostics.  Machines
+    too large for explicit pair sets have the symbolic twin over their
+    netlist, :func:`repro.bdd.distinguish.analyze_forall_k_symbolic`.
     """
-    from ..campaign import check_kernel
-
-    check_kernel(kernel)
     _require_complete(machine)
-    if kernel == "compiled":
-        from ..kernel import analyze_forall_k_kernel
-
-        return analyze_forall_k_kernel(machine, max_k)
     states = sorted(machine.states, key=repr)
     inputs = sorted(machine.inputs, key=repr)
-    current: Set[Pair] = {
-        _canonical(a, b)
-        for idx, a in enumerate(states)
-        for b in states[idx + 1:]
-    }
+    current = _all_pairs(states)
     bound = max_k if max_k is not None else len(states) * len(states) + 1
     rounds = 0
     while rounds < bound:
         if not current:
             return ForallKReport(k=rounds, residual_pairs=frozenset(), rounds=rounds)
-        nxt: Set[Pair] = set()
-        for (a, b) in current:
-            for inp in inputs:
-                da, oa = machine.step(a, inp)
-                db, ob = machine.step(b, inp)
-                if oa != ob:
-                    continue
-                if da == db or _canonical(da, db) in current:
-                    nxt.add((a, b))
-                    break
+        nxt = _eq_step(machine, inputs, current)
         rounds += 1
         if nxt == current:
             # Fixed point with residual pairs: no k suffices.
@@ -228,8 +217,10 @@ def _pair_distance_table(machine: MealyMachine) -> Dict[Pair, Optional[int]]:
     input; layer ``d`` adds pairs with an identical-output move into an
     earlier layer.  One sweep prices the whole triangle -- the
     per-query BFS this replaces re-explored the same pair graph from
-    scratch for each of the ``n(n-1)/2`` queries.  Kept as the
-    reference implementation the dense kernel is tested against.
+    scratch for each of the ``n(n-1)/2`` queries.  The one
+    implementation of the pair distances: the W/Wp/HSI suite
+    generators, :func:`shortest_distinguishing_sequence` and
+    :func:`distinguishability_matrix` all read this table.
     """
     states = sorted(machine.states, key=repr)
     inputs = sorted(machine.inputs, key=repr)
@@ -328,25 +319,17 @@ def shortest_distinguishing_sequence(
 
 
 def distinguishability_matrix(
-    machine: MealyMachine, kernel: str = "compiled"
+    machine: MealyMachine,
 ) -> Dict[Pair, Optional[int]]:
     """For every unordered distinct state pair, the length of the
     shortest distinguishing sequence (None when equivalent).
 
     A diagnostic / reporting helper: the max over the matrix is the
     classical distinguishing bound, a lower bound on any usable
-    forall-k horizon.  ``kernel="compiled"`` (default) prices the pair
-    space through the dense kernel; ``"interp"`` uses the shared-table
-    reference.  Matrices are identical either way.
+    forall-k horizon.  This is :func:`_pair_distance_table`, the table
+    the W/Wp/HSI suite generators build their sequences from.
     """
-    from ..campaign import check_kernel
-
-    check_kernel(kernel)
-    if kernel == "compiled":
-        from ..kernel import distinguishability_matrix_kernel
-
-        return distinguishability_matrix_kernel(machine)
-    return dict(_pair_distance_table(machine))
+    return _pair_distance_table(machine)
 
 
 def observability_deficit(

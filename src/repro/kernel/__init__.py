@@ -1,10 +1,10 @@
 """Compiled simulation kernels.
 
-Tree-walking interpretation pays per-step dispatch on every hot path:
-expression evaluation per gate per cycle (netlists), dict lookups on
-tuple keys per step (Mealy replay), a fresh BFS per state pair
-(distinguishability).  This package compiles each structure once and
-replays it with flat-array indexing and machine-word bitwise ops:
+Tree-walking interpretation pays per-step dispatch on both hot paths
+a fault campaign runs: expression evaluation per gate per cycle
+(netlists) and dict lookups on tuple keys per step (Mealy replay).
+This package compiles each structure once and replays it with
+flat-array indexing and machine-word bitwise ops:
 
 * :mod:`.netlist_kernel` -- levelizes a netlist into an exec-generated
   SSA cycle function over bit-slots; one pass simulates the golden
@@ -15,20 +15,18 @@ replays it with flat-array indexing and machine-word bitwise ops:
   from the vectors' input toggle rate and the netlist's register
   blocks; the event-driven pass takes its golden trace block by block
   and skips cycles where every live mutant is quiescent.
-* :mod:`.mealy_kernel` -- interns states/inputs to dense indices and
-  replays tours by array indexing; a fault campaign precomputes one
-  spec trajectory per test set, and each single fault's verdict and
-  detection latency come from one table walk over it
-  (:func:`detect_faults_compiled`, :func:`detection_latency_compiled`).
-* :mod:`.pairs_kernel` -- layered fixpoints over the triangular pair
-  space shared by ``distinguishability_matrix`` and
-  ``analyze_forall_k``.
+* :mod:`.mealy_kernel` -- interns states/inputs to dense indices; a
+  fault campaign precomputes one spec trajectory per test set, and
+  each single fault's verdict and detection latency come from one
+  table walk over it (:func:`detect_faults_compiled`,
+  :func:`detection_latency_compiled`).
 
-Every kernel is a byte-identical twin of its interpreter (same
-verdicts, same reports, same exception types and messages); the
-interpreter stays available behind ``--kernel interp`` as the
-differential oracle, and ``tests/test_kernel_differential.py`` pins
-the equivalence with hypothesis property tests.
+Both kernels answer only what a campaign asks of them, and each
+answer is byte-identical to its interpreter's (same verdicts, same
+reports, same exception types and messages); the interpreter stays
+available behind ``--kernel interp`` as the one oracle, and
+``tests/test_kernel_differential.py`` pins the equivalence with
+hypothesis property tests.
 
 Compiled artifacts contain exec-generated functions and are therefore
 unpicklable; they are memoized in module-level ``WeakKeyDictionary``
@@ -42,7 +40,6 @@ it was compiled from.
 from .mealy_kernel import (
     DenseMealy,
     dense_mealy,
-    detect_fault_compiled,
     detect_faults_compiled,
     detection_latency_compiled,
 )
@@ -54,23 +51,16 @@ from .netlist_kernel import (
     resolve_lanes,
     stuck_at_first_divergences,
 )
-from .pairs_kernel import (
-    analyze_forall_k_kernel,
-    distinguishability_matrix_kernel,
-)
 
 __all__ = [
     "DEFAULT_LANES",
     "CompiledNetlist",
     "DenseMealy",
     "KernelError",
-    "analyze_forall_k_kernel",
     "compiled_netlist",
     "dense_mealy",
-    "detect_fault_compiled",
     "detect_faults_compiled",
     "detection_latency_compiled",
-    "distinguishability_matrix_kernel",
     "resolve_lanes",
     "stuck_at_first_divergences",
 ]

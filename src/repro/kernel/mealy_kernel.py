@@ -1,10 +1,10 @@
-"""Dense-table compiled Mealy replay and batched fault detection.
+"""Dense-table compiled Mealy fault detection.
 
 A :class:`MealyMachine` pays a dict lookup on a ``(state, input)``
 tuple key per step.  :class:`DenseMealy` interns states and inputs to
 dense integer indices (sorted by ``repr``, the library's canonical
 order) and flattens ``delta``/``lambda`` into plain lists indexed by
-``state * n_inputs + input`` -- replay becomes array indexing.
+``state * n_inputs + input`` -- a step becomes array indexing.
 
 On top of that sits the campaign kernel: the specification trajectory
 for one test set is computed *once* (state indices, outputs, per-site
@@ -23,9 +23,9 @@ spec's:
   site visit), or the test ends.
 
 The verdict is "the walk found a divergence"
-(:func:`detect_faults_compiled`, :func:`detect_fault_compiled`) and
-the detection latency is that step minus the spec's first visit of the
-site (:func:`detection_latency_compiled`).  Both reproduce the
+(:func:`detect_faults_compiled`) and the detection latency is that
+step minus the spec's first visit of the site
+(:func:`detection_latency_compiled`).  Both reproduce the
 interpreter -- :func:`repro.faults.simulate.compare_runs` verdicts and
 :func:`repro.faults.simulate.detection_latency` values, including the
 ``MealyError`` raised when the *spec* hits an undefined step first --
@@ -40,14 +40,7 @@ from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import OutputError, TransferError
-from ..core.mealy import (
-    Input,
-    MealyError,
-    MealyMachine,
-    Output,
-    State,
-    Transition,
-)
+from ..core.mealy import Input, MealyError, MealyMachine, Output, State
 
 
 class DenseMealy:
@@ -74,14 +67,12 @@ class DenseMealy:
         # -1 = undefined (state, input) pair.
         self.nxt: List[int] = [-1] * size
         self.out: List[Optional[Output]] = [None] * size
-        self.trans: List[Optional[Transition]] = [None] * size
         for s, si in self.state_index.items():
             row = si * self.n_inputs
             for t in machine.transitions_from(s):
                 k = row + self.input_index[t.inp]
                 self.nxt[k] = self.state_index[t.dst]
                 self.out[k] = t.out
-                self.trans[k] = t
         self.initial = self.state_index[machine.initial]
         self.signature = _machine_signature(machine)
         # One-slot trajectory cache: campaigns replay one test set
@@ -94,47 +85,6 @@ class DenseMealy:
             f"{self._machine().name}: no transition from "
             f"{self.states[state_idx]!r} on {inp!r}"
         )
-
-    # ------------------------------------------------------------------
-    # Replay (differential mirrors of MealyMachine methods)
-    # ------------------------------------------------------------------
-    def run(
-        self, inputs: Sequence[Input], start: Optional[State] = None
-    ) -> Tuple[List[Output], State]:
-        s = self.initial if start is None else self.state_index[start]
-        nxt, out, n_inputs = self.nxt, self.out, self.n_inputs
-        input_index = self.input_index
-        outs: List[Output] = []
-        for inp in inputs:
-            i = input_index.get(inp, -1)
-            k = s * n_inputs + i
-            if i < 0 or nxt[k] < 0:
-                raise self._undefined(s, inp)
-            outs.append(out[k])
-            s = nxt[k]
-        return outs, self.states[s]
-
-    def output_sequence(
-        self, inputs: Sequence[Input], start: Optional[State] = None
-    ) -> Tuple[Output, ...]:
-        outs, _final = self.run(inputs, start=start)
-        return tuple(outs)
-
-    def trace(
-        self, inputs: Sequence[Input], start: Optional[State] = None
-    ) -> List[Transition]:
-        s = self.initial if start is None else self.state_index[start]
-        nxt, trans, n_inputs = self.nxt, self.trans, self.n_inputs
-        input_index = self.input_index
-        path: List[Transition] = []
-        for inp in inputs:
-            i = input_index.get(inp, -1)
-            k = s * n_inputs + i
-            if i < 0 or nxt[k] < 0:
-                raise self._undefined(s, inp)
-            path.append(trans[k])  # type: ignore[arg-type]
-            s = nxt[k]
-        return path
 
 
 class _Trajectory:
@@ -292,27 +242,6 @@ def _first_divergence(
     return None
 
 
-def detect_fault_compiled(
-    spec: MealyMachine, fault: Any, inputs: Sequence[Input]
-) -> bool:
-    """Compiled verdict for one fault: does ``inputs`` detect it?
-
-    Matches ``bool(detect_fault(spec, fault, inputs))`` including the
-    exceptions: a spec-undefined step reached before detection raises
-    the interpreter's exact ``MealyError``.  Invalid faults and
-    unknown fault types take the interpreter, which raises the
-    authentic ``FaultError`` or simulates the mutant.
-    """
-    dense = dense_mealy(spec)
-    compiled = _fault_site(dense, fault)
-    if compiled is None:
-        from ..faults.simulate import detect_fault
-
-        return bool(detect_fault(spec, fault, inputs))
-    traj = _trajectory(dense, inputs)
-    return _first_divergence(dense, traj, *compiled) is not None
-
-
 def detect_faults_compiled(
     spec: MealyMachine,
     inputs: Sequence[Input],
@@ -328,9 +257,11 @@ def detect_faults_compiled(
     Every valid output and transfer fault is decided against the
     batch's one :class:`DenseMealy` and spec trajectory by
     :func:`_first_divergence`.  Invalid faults (and every other fault
-    type) go through :func:`detect_fault_compiled` so the authentic
-    exception types and messages are preserved byte-for-byte.
+    type) go through the interpreter's
+    :func:`~repro.faults.simulate.detect_fault`, which raises the
+    authentic ``FaultError`` or simulates the mutant.
     """
+    from ..faults.simulate import detect_fault
     from ..parallel import TaskTimeout
 
     dense = dense_mealy(spec)
@@ -340,7 +271,7 @@ def detect_faults_compiled(
         try:
             compiled = _fault_site(dense, fault)
             if compiled is None:
-                detected = detect_fault_compiled(spec, fault, inputs)
+                detected = bool(detect_fault(spec, fault, inputs))
             else:
                 detected = (
                     _first_divergence(dense, traj, *compiled) is not None

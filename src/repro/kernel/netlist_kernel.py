@@ -82,7 +82,7 @@ from typing import (
 from ..obs.events import span
 from ..rtl.expr import And, Const, Expr, Mux, Not, Or, Var, Xor
 from ..rtl.faults import StuckAt
-from ..rtl.netlist import Netlist, NetlistError
+from ..rtl.netlist import Netlist
 
 #: Default total lane count (golden lane 0 + 1023 mutant lanes) when a
 #: caller passes ``lanes=None``/``"auto"``.  Python ints are arbitrary
@@ -428,54 +428,6 @@ class CompiledNetlist:
             "def _block(state, vec, M=1):", prologue, bound,
             ([self._next_exprs[r] for r in regs],), self._netlist().name,
         )
-
-    # ------------------------------------------------------------------
-    # Single-lane simulation (differential mirror of Netlist.run)
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        input_sequence: Sequence[Mapping[str, bool]],
-        state: Optional[Mapping[str, bool]] = None,
-    ) -> Tuple[List[Dict[str, bool]], Dict[str, bool]]:
-        """Golden-only run with :meth:`Netlist.run` semantics."""
-        if state is None:
-            word_state = [int(v) for v in self.init_values]
-        else:
-            try:
-                word_state = [
-                    int(bool(state[n])) for n in self.register_names
-                ]
-            except KeyError as exc:
-                raise NetlistError(
-                    f"{self._netlist().name}: state misses register "
-                    f"{exc.args[0]!r}"
-                ) from None
-        cycle = self._cycle
-        n_inputs = len(self.input_names)
-        base = [0] * self.n_base
-        outs: List[Dict[str, bool]] = []
-        for vec in input_sequence:
-            for k, name in enumerate(self.input_names):
-                try:
-                    base[k] = 1 if vec[name] else 0
-                except KeyError:
-                    raise NetlistError(
-                        f"{self._netlist().name}: input {name!r} not driven"
-                    ) from None
-            base[n_inputs:] = word_state
-            nxt, out = cycle(base, 1)
-            outs.append(
-                {
-                    name: bool(bit)
-                    for name, bit in zip(self.output_names, out)
-                }
-            )
-            word_state = list(nxt)
-        final = {
-            name: bool(bit)
-            for name, bit in zip(self.register_names, word_state)
-        }
-        return outs, final
 
     # ------------------------------------------------------------------
     # Word-parallel stuck-at fault simulation

@@ -15,6 +15,10 @@ This module gives them a stable home and a history:
   against the previous one, metric by metric, and flags any
   ``*_seconds`` measurement that got more than ``threshold`` (default
   20%) slower.  Counts and sizes are context, not gated.
+* :func:`host_probe` times a fixed piece of pure-Python work when an
+  entry is recorded (``host_probe_seconds``); when both entries carry
+  one, the gate compares seconds per probe second, so a host that is
+  slower for an hour does not read as a slower program.
 * ``repro bench-report`` renders the trajectory table and runs the
   gate (report-only by default; ``--check`` turns regressions into a
   non-zero exit for CI).
@@ -102,6 +106,36 @@ def git_dirty(cwd: Optional[str] = None) -> Optional[bool]:
     return bool(out.stdout.strip()) if out.returncode == 0 else None
 
 
+#: Runs of the probe loop per :func:`host_probe`; the median counts.
+PROBE_RUNS = 5
+
+
+def _probe_once() -> float:
+    """Seconds for one fixed loop: the mean of dict updates with
+    small-integer arithmetic (the interpreter-bound kind of work) and
+    ANDs of 1024-bit words (the netlist kernel's kind), a few
+    milliseconds in all."""
+    start = time.perf_counter()
+    table: Dict[int, int] = {}
+    for i in range(40_000):
+        key = i & 255
+        table[key] = table.get(key, 0) + i * i % 7
+    word = (1 << 1024) // 3
+    words = [word >> (i & 63) ^ i for i in range(2048)]
+    acc = 0
+    for i in range(25_000):
+        acc ^= words[i * 40503 & 2047] & words[i & 2047]
+    return (time.perf_counter() - start) / 2
+
+
+def host_probe() -> float:
+    """The host's speed now, as the median seconds of
+    :data:`PROBE_RUNS` runs of a fixed loop: a benchmark's seconds
+    over the probe's compare across host speeds."""
+    runs = sorted(_probe_once() for _ in range(PROBE_RUNS))
+    return runs[len(runs) // 2]
+
+
 def host_fingerprint() -> Dict[str, Any]:
     """A small, stable description of the machine the bench ran on."""
     try:
@@ -165,7 +199,8 @@ def record_bench(
     sizes -- anything a later reader needs to interpret the numbers)
     next to the measured ``data``; it is never consulted by the
     regression gate, which only compares ``*_seconds`` keys in
-    ``data``."""
+    ``data``.  ``host_probe_seconds`` is :func:`host_probe` taken as
+    the entry is recorded."""
     path = bench_path(name, out_dir)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if os.path.exists(path):
@@ -181,6 +216,7 @@ def record_bench(
         "git_sha": git_sha(),
         "git_dirty": git_dirty(),
         "host": host_fingerprint(),
+        "host_probe_seconds": host_probe(),
         "recorded_at": time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
         ),
@@ -240,16 +276,37 @@ class Regression:
     metric: str
     before: float
     after: float
+    #: The later entry's host probe over the earlier one's (1.0 unless
+    #: both carry a probe): how much slower the host itself ran.
+    host_ratio: float = 1.0
 
     @property
     def ratio(self) -> float:
-        return self.after / self.before if self.before else float("inf")
+        """The slowdown at equal host speed."""
+        if not self.before:
+            return float("inf")
+        return self.after / (self.before * self.host_ratio)
 
     def __str__(self) -> str:
+        host = (
+            f", host {self.host_ratio:.2f}x"
+            if self.host_ratio != 1.0 else ""
+        )
         return (
             f"{self.bench}.{self.metric}: {self.before:.4f}s -> "
-            f"{self.after:.4f}s ({self.ratio:.2f}x)"
+            f"{self.after:.4f}s ({self.ratio:.2f}x{host})"
         )
+
+
+def _host_ratio(before: Dict[str, Any], after: Dict[str, Any]) -> float:
+    """``after``'s host probe over ``before``'s, or 1.0 when either
+    entry lacks a usable probe (raw seconds then compare as they are)."""
+    old = before.get("host_probe_seconds")
+    new = after.get("host_probe_seconds")
+    if isinstance(old, (int, float)) and isinstance(new, (int, float)) \
+            and old > 0 and new > 0:
+        return new / old
+    return 1.0
 
 
 def find_regressions(
@@ -260,11 +317,15 @@ def find_regressions(
     Compares each ``*_seconds`` metric of the newest entry against the
     entry before it; a metric more than ``threshold`` slower (and at
     least a millisecond in absolute terms, so noise on microsecond
-    measurements never trips the gate) is flagged.
+    measurements never trips the gate) is flagged.  When both entries
+    carry ``host_probe_seconds``, the newest entry's seconds are first
+    scaled to the earlier entry's host speed: seconds per probe second
+    are compared.
     """
     entries = doc.get("entries", [])
     if len(entries) < 2:
         return []
+    host_ratio = _host_ratio(entries[-2], entries[-1])
     before = seconds_metrics(entries[-2].get("data", {}))
     after = seconds_metrics(entries[-1].get("data", {}))
     regressions: List[Regression] = []
@@ -272,13 +333,14 @@ def find_regressions(
         old, new = before[metric], after[metric]
         if old <= 0:
             continue
-        if new - old > max(0.001, threshold * old):
+        if new / host_ratio - old > max(0.001, threshold * old):
             regressions.append(
                 Regression(
                     bench=doc.get("bench", "?"),
                     metric=metric,
                     before=old,
                     after=new,
+                    host_ratio=host_ratio,
                 )
             )
     return regressions

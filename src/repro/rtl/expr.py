@@ -225,15 +225,25 @@ def evaluate(e: Expr, env: Mapping[str, bool]) -> bool:
     raise ExprError(f"unknown expression node {type(e).__name__}")
 
 
-def support(e: Expr) -> FrozenSet[str]:
-    """The set of bit names an expression depends on (syntactic)."""
+def support(*exprs: Expr) -> FrozenSet[str]:
+    """The set of bit names the expressions depend on (syntactic).
+
+    The expressions are walked as one DAG: a subterm shared within or
+    across them is visited once, however many parents it has.
+    """
     names = set()
-    stack = [e]
+    seen = set()  # ids of visited inner nodes; the roots keep them alive
+    stack = list(exprs)
     while stack:
         node = stack.pop()
         if isinstance(node, Var):
             names.add(node.name)
-        elif isinstance(node, Not):
+            continue
+        key = id(node)
+        if key in seen:
+            continue
+        seen.add(key)
+        if isinstance(node, Not):
             stack.append(node.arg)
         elif isinstance(node, (And, Or)):
             stack.extend(node.args)

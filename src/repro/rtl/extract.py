@@ -117,7 +117,6 @@ def extract_mealy(
     """
     from .compile import compile_step
 
-    netlist.validate()
     step = compile_step(netlist)
     vectors = (
         [dict(v) for v in inputs]
@@ -172,7 +171,6 @@ def reachable_state_count(
     extraction when only the count is needed: outputs are skipped)."""
     from .compile import compile_step
 
-    netlist.validate()
     step = compile_step(netlist)
     vectors = (
         [dict(v) for v in inputs]

@@ -143,6 +143,12 @@ class Netlist:
             expression references an undeclared bit.
         """
         known = set(self._inputs) | set(self._registers)
+        nexts = [reg.next for reg in self._registers.values()]
+        if all(e is not None for e in nexts) and support(
+            *nexts, *self._outputs.values()
+        ) <= known:
+            return
+        # Something is wrong: find the first offending root, in order.
         for reg in self._registers.values():
             if reg.next is None:
                 raise NetlistError(

@@ -37,7 +37,6 @@ from .client import (
 )
 from .coordinator import BackPressure, Coordinator, Shard
 from .protocol import (
-    DLX_TEST_NAME,
     ResolvedCampaign,
     SpecError,
     normalize_spec,
@@ -49,7 +48,6 @@ from .store import ResultStore, store_key
 from .worker import ShardWorker
 
 __all__ = [
-    "DLX_TEST_NAME",
     "BackPressure",
     "Coordinator",
     "ResolvedCampaign",

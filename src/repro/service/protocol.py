@@ -33,11 +33,7 @@ from typing import Any, Dict, List, Optional
 from ..campaign import KERNELS
 from ..faults.campaign import FsmKind
 from ..runtime.runner import dlx_campaign_identity, fsm_campaign_identity
-from ..validation.harness import DlxKind
-
-#: The service's DLX battery name.  Fixed (unlike the CLI's
-#: jobs-dependent label) so identical submissions hash identically.
-DLX_TEST_NAME = "directed-programs"
+from ..validation.harness import DIRECTED_TEST_NAME, DlxKind, directed_battery
 
 _SUITES = ("tour", "w", "wp", "hsi")
 _METHODS = ("cpp", "greedy")
@@ -144,18 +140,15 @@ def resolve_campaign(spec: Any) -> ResolvedCampaign:
     kernel, timeout = spec["kernel"], spec["timeout"]
     if spec["target"] == "dlx":
         from ..dlx.buggy import BUG_CATALOG
-        from ..dlx.programs import DIRECTED_PROGRAMS
 
-        tests = tuple(
-            (list(p), None, None) for p in DIRECTED_PROGRAMS.values()
-        )
+        tests = directed_battery()
         catalog = tuple(BUG_CATALOG)
         return ResolvedCampaign(
             spec=spec,
             identity=dlx_campaign_identity(
-                tests, catalog, DLX_TEST_NAME, kernel, timeout
+                tests, catalog, DIRECTED_TEST_NAME, kernel, timeout
             ),
-            kind=DlxKind(tests, catalog, DLX_TEST_NAME),
+            kind=DlxKind(tests, catalog, DIRECTED_TEST_NAME),
         )
     from ..corpus.suite import build_test
     from ..models import build_model

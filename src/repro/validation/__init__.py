@@ -2,9 +2,11 @@
 
 from .checkpoints import compare_checkpoint, compare_streams
 from .harness import (
+    DIRECTED_TEST_NAME,
     BugCampaignError,
     BugVerdict,
     campaign_from_concrete_test,
+    directed_battery,
     expected_stream,
     measure_latencies,
     run_bug_campaign,
@@ -21,6 +23,7 @@ from .report import (
 from .testgen import ConcreteTest, ConversionError, fill_inputs
 
 __all__ = [
+    "DIRECTED_TEST_NAME",
     "BugCampaignError",
     "BugCampaignResult",
     "BugCampaignRow",
@@ -33,6 +36,7 @@ __all__ = [
     "campaign_from_concrete_test",
     "compare_checkpoint",
     "compare_streams",
+    "directed_battery",
     "fill_inputs",
     "measure_latencies",
     "run_bug_campaign",

@@ -19,6 +19,7 @@ from ..dlx.behavioral import BehavioralDLX, Checkpoint, ExecutionError
 from ..dlx.buggy import BUG_CATALOG, BugEntry
 from ..dlx.isa import Instruction
 from ..dlx.pipeline import PipelineBugs, PipelinedDLX
+from ..dlx.programs import DIRECTED_PROGRAMS
 from ..kernel import DEFAULT_LANES
 from ..obs import STEP_BUCKETS, get_registry, span
 from ..parallel import batch_unit, parallel_map_batched
@@ -30,6 +31,18 @@ from .report import (
     ValidationResult,
 )
 from .testgen import ConcreteTest
+
+
+#: The directed-program battery's name in a DLX campaign's identity
+#: and report.  It names the battery alone, never how it is run, so a
+#: journaled run resumes at any worker count.
+DIRECTED_TEST_NAME = "directed-programs"
+
+
+def directed_battery() -> Tuple[Tuple[List[Instruction], None, None], ...]:
+    """The DLX campaign's battery: every directed program, each with
+    no initial data image and no branch oracle."""
+    return tuple((list(p), None, None) for p in DIRECTED_PROGRAMS.values())
 
 
 class BugCampaignError(RuntimeError):

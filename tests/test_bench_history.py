@@ -38,6 +38,8 @@ class TestRecord:
         assert entry["data"]["sweep_seconds"] == 0.5
         assert "host" in entry and "recorded_at" in entry
         assert entry["host"]["cpus"] >= 1
+        assert entry["host_probe_seconds"] > 0
+        assert "host_probe_seconds" not in entry["data"]
 
     def test_appends_history(self, tmp_path):
         for i in range(3):
@@ -243,6 +245,47 @@ class TestRegressionGate:
     def test_ratio_with_zero_baseline(self):
         regression = Regression("k", "m", before=0.0, after=1.0)
         assert regression.ratio == float("inf")
+
+    @staticmethod
+    def _probed(*runs):
+        """A history of ``(seconds, host_probe_seconds)`` entries; a
+        probe of None leaves the entry without one."""
+        entries = []
+        for seconds, probe in runs:
+            entry = {"title": "t", "data": {"sweep_seconds": seconds}}
+            if probe is not None:
+                entry["host_probe_seconds"] = probe
+            entries.append(entry)
+        return {"schema": BENCH_SCHEMA, "bench": "k", "entries": entries}
+
+    def test_twice_as_slow_host_is_not_a_regression(self):
+        doc = self._probed((1.0, 0.005), (2.0, 0.010))
+        assert find_regressions(doc, threshold=0.2) == []
+
+    def test_same_probe_twice_the_seconds_is_a_regression(self):
+        doc = self._probed((1.0, 0.005), (2.0, 0.005))
+        (regression,) = find_regressions(doc, threshold=0.2)
+        assert regression.ratio == pytest.approx(2.0)
+        assert regression.host_ratio == pytest.approx(1.0)
+
+    def test_slowdown_beyond_the_hosts_is_flagged_scaled(self):
+        doc = self._probed((1.0, 0.005), (3.0, 0.010))
+        (regression,) = find_regressions(doc, threshold=0.2)
+        assert regression.ratio == pytest.approx(1.5)
+        assert "(1.50x, host 2.00x)" in str(regression)
+
+    def test_entries_without_a_probe_compare_raw(self):
+        for runs in (
+            ((1.0, None), (2.0, 0.010)),
+            ((1.0, 0.005), (2.0, None)),
+            ((1.0, None), (2.0, None)),
+        ):
+            (regression,) = find_regressions(self._probed(*runs))
+            assert regression.ratio == pytest.approx(2.0)
+            assert regression.host_ratio == 1.0
+        assert find_regressions(
+            self._probed((1.0, None), (1.1, 0.010))
+        ) == []
 
 
 class TestTrajectory:

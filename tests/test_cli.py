@@ -98,6 +98,57 @@ class TestCampaign:
         assert len(payload["rows"]) == payload["total"]
 
 
+class TestDlxRunDir:
+    """The DLX campaign's identity names its battery, never its worker
+    count, so a journaled run resumes and reports alike at any
+    ``--jobs``."""
+
+    def test_resume_at_other_job_count_replays_every_verdict(
+        self, tmp_path, capsys
+    ):
+        run_dir = str(tmp_path / "run")
+        assert main(
+            ["campaign", "dlx", "--jobs", "1", "--run-dir", run_dir]
+        ) == 0
+        capsys.readouterr()
+        assert main(
+            ["campaign", "dlx", "--jobs", "2", "--run-dir", run_dir,
+             "--resume"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "replayed 10 journaled verdicts" in captured.err
+        assert "simulated 0" in captured.err
+        assert "jobs=2" in captured.out
+
+    def test_report_identical_across_job_counts(self, tmp_path, capsys):
+        from repro.runtime import REPORT_NAME
+
+        reports = []
+        for jobs in ("1", "2"):
+            run_dir = tmp_path / f"jobs{jobs}"
+            assert main(
+                ["campaign", "dlx", "--jobs", jobs, "--run-dir",
+                 str(run_dir)]
+            ) == 0
+            reports.append((run_dir / REPORT_NAME).read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+
+    def test_identity_is_the_services(self, tmp_path, capsys):
+        import json
+
+        from repro.runtime import MANIFEST_NAME
+        from repro.service import resolve_campaign
+
+        run_dir = tmp_path / "run"
+        assert main(["campaign", "dlx", "--run-dir", str(run_dir)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((run_dir / MANIFEST_NAME).read_text())
+        assert manifest["identity"] == resolve_campaign(
+            {"target": "dlx"}
+        ).identity
+
+
 class TestObservabilityFlags:
     def test_campaign_trace_and_metrics_files(self, tmp_path, capsys):
         import json

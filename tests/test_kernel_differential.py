@@ -1,9 +1,9 @@
 """Differential tests: compiled kernels == tree-walking interpreters.
 
 The compiled kernels in :mod:`repro.kernel` are pure performance
-artifacts -- every observable (outputs, final states, campaign
-verdicts, distinguishability reports, metric dumps, exception types
-*and messages*) must match the interpreters byte-for-byte.  These
+artifacts -- every observable (first divergences, campaign verdicts,
+detection latencies, metric dumps, exception types *and messages*)
+must match the interpreters byte-for-byte.  These
 properties quantify over randomly generated machines, netlists, fault
 sets and test sets; machines are built from integer seeds so
 hypothesis shrinks the seed while the builder stays deterministic.
@@ -23,7 +23,6 @@ import repro.kernel.netlist_kernel as netlist_kernel
 from repro.campaign import Campaign
 from repro.core.distinguish import (
     _pair_distance_table,
-    analyze_forall_k,
     distinguishability_matrix,
     shortest_distinguishing_sequence,
 )
@@ -35,7 +34,7 @@ from repro.faults.simulate import detect_fault, detection_latency
 from repro.kernel import (
     compiled_netlist,
     dense_mealy,
-    detect_fault_compiled,
+    detect_faults_compiled,
     detection_latency_compiled,
     stuck_at_first_divergences,
 )
@@ -141,6 +140,15 @@ def outcome_of(fn):
         return ("err", type(exc).__name__, str(exc))
 
 
+def batch_outcome_of(fn):
+    """A call's outcome in the batched kernel's per-fault encoding:
+    ``("ok", value)`` or ``("err", "ExcType: message")``."""
+    outcome = outcome_of(fn)
+    if outcome[0] == "ok":
+        return outcome
+    return ("err", f"{outcome[1]}: {outcome[2]}")
+
+
 def invalid_faults(machine: MealyMachine):
     """The five invalid-fault shapes: unknown site state, no-op
     corruption, no-op diversion and a diversion to a non-state."""
@@ -179,42 +187,10 @@ class UncomparableTest(tuple):
 
 
 # ----------------------------------------------------------------------
-# Mealy replay
+# Dense Mealy compile memo
 # ----------------------------------------------------------------------
 
 class TestDenseMealyReplay:
-    @SETTINGS
-    @given(seed=seeds, tseed=seeds, length=st.integers(0, 12),
-           complete=st.booleans())
-    def test_run_trace_outputs_identical(self, seed, tseed, length,
-                                         complete):
-        m = build_machine(seed, complete=complete)
-        test = build_test(m, tseed, length)
-        dense = dense_mealy(m)
-        ref_run = outcome_of(lambda: (list(m.run(test)[0]), m.run(test)[1]))
-        got_run = outcome_of(lambda: dense.run(test))
-        assert ref_run == got_run
-        assert outcome_of(lambda: m.trace(test)) == outcome_of(
-            lambda: dense.trace(test)
-        )
-        assert outcome_of(lambda: m.output_sequence(test)) == outcome_of(
-            lambda: dense.output_sequence(test)
-        )
-
-    @SETTINGS
-    @given(seed=seeds, tseed=seeds)
-    def test_run_from_arbitrary_start_state(self, seed, tseed):
-        m = build_machine(seed)
-        test = build_test(m, tseed, 8)
-        dense = dense_mealy(m)
-        for start in sorted(m.states, key=repr):
-            ref = outcome_of(lambda: m.run(test, start=start))
-            got = outcome_of(lambda: dense.run(test, start=start))
-            assert ref[0] == got[0]
-            if ref[0] == "ok":
-                assert list(ref[1][0]) == list(got[1][0])
-                assert ref[1][1] == got[1][1]
-
     def test_memo_revalidates_after_mutation(self):
         m = build_machine(7)
         before = dense_mealy(m)
@@ -246,30 +222,26 @@ class TestMealyFaultVerdicts:
                                                   complete):
         m = build_machine(seed, complete=complete)
         test = build_test(m, tseed, 12)
-        for fault in all_single_faults(m):
-            ref = outcome_of(lambda: bool(detect_fault(m, fault, test)))
-            got = outcome_of(lambda: detect_fault_compiled(m, fault, test))
-            assert ref == got, f"{fault} on rand{seed}"
+        faults = list(all_single_faults(m))
+        ref = [
+            batch_outcome_of(lambda: bool(detect_fault(m, fault, test)))
+            for fault in faults
+        ]
+        got = outcome_of(lambda: detect_faults_compiled(m, test, faults))
+        assert got == ("ok", ref), f"rand{seed}"
 
     @SETTINGS
     @given(seed=seeds, tseed=seeds)
     def test_invalid_faults_raise_identically(self, seed, tseed):
         m = build_machine(seed)
         test = build_test(m, tseed, 6)
-        some_state = sorted(m.states, key=repr)[0]
-        some_inp = sorted(m.inputs, key=repr)[0]
-        t = m.transition(some_state, some_inp)
-        invalid = [
-            OutputError("ghost", some_inp, "x"),
-            TransferError("ghost", some_inp, some_state),
-            OutputError(some_state, some_inp, t.out),   # no-op corrupt
-            TransferError(some_state, some_inp, t.dst),  # no-op divert
-            TransferError(some_state, some_inp, "ghost"),
+        faults = invalid_faults(m)
+        ref = [
+            batch_outcome_of(lambda: bool(detect_fault(m, fault, test)))
+            for fault in faults
         ]
-        for fault in invalid:
-            ref = outcome_of(lambda: bool(detect_fault(m, fault, test)))
-            got = outcome_of(lambda: detect_fault_compiled(m, fault, test))
-            assert ref == got, repr(fault)
+        assert all(tag == "err" for tag, _ in ref)
+        assert detect_faults_compiled(m, test, faults) == ref
 
     @SETTINGS
     @given(seed=seeds, tseed=seeds, complete=st.booleans())
@@ -341,10 +313,6 @@ class TestMealyFaultVerdicts:
         with pytest.raises(ValueError, match="unknown kernel"):
             run_campaign(m, build_test(m, 2, 4), kernel="turbo")
         with pytest.raises(ValueError, match="unknown kernel"):
-            distinguishability_matrix(m, kernel="turbo")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            analyze_forall_k(m, kernel="turbo")
-        with pytest.raises(ValueError, match="unknown kernel"):
             run_stuck_at_campaign(build_netlist(1), [], kernel="turbo")
 
 
@@ -404,14 +372,6 @@ class TestDetectionLatencyTwin:
 
 class TestCompiledNetlist:
     @SETTINGS
-    @given(seed=seeds, vseed=seeds, count=st.integers(0, 12))
-    def test_run_identical(self, seed, vseed, count):
-        nl = build_netlist(seed)
-        vectors = build_vectors(nl, vseed, count)
-        comp = compiled_netlist(nl)
-        assert nl.run(vectors) == comp.run(vectors)
-
-    @SETTINGS
     @given(seed=seeds, vseed=seeds)
     def test_first_divergences_identical(self, seed, vseed):
         nl = build_netlist(seed)
@@ -456,14 +416,11 @@ class TestCompiledNetlist:
         assert outcome_of(lambda: bad_fault.apply(nl)) == outcome_of(
             lambda: stuck_at_first_divergences(nl, vectors, [bad_fault])
         )
-        missing_reg = {name: False for name in nl.register_names[1:]}
-        assert outcome_of(
-            lambda: nl.run(vectors, state=missing_reg)
-        ) == outcome_of(lambda: comp.run(vectors, state=missing_reg))
+        faults = all_stuck_at_faults(nl, include_inputs=True)
         undriven = [{}]
-        assert outcome_of(lambda: nl.run(undriven)) == outcome_of(
-            lambda: comp.run(undriven)
-        )
+        assert outcome_of(
+            lambda: [detects_stuck_at(nl, f, undriven) for f in faults]
+        ) == outcome_of(lambda: comp.detect_batch(undriven, faults))
 
     def test_hoisted_run_validation_still_raises(self):
         nl = Netlist("tiny")
@@ -499,32 +456,17 @@ class TestCompiledNetlist:
         after = compiled_netlist(nl)
         assert after is not before
         vectors = build_vectors(nl, 22, 6)
-        assert nl.run(vectors) == after.run(vectors)
+        faults = all_stuck_at_faults(nl, include_inputs=True)
+        assert after.detect_batch(vectors, faults) == [
+            detects_stuck_at(nl, f, vectors) for f in faults
+        ]
 
 
 # ----------------------------------------------------------------------
-# Pair-space kernels
+# Pair distances
 # ----------------------------------------------------------------------
 
 class TestPairKernels:
-    @SETTINGS
-    @given(seed=seeds, complete=st.booleans())
-    def test_matrix_identical(self, seed, complete):
-        m = build_machine(seed, complete=complete)
-        assert distinguishability_matrix(
-            m, kernel="interp"
-        ) == distinguishability_matrix(m, kernel="compiled")
-
-    @SETTINGS
-    @given(seed=seeds, max_k=st.one_of(st.none(), st.integers(0, 5)))
-    def test_forall_k_report_identical(self, seed, max_k):
-        m = build_machine(seed, complete=True)
-        ref = analyze_forall_k(m, max_k, kernel="interp")
-        got = analyze_forall_k(m, max_k, kernel="compiled")
-        assert (ref.k, ref.residual_pairs, ref.rounds) == (
-            got.k, got.residual_pairs, got.rounds
-        )
-
     @SETTINGS
     @given(seed=seeds, complete=st.booleans())
     def test_sequences_match_matrix_and_distinguish(self, seed, complete):

@@ -123,6 +123,13 @@ class TestAnalysis:
     def test_support_of_const(self):
         assert support(TRUE) == frozenset()
 
+    def test_support_of_several_roots(self):
+        shared = and_(var("a"), var("b"))
+        assert support(shared, or_(shared, var("c")), TRUE) == {
+            "a", "b", "c",
+        }
+        assert support() == frozenset()
+
     def test_substitute_folds(self):
         e = and_(var("a"), var("b"))
         assert substitute(e, {"a": TRUE}) == var("b")

@@ -18,6 +18,7 @@ from repro.rtl import (
     var,
     xor_,
 )
+from repro.rtl.expr import Xor
 from repro.rtl.extract import ExtractionError
 
 
@@ -87,6 +88,49 @@ class TestConstruction:
 
     def test_validate_ok(self):
         counter_netlist().validate()
+
+    @staticmethod
+    def xor_tower(leaf, levels=40):
+        """``levels`` nested ``Xor(e, e)``: 2**levels tree paths over
+        ``levels + 1`` distinct nodes (raw nodes, so nothing folds)."""
+        e = leaf
+        for _ in range(levels):
+            e = Xor(e, e)
+        return e
+
+    def test_validate_visits_shared_subterms_once(self):
+        n = Netlist("tower")
+        n.add_input("a")
+        tower = self.xor_tower(var("a"))
+        n.add_register("q", next=tower)
+        n.add_output("o", Xor(tower, var("q")))
+        n.validate()
+
+    def test_validate_names_first_offending_root(self):
+        n = Netlist("bad")
+        n.add_input("a")
+        n.add_register("q0", next=self.xor_tower(var("a")))
+        n.add_register("q1", next=self.xor_tower(var("ghost1")))
+        n.add_register("q2")
+        n.add_output("o", self.xor_tower(var("ghost2")))
+        with pytest.raises(
+            NetlistError,
+            match=r"^bad: next\(q1\) references undeclared bits "
+                  r"\['ghost1'\]$",
+        ):
+            n.validate()
+        n.set_next("q1", var("a"))
+        with pytest.raises(
+            NetlistError, match="^bad: register 'q2' has no next-state$"
+        ):
+            n.validate()
+        n.set_next("q2", var("q0"))
+        with pytest.raises(
+            NetlistError,
+            match=r"^bad: output 'o' references undeclared bits "
+                  r"\['ghost2'\]$",
+        ):
+            n.validate()
 
 
 class TestSimulation:

@@ -28,13 +28,13 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import scoped_registry
 from repro.service import (
-    DLX_TEST_NAME,
     Coordinator,
     ServiceServer,
     campaign_view,
     submit_campaign,
     wait_for_campaign,
 )
+from repro.validation import DIRECTED_TEST_NAME
 
 SRC_DIR = os.path.abspath(
     os.path.join(os.path.dirname(repro.__file__), os.pardir)
@@ -88,7 +88,7 @@ def serial_dlx_reference():
         result = run_bug_campaign(
             tests,
             tuple(BUG_CATALOG),
-            test_name=DLX_TEST_NAME,
+            test_name=DIRECTED_TEST_NAME,
             jobs=1,
         )
         events = deterministic_payloads(ring.events())
@@ -98,7 +98,7 @@ def serial_dlx_reference():
         rerun = run_bug_campaign(
             tests,
             tuple(BUG_CATALOG),
-            test_name=DLX_TEST_NAME,
+            test_name=DIRECTED_TEST_NAME,
             jobs=1,
         )
         metrics = registry.deterministic_dump()

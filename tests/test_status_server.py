@@ -473,6 +473,12 @@ class TestCampaignStatusPortCli:
 
 
 class TestBenchReportCli:
+    @pytest.fixture(autouse=True)
+    def steady_host(self, monkeypatch):
+        """Every entry is stamped with the same host probe, so the gate
+        compares the synthetic seconds as they are."""
+        monkeypatch.setattr("repro.obs.bench.host_probe", lambda: 0.005)
+
     def _seed(self, directory, first=1.0, second=1.5):
         from repro.obs.bench import record_bench
 
