@@ -34,7 +34,7 @@ import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.mealy import MealyMachine
-from ..rtl.expr import Expr, FALSE, and_, not_, or_, substitute, var
+from ..rtl.expr import Expr, FALSE, _substituter, and_, not_, or_, var
 from ..rtl.netlist import Netlist
 
 
@@ -204,16 +204,13 @@ def merge_netlists(
         for reg in net.registers.values():
             merged.add_register(prefix + reg.name, init=reg.init)
     for prefix, net in parts:
-        rename = {n: var(prefix + n) for n in net.inputs}
-        rename.update(
-            {r: var(prefix + r) for r in net.register_names}
-        )
+        rename = _substituter({
+            n: var(prefix + n) for n in (*net.inputs, *net.register_names)
+        })
         for reg in net.registers.values():
-            merged.set_next(
-                prefix + reg.name, substitute(reg.next, rename)
-            )
+            merged.set_next(prefix + reg.name, rename(reg.next))
         for out, expr in net.outputs.items():
-            merged.add_output(prefix + out, substitute(expr, rename))
+            merged.add_output(prefix + out, rename(expr))
     merged.validate()
     return merged
 

@@ -1,7 +1,9 @@
 """Word-parallel compiled netlist simulation.
 
-:func:`repro.rtl.compile.compile_step` removed the tree-walking
-overhead for a *single* simulation; this module removes the
+The one code generator, :mod:`repro.rtl.compile`, removes the
+tree-walking overhead: :func:`~repro.rtl.compile.compile_step` spells
+a netlist on Python bools for a *single* simulation.  This module has
+the same generator spell it on lane words, which removes the
 per-mutant overhead as well.  The netlist is levelized once into a
 flat SSA sequence of machine-word bitwise operations over *bit
 slots*, where every slot holds one Python integer whose bit lanes are
@@ -68,19 +70,18 @@ import weakref
 from itertools import islice
 from operator import itemgetter, truth
 from typing import (
-    Any,
     Callable,
     Dict,
     List,
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 from ..obs.events import span
-from ..rtl.expr import And, Const, Expr, Mux, Not, Or, Var, Xor
+from ..rtl.compile import _compile_function, _lane_words
+from ..rtl.expr import Expr, support
 from ..rtl.faults import StuckAt
 from ..rtl.netlist import Netlist
 
@@ -108,7 +109,7 @@ _COLUMN_CHUNK = 256
 
 
 class KernelError(Exception):
-    """Raised on malformed kernels or unknown expression nodes."""
+    """Raised on a lane width or a fault word the kernel cannot run."""
 
 
 def resolve_lanes(lanes: object = None) -> int:
@@ -130,98 +131,6 @@ def resolve_lanes(lanes: object = None) -> int:
             f"one mutant), got {lanes}"
         )
     return lanes
-
-
-def _children(node: Expr) -> Tuple[Expr, ...]:
-    if isinstance(node, Not):
-        return (node.arg,)
-    if isinstance(node, (And, Or)):
-        return node.args
-    if isinstance(node, Xor):
-        return (node.left, node.right)
-    if isinstance(node, Mux):
-        return (node.sel, node.if_true, node.if_false)
-    return ()
-
-
-def _render(node: Expr, kids: Sequence[str]) -> str:
-    """One SSA right-hand side in word-bitwise form over the locals of
-    the node's children (``M`` = all-lanes mask, so NOT is ``x ^ M``
-    and MUX is and-or selected)."""
-    if isinstance(node, Not):
-        return f"{kids[0]} ^ M"
-    if isinstance(node, And):
-        return " & ".join(kids)
-    if isinstance(node, Or):
-        return " | ".join(kids)
-    if isinstance(node, Xor):
-        return f"{kids[0]} ^ {kids[1]}"
-    if isinstance(node, Mux):
-        s, if_true, if_false = kids
-        return f"({s} & {if_true}) | (({s} ^ M) & {if_false})"
-    raise KernelError(f"unknown expression node {type(node).__name__}")
-
-
-def _tuple_source(locals_: Sequence[str]) -> str:
-    if not locals_:
-        return "()"
-    inner = ", ".join(locals_)
-    return f"({inner},)" if len(locals_) == 1 else f"({inner})"
-
-
-def _compile_function(
-    header: str,
-    prologue: Sequence[str],
-    bound: Mapping[str, str],
-    results: Sequence[Sequence[Expr]],
-    label: str,
-) -> Callable[..., Any]:
-    """Exec one SSA function over the bits ``bound`` maps to locals.
-
-    ``header`` and ``prologue`` bind those locals; every gate the
-    ``results`` reach is emitted once, and the function returns one
-    tuple per entry of ``results``.  Structurally equal gates share one
-    local: a gate is keyed by its type and its children's locals, which
-    by induction are equal exactly when the subtrees are, so no subtree
-    is ever hashed.
-    """
-    names: Dict[int, str] = {}  # id(node) -> local; the roots keep nodes alive
-    shapes: Dict[Tuple[type, Tuple[str, ...]], str] = {}
-    lines: List[str] = [header, *prologue]
-    for roots in results:
-        for root in roots:
-            stack: List[Tuple[Expr, bool]] = [(root, False)]
-            while stack:
-                node, emitted = stack.pop()
-                key = id(node)
-                if key in names:
-                    continue
-                if isinstance(node, Const):
-                    names[key] = "M" if node.value else "0"
-                elif isinstance(node, Var):
-                    try:
-                        names[key] = bound[node.name]
-                    except KeyError:
-                        raise KernelError(
-                            f"{label}: unbound bit {node.name!r}"
-                        ) from None
-                elif not emitted:
-                    stack.append((node, True))
-                    stack.extend((k, False) for k in _children(node))
-                else:
-                    kids = tuple(names[id(k)] for k in _children(node))
-                    shape = (type(node), kids)
-                    name = shapes.get(shape)
-                    if name is None:
-                        name = shapes[shape] = f"t{len(lines)}"
-                        lines.append(f"    {name} = {_render(node, kids)}")
-                    names[key] = name
-    lines.append("    return " + ", ".join(
-        _tuple_source([names[id(e)] for e in roots]) for roots in results
-    ))
-    namespace: Dict[str, Any] = {}
-    exec(compile("\n".join(lines), f"<kernel {label}>", "exec"), namespace)
-    return namespace[header[4:header.index("(")]]
 
 
 def _input_columns(
@@ -312,6 +221,7 @@ class CompiledNetlist:
             {name: f"b{slot}" for name, slot in self.base_slot.items()},
             (self._next_exprs, self._output_exprs),
             netlist.name,
+            _lane_words,
         )
         #: (registers, inputs) per register block, built with the cones
         #: by :meth:`_build_cones_and_blocks`; each block's one-lane
@@ -322,24 +232,6 @@ class CompiledNetlist:
     # ------------------------------------------------------------------
     # Event-driven structure (built on first use)
     # ------------------------------------------------------------------
-    def _expr_base_slots(self, root: Expr) -> Set[int]:
-        """Base slots an expression reads (its combinational support)."""
-        slots: Set[int] = set()
-        stack: List[Expr] = [root]
-        seen: Set[int] = set()
-        while stack:
-            node = stack.pop()
-            key = id(node)
-            if key in seen:
-                continue
-            seen.add(key)
-            if isinstance(node, Var):
-                # Bound: the cycle compile already rejected unbound bits.
-                slots.add(self.base_slot[node.name])
-            else:
-                stack.extend(_children(node))
-        return slots
-
     def _build_cones_and_blocks(self) -> None:
         """Fanout cones and register blocks for the event-driven pass.
 
@@ -356,15 +248,18 @@ class CompiledNetlist:
         so each block gets its own one-lane next-state function.
         """
         n_inputs = len(self.input_names)
-        supports = [self._expr_base_slots(e) for e in self._next_exprs]
+        base_slot = self.base_slot
+        supports = [
+            {base_slot[name] for name in support(e)} for e in self._next_exprs
+        ]
         reg_cone = [0] * self.n_base
         out_cone = [0] * self.n_base
-        for r, support in enumerate(supports):
-            for s in support:
+        for r, slots in enumerate(supports):
+            for s in slots:
                 reg_cone[s] |= 1 << r
         for o, expr in enumerate(self._output_exprs):
-            for s in self._expr_base_slots(expr):
-                out_cone[s] |= 1 << o
+            for name in support(expr):
+                out_cone[base_slot[name]] |= 1 << o
         observable = [bool(out_cone[s]) for s in range(self.n_base)]
         changed = True
         while changed:
@@ -392,8 +287,8 @@ class CompiledNetlist:
                 r = root[r]
             return r
 
-        for r, support in enumerate(supports):
-            for s in support:
+        for r, slots in enumerate(supports):
+            for s in slots:
                 if s >= n_inputs:
                     a, b = find(r), find(s - n_inputs)
                     root[max(a, b)] = min(a, b)
@@ -427,6 +322,7 @@ class CompiledNetlist:
         return _compile_function(
             "def _block(state, vec, M=1):", prologue, bound,
             ([self._next_exprs[r] for r in regs],), self._netlist().name,
+            _lane_words,
         )
 
     # ------------------------------------------------------------------

@@ -16,6 +16,9 @@ from typing import Any, Iterable, Sequence
 
 
 def _digest(parts: Iterable[str]) -> str:
+    """SHA-256 over an iterable of strings, each followed by a NUL
+    (order-sensitive): the one digest behind every fingerprint and the
+    run manifest's fault-population and bug-catalog digests."""
     h = hashlib.sha256()
     for part in parts:
         h.update(part.encode("utf-8", "backslashreplace"))

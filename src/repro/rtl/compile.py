@@ -1,26 +1,39 @@
-"""Compiled-code simulation of netlists.
+"""Compiled-code simulation of netlists: the one code generator.
 
 Interpreting expression trees costs a dict lookup and an isinstance
 dispatch per node per cycle; explicit FSM extraction of a test model
 evaluates millions of cycles, where that overhead dominates.  This
 module performs what production simulators call *compiled-code
-simulation*: the netlist's next-state and output expressions are
-translated once into a Python source string and ``exec``-ed into a
-single step function, giving an order-of-magnitude speedup with
-bit-identical results (the test suite cross-checks against the
-interpreter).
+simulation*, and it is the only place where netlist expressions become
+Python.  :func:`_compile_function` walks a function's roots as one
+DAG -- one local per distinct gate, structurally equal gates merged --
+and ``exec``-s a single straight-line function.  A *render* spells
+each gate:
+
+* :func:`_one_lane` over Python bools (``not``, ``and``, ``or``,
+  ``!=``, ``t if s else f``) for :func:`compile_step`, the step
+  function that explicit extraction and the stuck-at interpreter call;
+* :func:`_lane_words` over the bit lanes of integer words (``^ M``,
+  ``&``, ``|``, ``^``, and-or mux) for the cycle and block functions
+  of :mod:`repro.kernel.netlist_kernel`, which simulate many mutants
+  at once.
+
+Both are bit-identical to :meth:`~repro.rtl.netlist.Netlist.step`,
+the oracle the test suite cross-checks them against.  One simulation
+gets its own render because the word form is slower on one lane
+(METHODOLOGY section 11 has the measurement).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
-from .expr import And, Const, Expr, Mux, Not, Or, Var, Xor
+from .expr import And, Const, Expr, Mux, Not, Or, Var, Xor, _children
 from .netlist import Netlist
 
 
 class CompileError(Exception):
-    """Raised on unknown expression nodes."""
+    """Raised on unknown expression nodes and unbound bits."""
 
 
 StepFunction = Callable[
@@ -28,29 +41,113 @@ StepFunction = Callable[
     Tuple[Dict[str, bool], Dict[str, bool]],
 ]
 
+#: How a gate is spelled: its Python right-hand side over the locals
+#: of its children (a constant has no children and no line of its own).
+Render = Callable[[Expr, Sequence[str]], str]
 
-def _emit(expr: Expr, names: Dict[str, str]) -> str:
-    """Translate an expression tree to a Python boolean expression."""
-    if isinstance(expr, Const):
-        return "True" if expr.value else "False"
-    if isinstance(expr, Var):
-        return names[expr.name]
-    if isinstance(expr, Not):
-        return f"(not {_emit(expr.arg, names)})"
-    if isinstance(expr, And):
-        return "(" + " and ".join(_emit(a, names) for a in expr.args) + ")"
-    if isinstance(expr, Or):
-        return "(" + " or ".join(_emit(a, names) for a in expr.args) + ")"
-    if isinstance(expr, Xor):
-        return (
-            f"({_emit(expr.left, names)} != {_emit(expr.right, names)})"
-        )
-    if isinstance(expr, Mux):
-        return (
-            f"({_emit(expr.if_true, names)} if {_emit(expr.sel, names)} "
-            f"else {_emit(expr.if_false, names)})"
-        )
-    raise CompileError(f"unknown expression node {type(expr).__name__}")
+
+def _one_lane(node: Expr, kids: Sequence[str]) -> str:
+    """One simulation on Python bools."""
+    if isinstance(node, Const):
+        return "True" if node.value else "False"
+    if isinstance(node, Not):
+        return f"not {kids[0]}"
+    if isinstance(node, And):
+        return " and ".join(kids)
+    if isinstance(node, Or):
+        return " or ".join(kids)
+    if isinstance(node, Xor):
+        return f"{kids[0]} != {kids[1]}"
+    if isinstance(node, Mux):
+        s, if_true, if_false = kids
+        return f"{if_true} if {s} else {if_false}"
+    raise CompileError(f"unknown expression node {type(node).__name__}")
+
+
+def _lane_words(node: Expr, kids: Sequence[str]) -> str:
+    """Word-bitwise form, one simulation per bit lane (``M`` = all-lanes
+    mask, so NOT is ``x ^ M`` and MUX is and-or selected)."""
+    if isinstance(node, Const):
+        return "M" if node.value else "0"
+    if isinstance(node, Not):
+        return f"{kids[0]} ^ M"
+    if isinstance(node, And):
+        return " & ".join(kids)
+    if isinstance(node, Or):
+        return " | ".join(kids)
+    if isinstance(node, Xor):
+        return f"{kids[0]} ^ {kids[1]}"
+    if isinstance(node, Mux):
+        s, if_true, if_false = kids
+        return f"({s} & {if_true}) | (({s} ^ M) & {if_false})"
+    raise CompileError(f"unknown expression node {type(node).__name__}")
+
+
+def _result_source(
+    roots: Union[Sequence[Expr], Mapping[str, Expr]], names: Dict[int, str]
+) -> str:
+    if isinstance(roots, Mapping):
+        items = ", ".join(f"{k!r}: {names[id(e)]}" for k, e in roots.items())
+        return f"{{{items}}}"
+    inner = ", ".join(names[id(e)] for e in roots)
+    return f"({inner},)" if len(roots) == 1 else f"({inner})"
+
+
+def _compile_function(
+    header: str,
+    prologue: Sequence[str],
+    bound: Mapping[str, str],
+    results: Sequence[Union[Sequence[Expr], Mapping[str, Expr]]],
+    label: str,
+    render: Render,
+) -> Callable[..., Any]:
+    """Exec one SSA function over the bits ``bound`` maps to locals.
+
+    ``header`` and ``prologue`` bind those locals; every gate the
+    ``results`` reach is emitted once, spelled by ``render``, and the
+    function returns one value per entry of ``results``: a tuple of
+    its roots' values, or for a mapping a dict of them under the same
+    keys.  Structurally equal gates share one local: a gate is keyed
+    by its type and its children's locals, which by induction are
+    equal exactly when the subtrees are, so no subtree is ever hashed.
+    """
+    names: Dict[int, str] = {}  # id(node) -> local; the roots keep nodes alive
+    shapes: Dict[Tuple[type, Tuple[str, ...]], str] = {}
+    lines: List[str] = [header, *prologue]
+    for roots in results:
+        for root in roots.values() if isinstance(roots, Mapping) else roots:
+            stack: List[Tuple[Expr, bool]] = [(root, False)]
+            while stack:
+                node, emitted = stack.pop()
+                key = id(node)
+                if key in names:
+                    continue
+                if isinstance(node, Const):
+                    names[key] = render(node, ())
+                elif isinstance(node, Var):
+                    try:
+                        names[key] = bound[node.name]
+                    except KeyError:
+                        raise CompileError(
+                            f"{label}: unbound bit {node.name!r}"
+                        ) from None
+                elif not emitted:
+                    stack.append((node, True))
+                    stack.extend((k, False) for k in _children(node))
+                else:
+                    kids = tuple(names[id(k)] for k in _children(node))
+                    shape = (type(node), kids)
+                    name = shapes.get(shape)
+                    if name is None:
+                        name = shapes[shape] = f"t{len(lines)}"
+                        lines.append(f"    {name} = {render(node, kids)}")
+                    names[key] = name
+    lines.append("    return " + ", ".join(
+        _result_source(roots, names) for roots in results
+    ))
+    namespace: Dict[str, Any] = {}
+    exec(compile("\n".join(lines), f"<compiled {label}>", "exec"), namespace)
+    return namespace[header[4:header.index("(")]]
 
 
 def compile_step(netlist: Netlist) -> StepFunction:
@@ -64,29 +161,22 @@ def compile_step(netlist: Netlist) -> StepFunction:
     netlist.validate()
     # Each bit gets a local-variable alias to avoid dict lookups in the
     # hot expressions.
-    names: Dict[str, str] = {}
-    for idx, name in enumerate(netlist.inputs):
-        names[name] = f"_i{idx}"
-    for idx, name in enumerate(netlist.register_names):
-        names[name] = f"_s{idx}"
-
-    lines: List[str] = ["def _step(state, inputs):"]
-    for name in netlist.inputs:
-        lines.append(f"    {names[name]} = inputs[{name!r}]")
-    for name in netlist.register_names:
-        lines.append(f"    {names[name]} = state[{name!r}]")
-    out_items = ", ".join(
-        f"{name!r}: {_emit(expr, names)}"
-        for name, expr in netlist.outputs.items()
+    prologue = [
+        f"    b{k} = inputs[{name!r}]" for k, name in enumerate(netlist.inputs)
+    ]
+    prologue += [
+        f"    b{k} = state[{name!r}]"
+        for k, name in enumerate(netlist.register_names, len(prologue))
+    ]
+    bits = (*netlist.inputs, *netlist.register_names)
+    return _compile_function(
+        "def _step(state, inputs):",
+        prologue,
+        {name: f"b{k}" for k, name in enumerate(bits)},
+        (
+            {name: reg.next for name, reg in netlist.registers.items()},
+            netlist.outputs,
+        ),
+        netlist.name,
+        _one_lane,
     )
-    lines.append(f"    _outs = {{{out_items}}}")
-    next_items = ", ".join(
-        f"{reg.name!r}: {_emit(reg.next, names)}"
-        for reg in netlist.registers.values()
-    )
-    lines.append(f"    _next = {{{next_items}}}")
-    lines.append("    return _next, _outs")
-    source = "\n".join(lines)
-    namespace: Dict[str, object] = {}
-    exec(compile(source, f"<compiled {netlist.name}>", "exec"), namespace)
-    return namespace["_step"]  # type: ignore[return-value]

@@ -18,7 +18,7 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple, Union
 
 
 class ExprError(Exception):
@@ -225,6 +225,21 @@ def evaluate(e: Expr, env: Mapping[str, bool]) -> bool:
     raise ExprError(f"unknown expression node {type(e).__name__}")
 
 
+def _children(e: Expr) -> Tuple[Expr, ...]:
+    """A gate's operands, in field order (none for constants, bits and
+    unknown nodes): the one node-to-children map every DAG walk over
+    expressions uses."""
+    if isinstance(e, Not):
+        return (e.arg,)
+    if isinstance(e, (And, Or)):
+        return e.args
+    if isinstance(e, Xor):
+        return (e.left, e.right)
+    if isinstance(e, Mux):
+        return (e.sel, e.if_true, e.if_false)
+    return ()
+
+
 def support(*exprs: Expr) -> FrozenSet[str]:
     """The set of bit names the expressions depend on (syntactic).
 
@@ -243,40 +258,50 @@ def support(*exprs: Expr) -> FrozenSet[str]:
         if key in seen:
             continue
         seen.add(key)
-        if isinstance(node, Not):
-            stack.append(node.arg)
-        elif isinstance(node, (And, Or)):
-            stack.extend(node.args)
-        elif isinstance(node, Xor):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Mux):
-            stack.extend((node.sel, node.if_true, node.if_false))
+        stack.extend(_children(node))
     return frozenset(names)
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions, rebuilding with the smart
-    constructors (so substituted constants fold through)."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, Not):
-        return not_(substitute(e.arg, mapping))
-    if isinstance(e, And):
-        return and_(*(substitute(a, mapping) for a in e.args))
-    if isinstance(e, Or):
-        return or_(*(substitute(a, mapping) for a in e.args))
-    if isinstance(e, Xor):
-        return xor_(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Mux):
-        return mux(
-            substitute(e.sel, mapping),
-            substitute(e.if_true, mapping),
-            substitute(e.if_false, mapping),
-        )
-    raise ExprError(f"unknown expression node {type(e).__name__}")
+    constructors (so substituted constants fold through).  A subterm
+    shared within ``e`` is rebuilt once."""
+    return _substituter(mapping)(e)
+
+
+def _substituter(mapping: Mapping[str, Expr]) -> Callable[[Expr], Expr]:
+    """:func:`substitute` under a fixed ``mapping``, as a function with
+    one memo from node ids to rebuilt nodes: every root rewritten
+    through it shares the memo, so logic the roots share is rebuilt
+    once and stays shared in the result.  The roots must outlive the
+    function (an id is unique only among live objects)."""
+    memo: Dict[int, Expr] = {}
+
+    def sub(e: Expr) -> Expr:
+        if isinstance(e, Var):
+            return mapping.get(e.name, e)
+        if isinstance(e, Const):
+            return e
+        key = id(e)
+        done = memo.get(key)
+        if done is not None:
+            return done
+        if isinstance(e, Not):
+            done = not_(sub(e.arg))
+        elif isinstance(e, And):
+            done = and_(*map(sub, e.args))
+        elif isinstance(e, Or):
+            done = or_(*map(sub, e.args))
+        elif isinstance(e, Xor):
+            done = xor_(sub(e.left), sub(e.right))
+        elif isinstance(e, Mux):
+            done = mux(sub(e.sel), sub(e.if_true), sub(e.if_false))
+        else:
+            raise ExprError(f"unknown expression node {type(e).__name__}")
+        memo[key] = done
+        return done
+
+    return sub
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..campaign import Campaign, check_kernel, per_item, settle
 from ..parallel import batch_unit, parallel_map_batched
-from .expr import Expr, const, substitute
+from .expr import _substituter, const
 from .netlist import Netlist
+from .transform import _rebuild
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,10 @@ class StuckAt:
         """
         if self.bit not in set(netlist.inputs) | set(netlist.register_names):
             raise ValueError(f"{netlist.name}: no bit {self.bit!r}")
-        mapping: Dict[str, Expr] = {self.bit: const(self.value)}
-        faulty = Netlist(f"{netlist.name}+{self}")
-        for name in netlist.inputs:
-            faulty.add_input(name)
-        for reg in netlist.registers.values():
-            assert reg.next is not None
-            faulty.add_register(
-                reg.name, init=reg.init, next=substitute(reg.next, mapping)
-            )
-        for out_name, expr in netlist.outputs.items():
-            faulty.add_output(out_name, substitute(expr, mapping))
+        faulty = _rebuild(
+            netlist, _substituter({self.bit: const(self.value)})
+        )
+        faulty.name = f"{netlist.name}+{self}"
         return faulty
 
 
@@ -114,19 +108,7 @@ def detects_stuck_at(
     vectors: Sequence[Mapping[str, bool]],
 ) -> Optional[int]:
     """First vector index (1-based) where outputs diverge, else None."""
-    from .compile import compile_step
-
-    faulty = fault.apply(golden)
-    step_g = compile_step(golden)
-    step_f = compile_step(faulty)
-    state_g = golden.reset_state()
-    state_f = faulty.reset_state()
-    for idx, vec in enumerate(vectors, start=1):
-        state_g, out_g = step_g(state_g, vec)
-        state_f, out_f = step_f(state_f, vec)
-        if out_g != out_f:
-            return idx
-    return None
+    return _detect_against(_GoldenOutputs(golden, vectors), fault)
 
 
 #: What a stuck-at task shares across faults: the golden netlist and
@@ -174,9 +156,11 @@ class _GoldenOutputs:
 
 
 def _detect_against(trace: _GoldenOutputs, fault: StuckAt) -> Optional[int]:
-    """:func:`detects_stuck_at` with the golden side read from
-    ``trace``: the same steps in the same order, so the same verdicts
-    and the same exceptions."""
+    """The one stuck-at interpreter loop: the fault's first divergence,
+    with the golden side read from ``trace``.  The mutant is built and
+    both netlists compiled before any vector is read; then each vector
+    steps the golden netlist before the mutant, so a malformed vector
+    raises from the golden step."""
     from .compile import compile_step
 
     faulty = fault.apply(trace.golden)

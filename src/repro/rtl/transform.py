@@ -22,12 +22,29 @@ test model (Figure 3(b)):
 All transforms are *transition-preserving* in the Section 6.1 sense on
 the bits they keep, which the test suite checks by simulating the
 original and transformed netlists side by side.
+
+Every transform builds its result through one helper, ``_rebuild``,
+and every substituting one rewrites all kept roots under one mapping
+through one memo (:func:`~repro.rtl.expr._substituter`): logic that
+several registers or outputs share is rebuilt once and stays one
+object in the result, so the netlists along a derivation stay DAGs
+instead of unfolding into trees.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .expr import (
     Const,
@@ -39,6 +56,7 @@ from .expr import (
     const,
     not_,
     or_,
+    _substituter,
     substitute,
     support,
 )
@@ -59,17 +77,9 @@ def free_registers(netlist: Netlist, names: Iterable[str]) -> Netlist:
     logic that only fed those registers can subsequently be swept.
     """
     targets = _existing_registers(netlist, names)
-    result = Netlist(netlist.name)
-    for inp in netlist.inputs:
-        result.add_input(inp)
-    for name in targets:
-        result.add_input(name)
-    for reg in netlist.registers.values():
-        if reg.name not in targets:
-            result.add_register(reg.name, init=reg.init, next=reg.next)
-    for out_name, expr in netlist.outputs.items():
-        result.add_output(out_name, expr)
-    return result
+    return _rebuild(
+        netlist, inputs=[*netlist.inputs, *targets], drop=set(targets)
+    )
 
 
 def inline_registers(netlist: Netlist, names: Iterable[str]) -> Netlist:
@@ -108,19 +118,7 @@ def inline_registers(netlist: Netlist, names: Iterable[str]) -> Netlist:
             raise TransformError(
                 f"registers {sorted(remaining)} form a cycle; cannot inline"
             )
-    result = Netlist(netlist.name)
-    for inp in netlist.inputs:
-        result.add_input(inp)
-    for reg in regs.values():
-        if reg.name in resolved:
-            continue
-        assert reg.next is not None
-        result.add_register(
-            reg.name, init=reg.init, next=substitute(reg.next, resolved)
-        )
-    for out_name, expr in netlist.outputs.items():
-        result.add_output(out_name, substitute(expr, resolved))
-    return result
+    return _rebuild(netlist, _substituter(resolved), drop=resolved)
 
 
 def remove_outputs(netlist: Netlist, names: Iterable[str]) -> Netlist:
@@ -130,15 +128,10 @@ def remove_outputs(netlist: Netlist, names: Iterable[str]) -> Netlist:
     missing = drop - set(netlist.output_names)
     if missing:
         raise TransformError(f"no such outputs: {sorted(missing)}")
-    result = Netlist(netlist.name)
-    for inp in netlist.inputs:
-        result.add_input(inp)
-    for reg in netlist.registers.values():
-        result.add_register(reg.name, init=reg.init, next=reg.next)
-    for out_name, expr in netlist.outputs.items():
-        if out_name not in drop:
-            result.add_output(out_name, expr)
-    return result
+    return _rebuild(
+        netlist,
+        outputs=[n for n in netlist.output_names if n not in drop],
+    )
 
 
 def keep_outputs(netlist: Netlist, names: Iterable[str]) -> Netlist:
@@ -162,7 +155,6 @@ def sweep(netlist: Netlist) -> Netlist:
     only them die here.
     """
     live = netlist.cone_of(netlist.output_names)
-    result = Netlist(netlist.name)
     # Keep inputs that remain referenced (after register pruning).
     used_bits = set()
     for name in live:
@@ -171,15 +163,11 @@ def sweep(netlist: Netlist) -> Netlist:
             used_bits |= support(nxt)
     for expr in netlist.outputs.values():
         used_bits |= support(expr)
-    for inp in netlist.inputs:
-        if inp in used_bits:
-            result.add_input(inp)
-    for reg in netlist.registers.values():
-        if reg.name in live:
-            result.add_register(reg.name, init=reg.init, next=reg.next)
-    for out_name, expr in netlist.outputs.items():
-        result.add_output(out_name, expr)
-    return result
+    return _rebuild(
+        netlist,
+        inputs=[inp for inp in netlist.inputs if inp in used_bits],
+        drop=set(netlist.register_names) - live,
+    )
 
 
 def constant_registers(
@@ -197,19 +185,7 @@ def constant_registers(
     mapping: Dict[str, Expr] = {
         name: const(values[name]) for name in targets
     }
-    result = Netlist(netlist.name)
-    for inp in netlist.inputs:
-        result.add_input(inp)
-    for reg in netlist.registers.values():
-        if reg.name in targets:
-            continue
-        assert reg.next is not None
-        result.add_register(
-            reg.name, init=reg.init, next=substitute(reg.next, mapping)
-        )
-    for out_name, expr in netlist.outputs.items():
-        result.add_output(out_name, substitute(expr, mapping))
-    return result
+    return _rebuild(netlist, _substituter(mapping), drop=mapping)
 
 
 def constant_inputs(
@@ -221,18 +197,11 @@ def constant_inputs(
     if missing:
         raise TransformError(f"no such inputs: {sorted(missing)}")
     mapping: Dict[str, Expr] = {n: const(v) for n, v in values.items()}
-    result = Netlist(netlist.name)
-    for inp in netlist.inputs:
-        if inp not in drop:
-            result.add_input(inp)
-    for reg in netlist.registers.values():
-        assert reg.next is not None
-        result.add_register(
-            reg.name, init=reg.init, next=substitute(reg.next, mapping)
-        )
-    for out_name, expr in netlist.outputs.items():
-        result.add_output(out_name, substitute(expr, mapping))
-    return result
+    return _rebuild(
+        netlist,
+        _substituter(mapping),
+        inputs=[inp for inp in netlist.inputs if inp not in drop],
+    )
 
 
 def reencode_onehot(
@@ -284,21 +253,11 @@ def reencode_onehot(
     decode_map: Dict[str, Expr] = {
         name: decode(i) for i, name in enumerate(members)
     }
-    result = Netlist(netlist.name)
-    for inp in netlist.inputs:
-        result.add_input(inp)
-    # Surviving registers, with decoded references.
-    for reg in regs.values():
-        if reg.name in decode_map:
-            continue
-        assert reg.next is not None
-        result.add_register(
-            reg.name, init=reg.init, next=substitute(reg.next, decode_map)
-        )
+    decoded = _substituter(decode_map)
+    # Surviving registers and outputs, with decoded references.
+    result = _rebuild(netlist, decoded, drop=decode_map)
     # New binary registers.
-    rewritten_nexts = {
-        name: substitute(regs[name].next, decode_map) for name in members
-    }
+    rewritten_nexts = {name: decoded(regs[name].next) for name in members}
     for bit in range(width):
         terms = [
             rewritten_nexts[name]
@@ -310,8 +269,6 @@ def reencode_onehot(
             init=bool((init_index >> bit) & 1),
             next=or_(*terms) if terms else FALSE,
         )
-    for out_name, expr in netlist.outputs.items():
-        result.add_output(out_name, substitute(expr, decode_map))
     return result
 
 
@@ -346,20 +303,7 @@ def replace_registers(
                 f"replacement for {name!r} references removed registers "
                 f"{sorted(overlap)}"
             )
-    mapping: Dict[str, Expr] = dict(replacements)
-    result = Netlist(netlist.name)
-    for inp in netlist.inputs:
-        result.add_input(inp)
-    for reg in netlist.registers.values():
-        if reg.name in removed:
-            continue
-        assert reg.next is not None
-        result.add_register(
-            reg.name, init=reg.init, next=substitute(reg.next, mapping)
-        )
-    for out_name, expr in netlist.outputs.items():
-        result.add_output(out_name, substitute(expr, mapping))
-    return result
+    return _rebuild(netlist, _substituter(dict(replacements)), drop=removed)
 
 
 def fold_constant_registers(netlist: Netlist) -> Netlist:
@@ -379,12 +323,14 @@ def fold_constant_registers(netlist: Netlist) -> Netlist:
         reg.name: reg.init for reg in netlist.registers.values()
     }
     while True:
-        env = {name: const(value) for name, value in assumed.items()}
+        fold = _substituter(
+            {name: const(value) for name, value in assumed.items()}
+        )
         evicted = []
         for name, value in assumed.items():
             reg = netlist.registers[name]
             assert reg.next is not None
-            folded = substitute(reg.next, env)
+            folded = fold(reg.next)
             if not (isinstance(folded, Const) and folded.value == value):
                 evicted.append(name)
         if not evicted:
@@ -430,7 +376,7 @@ def rename_bits(netlist: Netlist, mapping: Mapping[str, str]) -> Netlist:
     """Rename inputs/registers/outputs (injective)."""
     if len(set(mapping.values())) != len(mapping):
         raise TransformError("bit rename mapping is not injective")
-    subst = {old: Var(new) for old, new in mapping.items()}
+    rename = _substituter({old: Var(new) for old, new in mapping.items()})
 
     def nm(name: str) -> str:
         return mapping.get(name, name)
@@ -439,10 +385,47 @@ def rename_bits(netlist: Netlist, mapping: Mapping[str, str]) -> Netlist:
     for inp in netlist.inputs:
         result.add_input(nm(inp))
     for reg in netlist.registers.values():
-        nxt = substitute(reg.next, subst) if reg.next is not None else None
+        nxt = rename(reg.next) if reg.next is not None else None
         result.add_register(nm(reg.name), init=reg.init, next=nxt)
     for out_name, expr in netlist.outputs.items():
-        result.add_output(out_name, substitute(expr, subst))
+        result.add_output(out_name, rename(expr))
+    return result
+
+
+def _rebuild(
+    netlist: Netlist,
+    rewrite: Optional[Callable[[Expr], Expr]] = None,
+    *,
+    inputs: Optional[Iterable[str]] = None,
+    drop: Container[str] = (),
+    outputs: Optional[Iterable[str]] = None,
+) -> Netlist:
+    """A new netlist of the same name: ``inputs`` (default: the same),
+    every register not in ``drop`` and the outputs named in ``outputs``
+    (default: all), each register's next state and each output passed
+    through ``rewrite`` (default: kept as they are).
+
+    Every substituting transform rewrites with one
+    :func:`~repro.rtl.expr._substituter` per mapping, so logic the
+    rewritten roots share is rebuilt once and stays shared.
+    """
+    result = Netlist(netlist.name)
+    for inp in netlist.inputs if inputs is None else inputs:
+        result.add_input(inp)
+    for reg in netlist.registers.values():
+        if reg.name in drop:
+            continue
+        nxt = reg.next
+        if rewrite is not None:
+            assert nxt is not None
+            nxt = rewrite(nxt)
+        result.add_register(reg.name, init=reg.init, next=nxt)
+    kept = netlist.outputs
+    for out_name in kept if outputs is None else outputs:
+        expr = kept[out_name]
+        result.add_output(
+            out_name, expr if rewrite is None else rewrite(expr)
+        )
     return result
 
 

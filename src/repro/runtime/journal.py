@@ -34,7 +34,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 #: Journal/manifest format version; bumped on incompatible changes.
 FORMAT_VERSION = 1
@@ -257,13 +257,3 @@ def check_manifest(
         raise ManifestMismatch(
             f"cannot resume: run identity changed ({detail})"
         )
-
-
-def journal_digest(parts: Iterable[str]) -> str:
-    """SHA-256 over an iterable of strings (order-sensitive); used to
-    pin fault populations / bug catalogs in the manifest."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part.encode("utf-8", "backslashreplace"))
-        h.update(b"\x00")
-    return h.hexdigest()

@@ -50,6 +50,7 @@ from ..parallel import (
     inputs_fingerprint,
     machine_fingerprint,
 )
+from ..parallel.fingerprints import _digest
 from ..validation.harness import DlxKind, ReplayedMismatch  # noqa: F401
 from .journal import (
     JOURNAL_NAME,
@@ -61,7 +62,6 @@ from .journal import (
     RunDirError,
     atomic_write_json,
     check_manifest,
-    journal_digest,
     read_manifest,
     write_manifest,
 )
@@ -90,7 +90,7 @@ def fsm_campaign_identity(
         "machine_fingerprint": machine_fingerprint(spec),
         "test_fingerprint": inputs_fingerprint(tuple(test)),
         "fault_count": len(population),
-        "fault_digest": journal_digest(repr(f) for f in population),
+        "fault_digest": _digest(repr(f) for f in population),
         "kernel": kernel,
         "timeout": timeout,
     }
@@ -112,7 +112,7 @@ def dlx_campaign_identity(
             [(p, dict(d) if d else None, o) for p, d, o in tests]
         ),
         "catalog_count": len(catalog),
-        "catalog_digest": journal_digest(
+        "catalog_digest": _digest(
             f"{entry.name}:{entry.bugs!r}" for entry in catalog
         ),
         "kernel": kernel,

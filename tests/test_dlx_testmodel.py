@@ -4,6 +4,8 @@ These use module-scoped fixtures because building the models costs
 seconds; the heavyweight end-to-end campaign lives in the benchmarks.
 """
 
+import hashlib
+
 import pytest
 
 from repro.bdd import from_netlist, reachable_states
@@ -239,3 +241,45 @@ class TestTourModel:
         fsm = from_netlist(net, valid=or_(*cubes), partitioned=True)
         result = reachable_states(fsm)
         assert result.num_states == len(tiny_model.machine)
+
+
+def _sha(parts):
+    """SHA-256 over NUL-terminated parts."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode("utf-8"))
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
+class TestPinnedDerivation:
+    """The derivation's exact results, pinned: the rewrites may share
+    logic differently and the code generator may spell it differently,
+    but neither may change what the trail netlists are or what the
+    extracted tour model does."""
+
+    TRAIL_DIGEST = (
+        "32d9302e73fc145bc39613f8b160e1699ff1459278220a83be09fad28bac2112"
+    )
+    TOUR_DIGEST = (
+        "38092f990827006509a0654df2d6cf50d89714856609bc04659f5430a54689ad"
+    )
+
+    def test_trail_is_pinned(self, trail):
+        parts = []
+        for label, net in trail:
+            parts.append(label)
+            parts.extend(net.inputs)
+            parts.extend(
+                f"{reg.name} {int(reg.init)} {reg.next!r}"
+                for reg in net.registers.values()
+            )
+            parts.extend(f"{name} {expr!r}" for name, expr in net.outputs.items())
+        assert _sha(parts) == self.TRAIL_DIGEST
+
+    def test_tour_model_transitions_are_pinned(self, tiny_model):
+        machine = tiny_model.machine
+        parts = [repr(machine.initial)]
+        parts.extend(map(repr, machine.transitions))
+        parts.extend(map(repr, sorted(tiny_model.output_values.items())))
+        assert _sha(parts) == self.TOUR_DIGEST

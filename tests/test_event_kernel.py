@@ -24,7 +24,6 @@ from repro.dlx.testmodel import derive_test_model
 from repro.kernel import compiled_netlist, stuck_at_first_divergences
 from repro.kernel.netlist_kernel import _input_columns
 from repro.obs.events import RingBufferSink, scoped_bus
-from repro.rtl.compile import compile_step
 from repro.rtl.expr import Const, Var, and_, mux, not_, or_, xor_
 from repro.rtl.faults import StuckAt, all_stuck_at_faults, detects_stuck_at
 from repro.rtl.netlist import Netlist
@@ -106,8 +105,10 @@ def phase_vectors(farm, block_inputs, seed: int, phases, flip=0.5):
 
 def plain_trace(netlist: Netlist, vectors):
     """Per base slot (inputs, then registers), the bitmask of cycles
-    on which the slot's golden value is 1, from a plain one-lane run."""
-    step = compile_step(netlist)
+    on which the slot's golden value is 1, from the interpreter
+    (``Netlist.step``: the kernel under test shares its code generator
+    with ``compile_step``, so the reference must not)."""
+    step = netlist.step
     state = netlist.reset_state()
     names = list(netlist.inputs) + list(netlist.register_names)
     gbits = [0] * len(names)

@@ -45,11 +45,27 @@ def random_netlist(rng: random.Random, n_inputs=3, n_regs=4, depth=3):
     return net
 
 
+def same_operand_gates():
+    """Gates of every kind over the same bits: structural dedup must
+    key a gate by its type as well as its operands."""
+    net = Netlist("same-operands")
+    a, b, s = (net.add_input(n) for n in ("a", "b", "s"))
+    q = net.add_register("q", init=False, next=xor_(a, b))
+    net.add_output("and", and_(a, b))
+    net.add_output("or", or_(a, b))
+    net.add_output("xor", xor_(a, b))
+    net.add_output("mux", mux(s, a, b))
+    net.add_output("xum", mux(s, b, a))
+    net.add_output("nq", not_(q))
+    return net
+
+
 FIXED_NETLISTS = [
     counter_netlist(3),
     toggle_netlist(),
     pipeline_netlist(),
     onehot_fsm(),
+    same_operand_gates(),
 ]
 
 
@@ -122,3 +138,24 @@ def test_compiled_is_faster_than_interpreter():
         net.step(state, vec)
     interpreted = time.perf_counter() - t0
     assert compiled < interpreted
+
+
+def test_shared_tower_compiles_each_gate_once():
+    """A subterm shared by several parents is emitted once: a 20-level
+    raw ``Xor(e, e)`` tower has 2**20 tree nodes but 20 distinct gates,
+    so only a DAG emitter compiles it within the bound."""
+    import time
+
+    from repro.rtl.expr import Var, Xor
+
+    net = Netlist("tower")
+    net.add_register("q", init=True)
+    e = Var("q")
+    for _level in range(20):
+        e = Xor(e, e)
+    net.set_next("q", e)
+    net.add_output("o", Var("q"))
+    t0 = time.perf_counter()
+    step = compile_step(net)
+    assert time.perf_counter() - t0 < 1.0
+    assert step({"q": True}, {}) == ({"q": False}, {"o": True})

@@ -26,6 +26,7 @@ from repro.rtl import (
     var,
     xor_,
 )
+from repro.rtl.faults import StuckAt
 
 
 def pipeline_netlist():
@@ -260,3 +261,34 @@ class TestRenameAndPipeline:
         assert labels == ["initial", "drop dout", "sweep", "inline grant latch"]
         assert counts == [3, 3, 2, 1]
         assert counts == sorted(counts, reverse=True)
+
+
+def shared_logic_netlist():
+    """Two registers reading one subterm that reads the bits the
+    rewrites below target."""
+    n = Netlist("shared")
+    a, b, w = n.add_inputs(["a", "b", "w"])
+    t = n.add_register("t", init=False, next=not_(a))
+    shared = xor_(a, and_(b, w, t))
+    n.add_register("r1", init=False, next=not_(shared))
+    n.add_register("r2", init=True, next=and_(shared, b))
+    return n
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda n: StuckAt("w", True).apply(n),
+        lambda n: constant_inputs(n, {"w": True}),
+        lambda n: inline_registers(n, ["t"]),
+    ],
+    ids=["stuck-at", "constant-inputs", "inline-registers"],
+)
+def test_rewrites_keep_shared_logic_shared(rewrite):
+    """A rewrite rebuilds logic shared by several roots once: the
+    result keeps one object where the source had one, so derived
+    netlists stay DAGs instead of unfolding into trees."""
+    regs = rewrite(shared_logic_netlist()).registers
+    left, right = regs["r1"].next.arg, regs["r2"].next.args[0]
+    assert left == right
+    assert left is right
