@@ -10,8 +10,9 @@ generators' test suites, and a streaming tracker for long simulations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
+    Dict,
     FrozenSet,
     Iterable,
     List,
@@ -80,13 +81,14 @@ def state_coverage(
     inputs: Sequence[Input],
     start: Optional[State] = None,
 ) -> CoverageReport:
-    """State coverage achieved by one input sequence."""
+    """State coverage achieved by one input sequence.
+
+    Raises :class:`~repro.core.mealy.MealyError` on an undefined step,
+    as :meth:`MealyMachine.trace` does.
+    """
     root = machine.initial if start is None else start
-    visited: Set[State] = {root}
-    state = root
-    for inp in inputs:
-        state, _out = machine.step(state, inp)
-        visited.add(state)
+    visited = {root}
+    visited.update(t.dst for t in machine.trace(inputs, start=root))
     return CoverageReport(
         kind="state",
         covered=frozenset(visited),
@@ -100,22 +102,9 @@ def transition_coverage(
     start: Optional[State] = None,
 ) -> CoverageReport:
     """Transition coverage achieved by one input sequence."""
-    root = machine.initial if start is None else start
-    covered: Set[Transition] = set()
-    state = root
-    for inp in inputs:
-        t = machine.transition(state, inp)
-        if t is None:
-            raise ValueError(
-                f"{machine.name}: undefined step from {state!r} on {inp!r}"
-            )
-        covered.add(t)
-        state = t.dst
-    return CoverageReport(
-        kind="transition",
-        covered=frozenset(covered),
-        total=reachable_transitions(machine, start=root),
-    )
+    tracker = CoverageTracker(machine, start=start)
+    tracker.feed_all(inputs)
+    return tracker.transition_report()
 
 
 def is_transition_tour(
@@ -148,10 +137,15 @@ def is_state_tour(
 class CoverageTracker:
     """Streaming state/transition coverage accumulator.
 
-    Feed it one input at a time (e.g. while co-simulating a long test
-    set) and query coverage at any point without re-walking the
-    sequence.  Used by the validation harness to report coverage next
-    to mismatch results.
+    The one streaming replay of a test set.  Feed it one input at a
+    time (e.g. while replaying a long test set) and query coverage at
+    any point without re-walking the sequence.  Besides the covered
+    states it keeps, per transition, the ``visit_counts`` (traversals
+    so far) and the ``first_visit`` step (1-based) -- steps, not wall
+    time, so the record is deterministic.  :func:`transition_coverage`
+    and :func:`coverage_profile` run on it;
+    :class:`repro.obs.telemetry.CoverageTelemetry` adds snapshots and
+    the metrics fold.
     """
 
     def __init__(self, machine: MealyMachine, start: Optional[State] = None):
@@ -159,8 +153,9 @@ class CoverageTracker:
         self._state = machine.initial if start is None else start
         self._start = self._state
         self._states: Set[State] = {self._state}
-        self._transitions: Set[Transition] = set()
         self._steps = 0
+        self.visit_counts: Dict[Transition, int] = {}
+        self.first_visit: Dict[Transition, int] = {}
 
     @property
     def state(self) -> State:
@@ -180,10 +175,13 @@ class CoverageTracker:
                 f"{self._machine.name}: undefined step from "
                 f"{self._state!r} on {inp!r}"
             )
-        self._transitions.add(t)
+        self._steps += 1
+        count = self.visit_counts.get(t, 0)
+        if count == 0:
+            self.first_visit[t] = self._steps
+        self.visit_counts[t] = count + 1
         self._state = t.dst
         self._states.add(t.dst)
-        self._steps += 1
         return t.dst, t.out
 
     def feed_all(self, inputs: Iterable[Input]) -> None:
@@ -203,7 +201,7 @@ class CoverageTracker:
         """Coverage of reachable transitions so far."""
         return CoverageReport(
             kind="transition",
-            covered=frozenset(self._transitions),
+            covered=frozenset(self.visit_counts),
             total=reachable_transitions(self._machine, start=self._start),
         )
 
@@ -232,7 +230,7 @@ def coverage_profile(
             (
                 step,
                 len(tracker._states) / n_states,
-                len(tracker._transitions) / n_trans,
+                len(tracker.visit_counts) / n_trans,
             )
         )
     return profile

@@ -118,13 +118,6 @@ class StageFields:
         self.rd = bv_vars(f"{stage}_rd", 5)
         self.valid = bv_vars(f"v_{stage}", 1)[0]
 
-    @property
-    def all_bits(self) -> List[str]:
-        names = []
-        for vec in (self.op, self.rs1, self.rs2, self.rd):
-            names.extend(b.name for b in vec)
-        return names
-
     # -- decode ---------------------------------------------------------
     def op_is(self, code: int) -> Expr:
         return bv_eq_const(self.op, code)
@@ -214,13 +207,6 @@ class StageFields:
 def _add_vec_registers(net: Netlist, prefix: str, width: int) -> None:
     for i in range(width):
         net.add_register(f"{prefix}[{i}]")
-
-
-def _set_vec_next(
-    net: Netlist, prefix: str, width: int, exprs
-) -> None:
-    for i in range(width):
-        net.set_next(f"{prefix}[{i}]", exprs[i])
 
 
 def build_control_netlist() -> Netlist:
@@ -486,10 +472,3 @@ def build_control_netlist() -> Netlist:
     net.validate()
     return net
 
-
-def combinational_signals() -> Tuple[str, ...]:
-    """Names of the latched control signals, bit-expanded."""
-    names = []
-    for name, width in OUTPUT_SIGNALS:
-        names.extend(f"{name}[{i}]" for i in range(width))
-    return tuple(names)

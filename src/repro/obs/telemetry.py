@@ -1,12 +1,12 @@
 """Live coverage telemetry for tour replay and fault campaigns.
 
-:class:`CoverageTelemetry` is the instrumented cousin of
-:class:`repro.core.coverage.CoverageTracker`: besides the covered
-set it keeps **per-transition visit counts** and **first-visit step
-indices** (steps, not wall time, so the record is deterministic and
-survives the jobs=1 vs jobs=N differential comparison), and can emit
-incremental :class:`~repro.core.coverage.CoverageReport` snapshots
-while the replay is still running.
+:class:`CoverageTelemetry` is :class:`repro.core.coverage.CoverageTracker`
+-- the one streaming replay, with its **per-transition visit counts**
+and **first-visit step indices** (steps, not wall time, so the record
+is deterministic and survives the jobs=1 vs jobs=N differential
+comparison) -- plus incremental
+:class:`~repro.core.coverage.CoverageReport` snapshots emitted while
+the replay is still running.
 
 :meth:`CoverageTelemetry.finalize` folds the accumulated telemetry
 into the metrics registry:
@@ -26,16 +26,21 @@ empirical) are folded in by :func:`record_detection_latencies`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from ..core.coverage import CoverageReport, reachable_transitions
-from ..core.mealy import Input, MealyMachine, State, Transition
+from ..core.coverage import (
+    CoverageReport,
+    CoverageTracker,
+    reachable_transitions,
+)
+from ..core.mealy import Input, MealyMachine, State
 from .events import emit_event
 from .metrics import STEP_BUCKETS, MetricsRegistry, get_registry
 
 
-class CoverageTelemetry:
-    """Streaming coverage accumulator with visit counts and snapshots.
+class CoverageTelemetry(CoverageTracker):
+    """A :class:`~repro.core.coverage.CoverageTracker` that also
+    records coverage snapshots and folds into the metrics registry.
 
     Parameters
     ----------
@@ -54,48 +59,20 @@ class CoverageTelemetry:
         start: Optional[State] = None,
         snapshot_every: int = 0,
     ) -> None:
-        self._machine = machine
-        self._start = machine.initial if start is None else start
-        self._state = self._start
-        self._steps = 0
+        super().__init__(machine, start=start)
         self._snapshot_every = snapshot_every
-        self.visit_counts: Dict[Transition, int] = {}
-        self.first_visit: Dict[Transition, int] = {}
         self.snapshots: List[Tuple[int, CoverageReport]] = []
         self._total = reachable_transitions(machine, start=self._start)
 
-    @property
-    def steps(self) -> int:
-        return self._steps
-
-    @property
-    def state(self) -> State:
-        return self._state
-
     def feed(self, inp: Input) -> Tuple[State, object]:
         """Advance the replay by one input; returns (state, output)."""
-        t = self._machine.transition(self._state, inp)
-        if t is None:
-            raise ValueError(
-                f"{self._machine.name}: undefined step from "
-                f"{self._state!r} on {inp!r}"
-            )
-        self._steps += 1
-        count = self.visit_counts.get(t, 0)
-        if count == 0:
-            self.first_visit[t] = self._steps
-        self.visit_counts[t] = count + 1
-        self._state = t.dst
+        moved = super().feed(inp)
         if (
             self._snapshot_every
             and self._steps % self._snapshot_every == 0
         ):
             self._take_snapshot()
-        return t.dst, t.out
-
-    def feed_all(self, inputs: Iterable[Input]) -> None:
-        for inp in inputs:
-            self.feed(inp)
+        return moved
 
     def snapshot(self) -> CoverageReport:
         """Transition coverage achieved so far."""

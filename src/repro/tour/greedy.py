@@ -16,7 +16,7 @@ Chinese-postman tours from :mod:`repro.tour.postman`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from ..core.mealy import MealyMachine, State, Transition
 from ..obs import get_registry, span
@@ -150,32 +150,50 @@ def greedy_transition_transitions(
     return tour
 
 
+def _shortest_walk(
+    machine: MealyMachine,
+    start: State,
+    goal: Callable[[Transition], bool],
+) -> Optional[List[Transition]]:
+    """The shortest walk from ``start`` whose last transition satisfies
+    ``goal``, or None when no such walk exists.
+
+    The one breadth-first search under every nearest-target tour
+    builder.  Each state's transitions are scanned in their sorted
+    order, so ties between equally short walks break the same way in
+    every process, whatever the hash seed.
+    """
+    parent: Dict[State, Transition] = {}
+    seen = {start}
+    work = deque([start])
+    while work:
+        s = work.popleft()
+        for t in machine.transitions_from(s):
+            if goal(t):
+                path = [t]
+                while s != start:
+                    back = parent[s]
+                    path.append(back)
+                    s = back.src
+                path.reverse()
+                return path
+            if t.dst not in seen:
+                seen.add(t.dst)
+                parent[t.dst] = t
+                work.append(t.dst)
+    return None
+
+
 def _path_between(
     machine: MealyMachine, src: State, dst: State
 ) -> List[Transition]:
     """Shortest transition path from ``src`` to ``dst`` (BFS)."""
     if src == dst:
         return []
-    parent: Dict[State, Transition] = {}
-    seen = {src}
-    work = deque([src])
-    while work:
-        s = work.popleft()
-        for t in machine.transitions_from(s):
-            if t.dst not in seen:
-                seen.add(t.dst)
-                parent[t.dst] = t
-                if t.dst == dst:
-                    path = []
-                    node = dst
-                    while node != src:
-                        back = parent[node]
-                        path.append(back)
-                        node = back.src
-                    path.reverse()
-                    return path
-                work.append(t.dst)
-    raise PostmanError(f"{machine.name}: no path from {src!r} to {dst!r}")
+    path = _shortest_walk(machine, src, lambda t: t.dst == dst)
+    if path is None:
+        raise PostmanError(f"{machine.name}: no path from {src!r} to {dst!r}")
+    return path
 
 
 def random_walk_transitions(

@@ -29,17 +29,17 @@ journaled or not) consumes suites exactly like tours.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..core.mealy import Input, MealyMachine, State
+from ..core.mealy import Input, MealyMachine
 from ..core.minimize import minimize
 from ..obs import get_registry, span
 from ..obs.events import emit_event
 from .charset import (
     Sequence_,
     SuiteError,
+    access_sequences,
     characterization_set,
     drop_prefixes,
     harmonized_state_identifiers,
@@ -268,23 +268,16 @@ def canonical_minimal(machine: MealyMachine) -> MealyMachine:
     Suite construction happens on this machine: it is trace-equivalent
     to the input (so every generated input sequence means the same
     thing on the original), minimal (so characterization sets exist),
-    and relabelled ``0..n-1`` in breadth-first order over sorted
-    inputs -- which makes the derived suites byte-identical across
-    processes regardless of ``PYTHONHASHSEED``.
+    and relabelled ``0..n-1`` in the order of its
+    :func:`~repro.tour.charset.access_sequences` (breadth-first over
+    sorted inputs) -- which makes the derived suites byte-identical
+    across processes regardless of ``PYTHONHASHSEED``.
     """
     reach = machine.restrict_to_reachable()
     require_complete(reach)
     mini = minimize(reach)
-    order: Dict[State, int] = {mini.initial: 0}
-    work = deque([mini.initial])
-    while work:
-        s = work.popleft()
-        for inp in sorted(mini.inputs, key=repr):
-            t = mini.transition(s, inp)
-            if t is not None and t.dst not in order:
-                order[t.dst] = len(order)
-                work.append(t.dst)
-    return mini.rename_states(lambda s: order[s])
+    order = {s: i for i, s in enumerate(access_sequences(mini))}
+    return mini.rename_states(order.__getitem__)
 
 
 def _extension_set(

@@ -18,11 +18,10 @@ regression test sets.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from ..core.mealy import MealyMachine, State, Transition
-from .greedy import _path_between
+from .greedy import _path_between, _shortest_walk
 from .postman import PostmanError
 
 
@@ -54,7 +53,7 @@ def greedy_rural_transitions(
     state = root
     tour: List[Transition] = []
     while want:
-        path = _nearest_required(machine, state, want)
+        path = _shortest_walk(machine, state, want.__contains__)
         if path is None:
             raise PostmanError(
                 f"{machine.name}: cannot reach any of {len(want)} "
@@ -67,32 +66,6 @@ def greedy_rural_transitions(
     if close_tour and state != root:
         tour.extend(_path_between(machine, state, root))
     return tour
-
-
-def _nearest_required(
-    machine: MealyMachine, start: State, want: Set[Transition]
-) -> Optional[List[Transition]]:
-    """Shortest path from ``start`` through some transition in ``want``."""
-    parent: Dict[State, Transition] = {}
-    seen = {start}
-    work = deque([start])
-    while work:
-        s = work.popleft()
-        for t in machine.transitions_from(s):
-            if t in want:
-                path = [t]
-                node = s
-                while node != start:
-                    back = parent[node]
-                    path.append(back)
-                    node = back.src
-                path.reverse()
-                return path
-            if t.dst not in seen:
-                seen.add(t.dst)
-                parent[t.dst] = t
-                work.append(t.dst)
-    return None
 
 
 def rural_lower_bound(required: Iterable[Transition]) -> int:

@@ -24,11 +24,11 @@ from ..core.mealy import Input, MealyMachine, State, Transition
 from ..obs import get_registry, span
 from .greedy import (
     _path_between,
+    _shortest_walk,
     greedy_transition_transitions,
     random_walk_transitions,
 )
 from .postman import PostmanError, chinese_postman_transitions
-from .rural import greedy_rural_transitions
 from .uio import uio_sequence
 
 
@@ -161,10 +161,10 @@ def state_tour(
     walk: List[Transition] = []
     with span("tour.generate", model=machine.name, method="state"):
         while unvisited:
-            target = min(unvisited, key=repr)
-            # Walk to the nearest unvisited state (any of them): BFS
-            # from the current state until an unvisited state is hit.
-            path = _path_to_any(reachable, state, unvisited)
+            # Walk to the nearest unvisited state (any of them).
+            path = _shortest_walk(
+                reachable, state, lambda t: t.dst in unvisited
+            )
             if path is None:
                 raise PostmanError(
                     f"{machine.name}: states "
@@ -176,34 +176,6 @@ def state_tour(
                 state = t.dst
                 unvisited.discard(state)
     return _from_transitions(machine, "state", root, walk)
-
-
-def _path_to_any(
-    machine: MealyMachine, start: State, targets
-) -> Optional[List[Transition]]:
-    """Shortest path from ``start`` to any state in ``targets``."""
-    from collections import deque
-
-    parent = {}
-    seen = {start}
-    work = deque([start])
-    while work:
-        s = work.popleft()
-        for t in machine.transitions_from(s):
-            if t.dst not in seen:
-                seen.add(t.dst)
-                parent[t.dst] = t
-                if t.dst in targets:
-                    path = []
-                    node = t.dst
-                    while node != start:
-                        back = parent[node]
-                        path.append(back)
-                        node = back.src
-                    path.reverse()
-                    return path
-                work.append(t.dst)
-    return None
 
 
 def checking_tour(
@@ -224,11 +196,12 @@ def checking_tour(
     ------
     PostmanError
         If some state lacks a UIO of length <= ``uio_max_len`` (the
-        construction is then inapplicable).
+        construction is then inapplicable); the message names the
+        first such state in ``repr`` order.
     """
     root = machine.initial if start is None else start
     uios = {}
-    for s in machine.states:
+    for s in sorted(machine.states, key=repr):
         seq = uio_sequence(machine, s, max_len=uio_max_len)
         if seq is None:
             raise PostmanError(
@@ -240,7 +213,7 @@ def checking_tour(
     state = root
     pending = set(machine.restrict_to_reachable().transitions)
     while pending:
-        path = _nearest_pending(machine, state, pending)
+        path = _shortest_walk(machine, state, pending.__contains__)
         if path is None:
             raise PostmanError(
                 f"{machine.name}: cannot reach remaining transitions"
@@ -268,32 +241,6 @@ def checking_tour(
         for t in _path_between(machine, state, root):
             walk.append(t)
     return _from_transitions(machine, "checking", root, walk)
-
-
-def _nearest_pending(machine: MealyMachine, start: State, pending):
-    """Shortest path from ``start`` through some pending transition."""
-    from collections import deque
-
-    parent = {}
-    seen = {start}
-    work = deque([start])
-    while work:
-        s = work.popleft()
-        for t in machine.transitions_from(s):
-            if t in pending:
-                path = [t]
-                node = s
-                while node != start:
-                    back = parent[node]
-                    path.append(back)
-                    node = back.src
-                path.reverse()
-                return path
-            if t.dst not in seen:
-                seen.add(t.dst)
-                parent[t.dst] = t
-                work.append(t.dst)
-    return None
 
 
 def random_tour(

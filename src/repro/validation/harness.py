@@ -201,8 +201,8 @@ def _bug_entry_task(
 ) -> Tuple[bool, Optional[Mismatch]]:
     """Per-catalog-entry interpreter task: run the battery until the
     bug produces a mismatch.  The oracle, and through
-    :func:`~repro.campaign.per_item` the interp sweep's batch body
-    (module-level so workers can unpickle it)."""
+    :func:`~repro.campaign.per_item` the sweep's batch body under
+    either kernel (module-level so workers can unpickle it)."""
     for program, data, oracle, expected in shared:
         result = _co_simulate(
             list(program),
@@ -215,20 +215,6 @@ def _bug_entry_task(
         if not result.passed:
             return (True, result.mismatch)
     return (False, None)
-
-
-def _bug_entry_batch_task(
-    shared: Tuple[Tuple, ...], batch: Sequence[BugEntry]
-) -> List[Tuple[str, object]]:
-    """The compiled sweep's batch body: one ``("ok", (detected,
-    mismatch))`` or ``("err", message)`` per catalog entry.
-
-    The DLX has no compiled co-simulator: this runs
-    :func:`_bug_entry_task` per entry, as the interp body does.  The
-    sweep looks it up at call time, so a substitute installed here
-    takes effect.
-    """
-    return per_item(_bug_entry_task, shared, batch)
 
 
 def sweep_bug_verdicts(
@@ -248,21 +234,18 @@ def sweep_bug_verdicts(
     :func:`repro.campaign.settle`) instead of aborting the sweep.
     Batching amortizes the per-task pickling of the shared battery
     (programs + precomputed spec streams), which dominates the
-    dispatch cost; batches hold up to ``DEFAULT_LANES - 1`` entries,
-    and ``kernel`` picks only the batch body.
+    dispatch cost; batches hold up to ``DEFAULT_LANES - 1`` entries.
+    The DLX has no compiled co-simulator, so either ``kernel`` runs
+    :func:`_bug_entry_task` per entry.
     """
     entries = list(entries)
     if not entries:
         return []
-    body = (
-        _bug_entry_batch_task if kernel == "compiled"
-        else partial(per_item, _bug_entry_task)
-    )
     # Keep at least jobs*4 batches in flight so a short catalog still
     # fans out across every worker.
     outcomes = parallel_map_batched(
-        body, entries, shared=prepared, jobs=jobs, timeout=timeout,
-        retries=retries,
+        partial(per_item, _bug_entry_task), entries, shared=prepared,
+        jobs=jobs, timeout=timeout, retries=retries,
         batch_size=batch_unit(len(entries), jobs, DEFAULT_LANES - 1),
     )
     # The correct design always halts well inside the budget, so a
@@ -443,9 +426,9 @@ def run_bug_campaign(
     the full ``max_cycles`` bound.
 
     Either ``kernel`` hands workers small *batches* of catalog
-    entries, amortizing the per-task shipping of the shared battery;
-    both co-simulate each entry of a batch in turn (the interp body is
-    the per-entry oracle), and rows are byte-identical either way.
+    entries, amortizing the per-task shipping of the shared battery,
+    and runs one body: it co-simulates each entry of a batch in turn
+    on the per-entry oracle, so rows are byte-identical either way.
     """
     check_kernel(kernel)
     campaign = Campaign(DlxKind(tests, catalog, test_name))

@@ -6,8 +6,12 @@ importer must invert :func:`to_blif` behaviourally.
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ParseError
 from repro.core.kiss import KissError, from_kiss, load_kiss, to_kiss
@@ -273,3 +277,72 @@ class TestBlifRoundTrip:
         net = load_blif(str(path), name="toggle")
         assert net.name == "toggle"
         net.validate()
+
+
+#: The bundled corpus files, by name.
+CORPUS_TEXTS = {
+    path.name: path.read_text()
+    for path in sorted(
+        (Path(__file__).resolve().parent.parent / "examples" / "corpus")
+        .iterdir()
+    )
+    if path.suffix in (".kiss", ".blif")
+}
+
+#: Pieces worth inserting besides the file's own: both formats'
+#: keywords, a continuation, a comment, a don't-care and bad digits.
+EXTRA_PIECES = (
+    ".e", ".end", ".names", ".latch", ".model", ".r", ".i", ".s",
+    "\\\n", "#", "-", "2", "9", " ", "\n",
+)
+
+
+def _pieces(text, unit):
+    if unit == "char":
+        return list(text)
+    if unit == "line":
+        return text.splitlines(keepends=True)
+    return re.split(r"(\s+)", text)
+
+
+@st.composite
+def mutated_corpus_file(draw):
+    """A corpus file after a few character, token or line insertions,
+    deletions and swaps."""
+    name = draw(st.sampled_from(sorted(CORPUS_TEXTS)))
+    text = CORPUS_TEXTS[name]
+    for _ in range(draw(st.integers(1, 4))):
+        pieces = _pieces(text, draw(st.sampled_from(("char", "token", "line"))))
+        if not pieces:
+            break
+        at = draw(st.integers(0, len(pieces) - 1))
+        action = draw(st.sampled_from(("insert", "delete", "swap")))
+        if action == "insert":
+            pieces.insert(at, draw(st.sampled_from(pieces + list(EXTRA_PIECES))))
+        elif action == "delete":
+            del pieces[at]
+        else:
+            other = draw(st.integers(0, len(pieces) - 1))
+            pieces[at], pieces[other] = pieces[other], pieces[at]
+        text = "".join(pieces)
+    return name, text
+
+
+class TestMutatedCorpus:
+    def test_corpus_files_are_both_formats(self):
+        suffixes = {name.rsplit(".", 1)[1] for name in CORPUS_TEXTS}
+        assert suffixes == {"kiss", "blif"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_corpus_file())
+    def test_parses_or_raises_located_parse_error(self, case):
+        """A mutated file parses or raises a :class:`ParseError` with
+        the given path and, unless the error concerns the whole file
+        (KISS text without transitions), a line."""
+        name, text = case
+        parse = from_kiss if name.endswith(".kiss") else from_blif
+        try:
+            parse(text, path=name)
+        except ParseError as err:
+            assert err.path == name
+            assert err.line is not None or err.message == "no transitions"

@@ -449,12 +449,12 @@ class TestDegradation:
         catalog = list(BUG_CATALOG[:3])
         plain = run_bug_campaign(tests, catalog, "dlx", jobs=1)
 
-        def poisoned(shared, batch):
+        def poisoned(task, shared, batch):
             raise RuntimeError("batch task poisoned")
 
-        monkeypatch.setattr(
-            harness, "_bug_entry_batch_task", poisoned
-        )
+        # Every batch body fails; the oracle re-run calls
+        # _bug_entry_task directly, so the verdicts stay the same.
+        monkeypatch.setattr(harness, "per_item", poisoned)
         result = run_bug_campaign(tests, catalog, "dlx", jobs=1)
         assert result.to_json_dict() == plain.to_json_dict()
         assert result.degraded and not plain.degraded

@@ -34,6 +34,20 @@ from repro.tour import (
 from repro.tour.eulerian import EulerianError
 
 
+def _run_with_hash_seed(script, hash_seed):
+    """The standard output of ``script`` in a fresh interpreter under
+    ``PYTHONHASHSEED=hash_seed``."""
+    src = os.path.abspath(
+        os.path.join(os.path.dirname(repro.__file__), os.pardir)
+    )
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+
+
 class TestMinCostFlow:
     def test_direct_route(self):
         net = MinCostFlow()
@@ -226,18 +240,10 @@ for seed in range(12):
     def test_tour_independent_of_hash_seed(self):
         """String states hash differently per process; the tour (and
         so every store key and manifest built from it) must not."""
-        src = os.path.abspath(
-            os.path.join(os.path.dirname(repro.__file__), os.pardir)
-        )
-        tours = []
-        for hash_seed in ("0", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-            tours.append(subprocess.run(
-                [sys.executable, "-c", self.TOURS_SCRIPT],
-                env=env, capture_output=True, text=True, check=True,
-                timeout=120,
-            ).stdout)
+        tours = [
+            _run_with_hash_seed(self.TOURS_SCRIPT, hash_seed)
+            for hash_seed in ("0", "2")
+        ]
         assert tours[0].count("\n") == 12
         assert tours[0] == tours[1]
 
@@ -350,3 +356,27 @@ class TestCheckingTour:
 
         tour = checking_tour(machine)
         assert detect_fault(machine, fault, tour.inputs).detected
+
+    #: A random machine none of whose states has a UIO.
+    NO_UIO_SCRIPT = """
+import random
+from repro.core.generate import random_mealy
+from repro.tour import PostmanError, checking_tour
+
+try:
+    checking_tour(random_mealy(random.Random(13), 3, 2, 2))
+except PostmanError as exc:
+    print(exc)
+"""
+
+    def test_no_uio_error_independent_of_hash_seed(self):
+        """The error names the first state in ``repr`` order that has
+        no UIO, whatever order the state set iterates in."""
+        messages = [
+            _run_with_hash_seed(self.NO_UIO_SCRIPT, hash_seed)
+            for hash_seed in ("0", "1")
+        ]
+        assert messages[0] == messages[1] == (
+            "random: state 's0' has no UIO sequence of length <= 8; "
+            "checking tour inapplicable\n"
+        )
