@@ -881,8 +881,10 @@ def _add_campaign_flags(
         choices=KERNELS,
         default="compiled",
         help="simulation kernel: 'compiled' replays fault batches "
-        "against dense-table compilations, 'interp' walks the "
-        "machines per fault (the differential oracle); verdicts are "
+        "against dense-table compilations and, for the DLX catalog, "
+        "gives every bug whose flag a test never sensitizes that "
+        "test's golden-run verdict unsimulated; 'interp' simulates "
+        "every fault in full (the differential oracle); verdicts are "
         "byte-identical, and the kernel is part of a campaign's "
         "identity",
     )

@@ -29,7 +29,13 @@ abstracted from.
 The :class:`PipelineBugs` knobs inject realistic design errors
 (interlock dropped, bypass path missing, squash miscounted, ...) --
 the error population for the DLX validation experiments; see
-:mod:`repro.dlx.buggy` for the catalog.
+:mod:`repro.dlx.buggy` for the catalog.  Every knob is read at the
+decision site it corrupts, together with that site's *sensitizing
+condition*: whether setting the knob alone would change this cycle's
+decision.  A run records the first cycle each knob was sensitized
+(:attr:`PipelinedDLX.first_sensitized`); on a run of the correct
+design, a knob never recorded there cannot make the buggy design
+leave the correct one's run (METHODOLOGY §7).
 """
 
 from __future__ import annotations
@@ -179,6 +185,8 @@ class PipelinedDLX:
         # Per-instruction latency measurements for Requirement 2.
         self.issue_cycle: Dict[int, int] = {}
         self.latencies: List[Tuple[Instruction, int]] = []
+        # Bug knob -> first cycle its decision site was sensitized.
+        self.first_sensitized: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def read_reg(self, index: int) -> int:
@@ -187,6 +195,19 @@ class PipelinedDLX:
     def write_reg(self, index: int, value: int) -> None:
         if index != 0:
             self.regs[index] = value & WORD_MASK
+
+    def _bug(self, knob: str, sensitized: bool) -> bool:
+        """Read bug ``knob`` at the decision site it corrupts.
+
+        ``sensitized`` is the site's condition for setting ``knob``
+        alone to change this cycle's decision, evaluated as in the
+        correct design; the first cycle it holds goes into
+        :attr:`first_sensitized`.  Sites read every knob they consult
+        before combining them, so no short circuit skips a record.
+        """
+        if sensitized and knob not in self.first_sensitized:
+            self.first_sensitized[knob] = self.cycle_count
+        return getattr(self.bugs, knob)
 
     # ------------------------------------------------------------------
     # Forwarding network
@@ -207,15 +228,22 @@ class PipelinedDLX:
             self.ex_mem is not None
             and self.ex_mem.instr.writes_reg
             and self.ex_mem.instr.dest == reg
-            and not self.bugs.no_forward_exmem
         )
         memwb_hit = (
             self.mem_wb is not None
             and self.mem_wb.instr.writes_reg
             and self.mem_wb.instr.dest == reg
-            and not self.bugs.no_forward_memwb
         )
-        if self.bugs.wrong_forward_priority and memwb_hit:
+        # Dropping a hit matters when it is the one the correct design
+        # takes; inverting the priority, when both taps hit.
+        drop_exmem = self._bug("no_forward_exmem", exmem_hit)
+        drop_memwb = self._bug("no_forward_memwb", memwb_hit and not exmem_hit)
+        older_wins = self._bug(
+            "wrong_forward_priority", exmem_hit and memwb_hit
+        )
+        exmem_hit = exmem_hit and not drop_exmem
+        memwb_hit = memwb_hit and not drop_memwb
+        if older_wins and memwb_hit:
             return self.mem_wb.value, "memwb"
         if exmem_hit:
             assert self.ex_mem is not None
@@ -244,19 +272,26 @@ class PipelinedDLX:
 
     def _interlock_needed(self) -> bool:
         """Load-use hazard between the load in EX and the reader in ID."""
-        if self.bugs.disable_interlock:
+        hazard = rs1_hazard = False
+        if (
+            self.id_ex is not None
+            and self.id_ex.instr.is_load
+            and self.id_ex.instr.dest != 0
+            and self.if_id is not None
+        ):
+            dest = self.id_ex.instr.dest
+            sources = self.if_id.instr.sources
+            hazard = dest in sources
+            rs1_hazard = dest in sources[:1]
+        # Dropping the interlock matters on any hazard; checking rs1
+        # only, on a hazard through rs2 alone.
+        dropped = self._bug("disable_interlock", hazard)
+        rs1_only = self._bug(
+            "interlock_misses_rs2", hazard and not rs1_hazard
+        )
+        if dropped:
             return False
-        if self.id_ex is None or not self.id_ex.instr.is_load:
-            return False
-        if self.if_id is None:
-            return False
-        dest = self.id_ex.instr.dest
-        if dest == 0:
-            return False
-        sources = self.if_id.instr.sources
-        if self.bugs.interlock_misses_rs2:
-            sources = sources[:1]
-        return dest in sources
+        return rs1_hazard if rs1_only else hazard
 
     # ------------------------------------------------------------------
     # One clock cycle
@@ -266,7 +301,6 @@ class PipelinedDLX:
         if self.halted:
             return
         self.cycle_count += 1
-        bugs = self.bugs
 
         # ---------------- WB (uses last cycle's MEM/WB latch) ----------
         wb = self.mem_wb
@@ -274,10 +308,9 @@ class PipelinedDLX:
             instr = wb.instr
             if instr.writes_reg:
                 self.write_reg(instr.dest, wb.value)
-            updates_psw = instr.op in PSW_OPS
-            if bugs.psw_skips_immediates and instr.op in ALU_IMM_OPS:
-                updates_psw = False
-            if updates_psw:
+            immediate = instr.op in ALU_IMM_OPS
+            skips = self._bug("psw_skips_immediates", immediate)
+            if instr.op in PSW_OPS and not (skips and immediate):
                 self.psw = PSW.of(wb.value)
             self.checkpoints.append(
                 Checkpoint(
@@ -342,10 +375,13 @@ class PipelinedDLX:
                 value = (a + instr.imm) & WORD_MASK  # effective address
             elif op == Op.SW:
                 value = (a + instr.imm) & WORD_MASK
-                if not bugs.no_store_data_forward:
-                    store_data, fwd_store = self._forward(
-                        instr.rs2, stage.store_data
-                    )
+                forwarded, source = self._forward(
+                    instr.rs2, stage.store_data
+                )
+                # Leaving store data off the network matters when the
+                # network would have supplied it.
+                if not self._bug("no_store_data_forward", source != "none"):
+                    store_data, fwd_store = forwarded, source
             elif op == Op.BEQZ:
                 taken = self._branch_zero(a)
                 if taken:
@@ -354,21 +390,17 @@ class PipelinedDLX:
                 taken = not self._branch_zero(a)
                 if taken:
                     next_pc = stage.pc + 1 + instr.imm
-            elif op == Op.J:
+            elif op in (Op.J, Op.JAL):
                 taken = True
                 next_pc = stage.pc + 1 + instr.imm
-            elif op == Op.JAL:
-                taken = True
-                next_pc = stage.pc + 1 + instr.imm
-                value = stage.pc + (2 if bugs.jal_links_wrong_pc else 1)
-            elif op == Op.JR:
+            elif op in (Op.JR, Op.JALR):
                 taken = True
                 next_pc = a
-            elif op == Op.JALR:
-                taken = True
-                next_pc = a
-                value = stage.pc + (2 if bugs.jal_links_wrong_pc else 1)
             # NOP/HALT: nothing to compute.
+            if op in (Op.JAL, Op.JALR):
+                # A wrong link PC changes every link value.
+                wrong = self._bug("jal_links_wrong_pc", True)
+                value = stage.pc + (2 if wrong else 1)
             branch_taken = taken
             if taken:
                 redirect = next_pc
@@ -397,11 +429,13 @@ class PipelinedDLX:
         # A taken control transfer resolved in EX leaves two wrong-path
         # instructions behind it: the one decoded this cycle (id_out)
         # and the one fetched this cycle.  A correct design kills both;
-        # the squash bugs let one or both survive.
+        # the squash bugs let one or both survive, which matters only
+        # when there is an instruction to spare.
         squash = redirect is not None
-        kill_id = squash and not (bugs.no_squash or bugs.squash_only_one)
-        kill_fetch = squash and not bugs.no_squash
-        if kill_id:
+        doomed = squash and id_out is not None
+        spare_one = self._bug("squash_only_one", doomed)
+        spare_all = self._bug("no_squash", doomed)
+        if squash and not (spare_one or spare_all):
             id_out = None
 
         # ---------------- IF -------------------------------------------
@@ -430,7 +464,7 @@ class PipelinedDLX:
                 # All variants redirect the PC; only the correct design
                 # (and squash_only_one) also kills this cycle's fetch.
                 new_pc = redirect
-                if kill_fetch:
+                if not self._bug("no_squash", fetch_out is not None):
                     fetch_out = None
 
         # ---------------- Latch updates --------------------------------

@@ -45,10 +45,13 @@ def greedy_rural_transitions(
     ValueError
         If a required transition does not belong to the machine.
     """
-    want: Set[Transition] = set(required)
-    for t in want:
+    required = list(required)
+    # Validate in argument order, so the error names the same
+    # transition whatever order a set of them iterates in.
+    for t in required:
         if machine.transition(t.src, t.inp) != t:
             raise ValueError(f"required transition {t} not in {machine.name}")
+    want: Set[Transition] = set(required)
     root = machine.initial if start is None else start
     state = root
     tour: List[Transition] = []

@@ -195,14 +195,17 @@ def checking_tour(
     Raises
     ------
     PostmanError
-        If some state lacks a UIO of length <= ``uio_max_len`` (the
-        construction is then inapplicable); the message names the
-        first such state in ``repr`` order.
+        If some reachable state lacks a UIO of length <= ``uio_max_len``
+        (the construction is then inapplicable); the message names the
+        first such state in ``repr`` order.  UIOs are searched on the
+        reachable part: an unreachable state is never confirmed and
+        never needs telling apart.
     """
     root = machine.initial if start is None else start
+    reachable = machine.restrict_to_reachable()
     uios = {}
-    for s in sorted(machine.states, key=repr):
-        seq = uio_sequence(machine, s, max_len=uio_max_len)
+    for s in sorted(reachable.states, key=repr):
+        seq = uio_sequence(reachable, s, max_len=uio_max_len)
         if seq is None:
             raise PostmanError(
                 f"{machine.name}: state {s!r} has no UIO sequence of "
@@ -211,7 +214,7 @@ def checking_tour(
         uios[s] = seq
     walk: List[Transition] = []
     state = root
-    pending = set(machine.restrict_to_reachable().transitions)
+    pending = set(reachable.transitions)
     while pending:
         path = _shortest_walk(machine, state, pending.__contains__)
         if path is None:

@@ -90,26 +90,8 @@ def expected_stream(
     per mutant.
     """
     with span("validate.spec_run", program=len(program)):
-        spec = BehavioralDLX(
-            program, dict(data) if data else None,
-            branch_oracle=branch_oracle,
-        )
+        spec = BehavioralDLX(program, data, branch_oracle=branch_oracle)
         return spec.run(max_steps=max(200_000, 2 * len(program)))
-
-
-def prepare_tests(tests: Sequence[Tuple]) -> Tuple[Tuple, ...]:
-    """The (program, data, oracle, expected-stream) quadruples
-    :func:`sweep_bug_verdicts` consumes: hashable, picklable, and with
-    each test's specification stream computed once."""
-    return tuple(
-        (
-            tuple(program),
-            tuple(sorted(data.items())) if data else None,
-            tuple(oracle) if oracle is not None else None,
-            tuple(expected_stream(list(program), data, oracle)),
-        )
-        for program, data, oracle in tests
-    )
 
 
 def _co_simulate(
@@ -121,32 +103,115 @@ def _co_simulate(
     expected: Sequence[Checkpoint],
 ) -> ValidationResult:
     """Run the implementation and compare against a precomputed
-    specification stream (the Figure 1 checkpoint comparison)."""
-    if max_cycles is None:
-        max_cycles = max(500_000, 6 * len(program))
-    impl = PipelinedDLX(
-        program,
-        dict(data) if data else None,
-        bugs=bugs,
-        branch_oracle=branch_oracle,
+    specification stream (the Figure 1 checkpoint comparison).  The
+    pipeline's own copy of ``data`` is the only one a run makes."""
+    return _compare_run(
+        PipelinedDLX(program, data, bugs=bugs, branch_oracle=branch_oracle),
+        max_cycles,
+        expected,
     )
+
+
+def _compare_run(
+    impl: PipelinedDLX,
+    max_cycles: Optional[int],
+    expected: Sequence[Checkpoint],
+) -> ValidationResult:
+    """Run ``impl`` to halt, or to a crash or livelock, and compare its
+    checkpoint stream against ``expected``."""
+    if max_cycles is None:
+        max_cycles = max(500_000, 6 * len(impl.program))
     try:
         observed = impl.run(max_cycles=max_cycles)
     except ExecutionError as exc:
         return ValidationResult(
-            program_length=len(program),
+            program_length=len(impl.program),
             retired=impl.retired,
             cycles=impl.cycle_count,
             mismatch=Mismatch(impl.retired, "crash", "halt", str(exc)),
             max_latency=impl.max_latency(),
         )
     return ValidationResult(
-        program_length=len(program),
+        program_length=len(impl.program),
         retired=impl.retired,
         cycles=impl.cycle_count,
         mismatch=compare_streams(expected, observed),
         max_latency=impl.max_latency(),
     )
+
+
+@dataclass(frozen=True)
+class GoldenRun:
+    """What one run of the correct pipeline on a test settles for the
+    bug catalog.
+
+    ``first_sensitized`` pairs each bug knob whose decision site the
+    run sensitized with the first such cycle (see
+    :meth:`~repro.dlx.pipeline.PipelinedDLX._bug`); ``mismatch`` is the
+    run's verdict against the specification stream, a "crash" one when
+    it crashed or livelocked.  Until a knob's recorded cycle, a design
+    with that knob alone set makes every decision the correct design
+    makes, so it is in the same state; a knob never recorded replays
+    this run to its end (METHODOLOGY §7).
+    """
+
+    first_sensitized: Tuple[Tuple[str, int], ...]
+    mismatch: Optional[Mismatch]
+
+    def replayed_by(self, bugs: PipelineBugs) -> bool:
+        """True when a run with ``bugs`` is this run: exactly one knob
+        set, never sensitized here, and this run did not crash (the
+        correct design's crash may be an internal assertion that a
+        buggy design skips)."""
+        active = [
+            knob for knob in bugs.__dataclass_fields__ if getattr(bugs, knob)
+        ]
+        return (
+            len(active) == 1
+            and active[0] not in dict(self.first_sensitized)
+            and (self.mismatch is None or self.mismatch.field != "crash")
+        )
+
+
+def _golden_run(
+    program: Sequence[Instruction],
+    data: Optional[Dict[int, int]],
+    branch_oracle: Optional[Sequence[bool]],
+    expected: Sequence[Checkpoint],
+) -> GoldenRun:
+    """Run the correct pipeline on one test, keeping only its
+    sensitization record and its verdict."""
+    impl = PipelinedDLX(program, data, branch_oracle=branch_oracle)
+    mismatch = _compare_run(impl, None, expected).mismatch
+    return GoldenRun(tuple(sorted(impl.first_sensitized.items())), mismatch)
+
+
+class Battery:
+    """A DLX campaign's prepared tests.
+
+    ``tests`` holds one (program, data, oracle, expected-stream)
+    quadruple per test -- picklable, with each test's specification
+    stream computed once.  :meth:`golden` runs the correct pipeline
+    once per test on first use; only the compiled kernel asks.
+    """
+
+    def __init__(self, tests: Sequence[Tuple]) -> None:
+        self.tests: Tuple[Tuple, ...] = tuple(
+            (
+                tuple(program),
+                data or None,
+                tuple(oracle) if oracle is not None else None,
+                tuple(expected_stream(program, data, oracle)),
+            )
+            for program, data, oracle in tests
+        )
+        self._golden: Optional[Tuple[GoldenRun, ...]] = None
+
+    def golden(self) -> Tuple[GoldenRun, ...]:
+        """One :class:`GoldenRun` per test, computed on first use."""
+        if self._golden is None:
+            self._golden = tuple(_golden_run(*test) for test in self.tests)
+        return self._golden
 
 
 def validate(
@@ -199,26 +264,46 @@ def validate_concrete_test(
 def _bug_entry_task(
     shared: Tuple[Tuple, ...], entry: BugEntry
 ) -> Tuple[bool, Optional[Mismatch]]:
-    """Per-catalog-entry interpreter task: run the battery until the
-    bug produces a mismatch.  The oracle, and through
-    :func:`~repro.campaign.per_item` the sweep's batch body under
-    either kernel (module-level so workers can unpickle it)."""
-    for program, data, oracle, expected in shared:
-        result = _co_simulate(
-            list(program),
-            dict(data) if data else None,
-            entry.bugs,
-            list(oracle) if oracle is not None else None,
-            None,
-            expected,
-        )
-        if not result.passed:
-            return (True, result.mismatch)
+    """Per-catalog-entry interpreter task: co-simulate the battery
+    until the bug produces a mismatch.  The ``interp`` body through
+    :func:`~repro.campaign.per_item`, and the oracle a quarantined
+    entry re-runs on under either kernel (module-level so workers can
+    unpickle it)."""
+    return _walk_battery(shared, (None,) * len(shared), entry.bugs)
+
+
+def _sensitized_entry_task(
+    shared: Tuple[Tuple[Tuple, ...], Tuple[GoldenRun, ...]],
+    entry: BugEntry,
+) -> Tuple[bool, Optional[Mismatch]]:
+    """Per-catalog-entry compiled task: :func:`_bug_entry_task`, except
+    that a test whose golden run the entry replays yields that run's
+    verdict unsimulated (:meth:`GoldenRun.replayed_by`)."""
+    tests, golden = shared
+    return _walk_battery(tests, golden, entry.bugs)
+
+
+def _walk_battery(
+    tests: Tuple[Tuple, ...],
+    golden: Sequence[Optional[GoldenRun]],
+    bugs: PipelineBugs,
+) -> Tuple[bool, Optional[Mismatch]]:
+    """(detected, first mismatch) of ``bugs`` over ``tests`` in order;
+    a test with a golden run that ``bugs`` replays is not simulated."""
+    for (program, data, oracle, expected), run in zip(tests, golden):
+        if run is not None and run.replayed_by(bugs):
+            mismatch = run.mismatch
+        else:
+            mismatch = _co_simulate(
+                program, data, bugs, oracle, None, expected
+            ).mismatch
+        if mismatch is not None:
+            return (True, mismatch)
     return (False, None)
 
 
 def sweep_bug_verdicts(
-    prepared: Tuple[Tuple, ...],
+    prepared: Battery,
     entries: Sequence[BugEntry],
     *,
     jobs: int = 1,
@@ -230,21 +315,34 @@ def sweep_bug_verdicts(
 
     The DLX sweep every campaign driver fills its verdict slots from
     (through :class:`DlxKind`).  Task failures quarantine the affected
-    entries and re-run them in-process (graceful degradation, see
-    :func:`repro.campaign.settle`) instead of aborting the sweep.
-    Batching amortizes the per-task pickling of the shared battery
-    (programs + precomputed spec streams), which dominates the
-    dispatch cost; batches hold up to ``DEFAULT_LANES - 1`` entries.
-    The DLX has no compiled co-simulator, so either ``kernel`` runs
-    :func:`_bug_entry_task` per entry.
+    entries and re-run them in-process on :func:`_bug_entry_task`
+    (graceful degradation, see :func:`repro.campaign.settle`) instead
+    of aborting the sweep.  Batching amortizes the per-task pickling
+    of the shared battery (programs + precomputed spec streams), which
+    dominates the dispatch cost; batches hold up to
+    ``DEFAULT_LANES - 1`` entries.
+
+    The DLX has no compiled co-simulator: both kernels run the
+    interpreter pipeline, and ``kernel`` picks only which entry-test
+    pairs it runs.  ``"interp"`` co-simulates every pair in full.
+    ``"compiled"`` ships each test's golden run
+    (:meth:`Battery.golden`) with the battery, and an entry with one
+    knob that a test's golden run never sensitized takes that run's
+    verdict without simulating; every other pair is co-simulated in
+    full, so the verdicts are identical either way.
     """
+    check_kernel(kernel)
     entries = list(entries)
     if not entries:
         return []
+    task, shared = _bug_entry_task, prepared.tests
+    if kernel == "compiled":
+        task = _sensitized_entry_task
+        shared = (prepared.tests, prepared.golden())
     # Keep at least jobs*4 batches in flight so a short catalog still
     # fans out across every worker.
     outcomes = parallel_map_batched(
-        partial(per_item, _bug_entry_task), entries, shared=prepared,
+        partial(per_item, task), entries, shared=shared,
         jobs=jobs, timeout=timeout, retries=retries,
         batch_size=batch_unit(len(entries), jobs, DEFAULT_LANES - 1),
     )
@@ -265,7 +363,7 @@ def sweep_bug_verdicts(
             timed_out=True,
         ),
         oracle=_bug_entry_task,
-        shared=prepared,
+        shared=prepared.tests,
         describe=lambda entry: {"bug": entry.name},
         failure=lambda entry, error: BugCampaignError(
             f"catalog bug {entry.name!r} failed to simulate: {error}"
@@ -290,13 +388,14 @@ class DlxKind:
         self.catalog = tuple(catalog)
         self.test_name = test_name
         self.total = len(self.catalog)
-        self._prepared: Optional[Tuple[Tuple, ...]] = None
+        self._prepared: Optional[Battery] = None
 
-    def prepared(self) -> Tuple[Tuple, ...]:
-        """The battery as :func:`prepare_tests` quadruples, computed on
-        first use (a coordinator that never simulates never needs it)."""
+    def prepared(self) -> Battery:
+        """The prepared :class:`Battery`, built on first use (a
+        coordinator that never simulates never needs it) and kept for
+        every later sweep of the campaign."""
         if self._prepared is None:
-            self._prepared = prepare_tests(self.tests)
+            self._prepared = Battery(self.tests)
         return self._prepared
 
     def sweep(self, indices: List[int], **options: Any) -> List[BugVerdict]:
@@ -427,8 +526,13 @@ def run_bug_campaign(
 
     Either ``kernel`` hands workers small *batches* of catalog
     entries, amortizing the per-task shipping of the shared battery,
-    and runs one body: it co-simulates each entry of a batch in turn
-    on the per-entry oracle, so rows are byte-identical either way.
+    and walks each entry through the battery in order.  ``"interp"``
+    co-simulates every entry against every test.  ``"compiled"`` first
+    runs the correct pipeline once per test and skips the runs that
+    golden run decides: an entry whose one knob the test never
+    sensitized would replay it cycle for cycle, so it takes the golden
+    verdict (see :func:`sweep_bug_verdicts`).  Rows are byte-identical
+    either way.
     """
     check_kernel(kernel)
     campaign = Campaign(DlxKind(tests, catalog, test_name))
@@ -476,6 +580,6 @@ def measure_latencies(
     Requirement 2's empirical ``k`` for the DLX pipeline (5 stages +
     stall cycles).
     """
-    impl = PipelinedDLX(program, dict(data) if data else None)
+    impl = PipelinedDLX(program, data)
     impl.run()
     return list(impl.latencies)

@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro.core.coverage import is_state_tour, is_transition_tour
 from repro.core.mealy import MealyMachine
+from repro.models import counter
 from repro.tour import (
     FlowError,
     MinCostFlow,
@@ -223,6 +224,7 @@ class TestPostman:
     TOURS_SCRIPT = """
 import random
 from repro.core.mealy import MealyMachine
+from repro.models import counter
 from repro.tour import transition_tour
 
 for seed in range(12):
@@ -290,6 +292,36 @@ class TestRural:
                 fig2_machine, [adder.transitions[0]]
             )
 
+    #: Foreign transitions of one random machine against another.
+    FOREIGN_SCRIPT = """
+import random
+from repro.core.generate import random_mealy
+from repro.tour import greedy_rural_transitions
+
+machine = random_mealy(random.Random(1), 3, 2, 2)
+other = random_mealy(random.Random(2), 4, 2, 2)
+foreign = [
+    t for t in other.transitions
+    if machine.transition(t.src, t.inp) != t
+]
+try:
+    greedy_rural_transitions(machine, foreign)
+except ValueError as exc:
+    print(exc)
+"""
+
+    def test_foreign_transition_error_independent_of_hash_seed(self):
+        """``required`` is validated in argument order, so the error
+        names its first foreign transition whatever the hash seed."""
+        messages = [
+            _run_with_hash_seed(self.FOREIGN_SCRIPT, hash_seed)
+            for hash_seed in ("0", "3")
+        ]
+        assert messages[0] == messages[1] == (
+            "required transition Transition(src='s0', inp='i1', "
+            "out='o0', dst='s0') not in random\n"
+        )
+
     def test_rural_cheaper_than_full_tour(self, abp):
         required = [abp.transitions[0]]
         walk = greedy_rural_transitions(abp, required)
@@ -356,6 +388,19 @@ class TestCheckingTour:
 
         tour = checking_tour(machine)
         assert detect_fault(machine, fault, tour.inputs).detected
+
+    def test_unreachable_state_needs_no_uio(self):
+        """A state the walk never reaches needs no UIO: an unreachable
+        copy of state 0 (so neither has a UIO in the whole machine)
+        leaves the tour of the reachable part unchanged."""
+        machine = counter(2)
+        for t in list(machine.transitions):
+            if t.src == 0:
+                machine.add_transition("x", t.inp, t.out, t.dst)
+        tour = checking_tour(machine)
+        reachable = checking_tour(machine.restrict_to_reachable())
+        assert len(tour) == 20
+        assert tour.transitions == reachable.transitions
 
     #: A random machine none of whose states has a UIO.
     NO_UIO_SCRIPT = """
