@@ -252,6 +252,21 @@ def _sha(parts):
     return h.hexdigest()
 
 
+def tour_model_digest(model):
+    """SHA-256 of a tour model in creation order: the initial state,
+    the transitions in the order they were added, each state's
+    successor order, and the decode tables in dict order."""
+    machine = model.machine
+    parts = [repr(machine.initial)]
+    parts.extend(map(repr, machine._delta.values()))
+    parts.extend(
+        repr((state, tuple(row))) for state, row in machine._succ.items()
+    )
+    parts.extend(map(repr, model.input_vectors.items()))
+    parts.extend(map(repr, model.output_values.items()))
+    return _sha(parts)
+
+
 class TestPinnedDerivation:
     """The derivation's exact results, pinned: the rewrites may share
     logic differently and the code generator may spell it differently,
@@ -263,6 +278,11 @@ class TestPinnedDerivation:
     )
     TOUR_DIGEST = (
         "38092f990827006509a0654df2d6cf50d89714856609bc04659f5430a54689ad"
+    )
+    #: ``tour_model_digest`` of perfbench's model (``registers=1``,
+    #: SMALL_TOUR_OPCODES): 4,164 states, 29,148 transitions.
+    SMALL_TOUR_DIGEST = (
+        "4328045bb71aca7324d42f416ed2fef6d002464e9877737bba7cc4c12445fa02"
     )
 
     def test_trail_is_pinned(self, trail):
@@ -283,3 +303,10 @@ class TestPinnedDerivation:
         parts.extend(map(repr, machine.transitions))
         parts.extend(map(repr, sorted(tiny_model.output_values.items())))
         assert _sha(parts) == self.TOUR_DIGEST
+
+    def test_small_tour_model_is_pinned_in_creation_order(self):
+        model = build_tour_model(registers=1, opcodes=SMALL_TOUR_OPCODES)
+        assert (len(model.machine), model.machine.num_transitions()) == (
+            4164, 29148
+        )
+        assert tour_model_digest(model) == self.SMALL_TOUR_DIGEST
