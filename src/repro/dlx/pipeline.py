@@ -40,7 +40,7 @@ leave the correct one's run (METHODOLOGY §7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .behavioral import PSW, Checkpoint, ExecutionError, alu
@@ -317,9 +317,8 @@ class PipelinedDLX:
                     index=self.retired,
                     instruction=instr,
                     pc_after=wb.next_pc,
-                    regs=tuple(
-                        0 if i == 0 else self.regs[i] for i in range(NUM_REGS)
-                    ),
+                    # r0 stays 0: write_reg never writes it.
+                    regs=tuple(self.regs),
                     psw=self.psw,
                     mem_write=wb.mem_write,
                 )
@@ -332,21 +331,26 @@ class PipelinedDLX:
                 self.halted = True
 
         # ---------------- MEM -----------------------------------------
+        # Each stage spells out every field of the latch it passes on:
+        # dataclasses.replace would walk the fields on every call, and
+        # a run makes two or three latches a cycle.
         mem_out: Optional[_InFlight] = None
         if self.ex_mem is not None:
             stage = self.ex_mem
             instr = stage.instr
+            value, mem_write = stage.value, stage.mem_write
             if instr.is_load:
-                mem_out = replace(
-                    stage, value=self.memory.get(stage.value & WORD_MASK, 0)
-                )
+                value = self.memory.get(stage.value & WORD_MASK, 0)
             elif instr.is_store:
                 address = stage.value & WORD_MASK
                 data = stage.store_data & WORD_MASK
                 self.memory[address] = data
-                mem_out = replace(stage, mem_write=(address, data))
-            else:
-                mem_out = stage
+                mem_write = (address, data)
+            mem_out = _InFlight(
+                instr, stage.pc, stage.seq, a=stage.a, b=stage.b,
+                store_data=stage.store_data, value=value,
+                next_pc=stage.next_pc, taken=stage.taken, mem_write=mem_write,
+            )
 
         # ---------------- EX -------------------------------------------
         ex_out: Optional[_InFlight] = None
@@ -404,12 +408,10 @@ class PipelinedDLX:
             branch_taken = taken
             if taken:
                 redirect = next_pc
-            ex_out = replace(
-                stage,
-                value=value,
-                store_data=store_data,
-                next_pc=next_pc,
-                taken=taken,
+            ex_out = _InFlight(
+                instr, stage.pc, stage.seq, a=stage.a, b=stage.b,
+                store_data=store_data, value=value, next_pc=next_pc,
+                taken=taken, mem_write=stage.mem_write,
             )
 
         # ---------------- ID (interlock + register read) ---------------
@@ -418,11 +420,12 @@ class PipelinedDLX:
         if self.if_id is not None and not stall:
             stage = self.if_id
             instr = stage.instr
-            id_out = replace(
-                stage,
-                a=self.read_reg(instr.rs1),
-                b=self.read_reg(instr.rs2),
-                store_data=self.read_reg(instr.rs2),
+            operand_b = self.read_reg(instr.rs2)
+            id_out = _InFlight(
+                instr, stage.pc, stage.seq, a=self.read_reg(instr.rs1),
+                b=operand_b, store_data=operand_b, value=stage.value,
+                next_pc=stage.next_pc, taken=stage.taken,
+                mem_write=stage.mem_write,
             )
 
         # ---------------- Squash decisions -----------------------------

@@ -416,27 +416,25 @@ def tour_input_constraint(net: Netlist) -> Expr:
 
 @dataclass
 class TourModel:
-    """The explicit DLX test model, compacted for tour generation.
-
-    Extraction produces states/inputs/outputs that are large canonical
-    tuples (register and signal valuations); tour algorithms hash and
-    order them millions of times, so the machine is relabelled with
-    compact tokens.  The decode tables keep the correspondence:
+    """The explicit DLX test model, labelled with tokens for tour
+    generation, and the tables that decode them.
 
     Attributes
     ----------
     machine:
-        The compact Mealy machine (states ``int``, inputs ``"i<n>"``,
-        outputs ``int``).
+        The Mealy machine (states ``int``, inputs ``"i<n>"``, outputs
+        ``int``).
     input_vectors:
         input label -> the model input-bit vector it stands for.
     output_values:
-        output token -> the control/observation signal valuation.
+        output token -> the values of the control and observation
+        outputs it stands for, a tuple of bools in
+        ``tour_netlist(registers).output_names`` order.
     """
 
     machine: MealyMachine
     input_vectors: Dict[str, Dict[str, bool]]
-    output_values: Dict[int, Tuple[Tuple[str, bool], ...]]
+    output_values: Dict[int, Tuple[bool, ...]]
 
     def concrete_vectors(self, labels: Iterable[str]) -> List[Dict[str, bool]]:
         """Decode a tour's input labels back to model input vectors."""
@@ -461,27 +459,19 @@ def build_tour_model(
     vectors = tour_model_inputs(
         registers=min(registers, 2), opcodes=opcodes
     )
-    # Drop tied bits from the vectors.
+    # Drop tied bits; extraction drives vectors that collapse once.
     live = set(reduced.inputs)
     vectors = [
         {k: v for k, v in vec.items() if k in live} for vec in vectors
     ]
-    # De-duplicate vectors that collapsed together after tying.
-    unique = []
-    seen = set()
-    for vec in vectors:
-        key = tuple(sorted(vec.items()))
-        if key not in seen:
-            seen.add(key)
-            unique.append(vec)
-    raw = extract_mealy(
+    machine = extract_mealy(
         reduced,
-        inputs=unique,
+        inputs=vectors,
         max_states=max_states,
         name="dlx-tour-model",
         packed=True,
     )
-    return _compact(raw)
+    return TourModel(machine, machine.input_vectors, machine.output_values)
 
 
 def minimize_tour_model(model: TourModel) -> TourModel:
@@ -518,41 +508,3 @@ def minimize_tour_model(model: TourModel) -> TourModel:
         output_values=dict(model.output_values),
     )
 
-
-def _compact(raw: MealyMachine) -> TourModel:
-    """Relabel an extracted machine with cheap hashable tokens."""
-    state_ids: Dict = {}
-    input_labels: Dict = {}
-    output_ids: Dict = {}
-    input_vectors: Dict[str, Dict[str, bool]] = {}
-    output_values: Dict[int, Tuple[Tuple[str, bool], ...]] = {}
-
-    def state_of(s) -> int:
-        if s not in state_ids:
-            state_ids[s] = len(state_ids)
-        return state_ids[s]
-
-    def input_of(i) -> str:
-        if i not in input_labels:
-            label = f"i{len(input_labels)}"
-            input_labels[i] = label
-            input_vectors[label] = dict(i)
-        return input_labels[i]
-
-    def output_of(o) -> int:
-        if o not in output_ids:
-            token = len(output_ids)
-            output_ids[o] = token
-            output_values[token] = tuple(o)
-        return output_ids[o]
-
-    compact = MealyMachine(state_of(raw.initial), name=raw.name)
-    for t in raw.transitions:
-        compact.add_transition(
-            state_of(t.src), input_of(t.inp), output_of(t.out), state_of(t.dst)
-        )
-    return TourModel(
-        machine=compact,
-        input_vectors=input_vectors,
-        output_values=output_values,
-    )

@@ -11,8 +11,9 @@ and ``exec``-s a single straight-line function.  A *render* spells
 each gate:
 
 * :func:`_one_lane` over Python bools (``not``, ``and``, ``or``,
-  ``!=``, ``t if s else f``) for :func:`compile_step`, the step
-  function that explicit extraction and the stuck-at interpreter call;
+  ``!=``, ``t if s else f``) for the step functions over dicts
+  (:func:`compile_step`, for the stuck-at interpreter) and over tuples
+  (:func:`compile_positional_step`, for explicit extraction);
 * :func:`_lane_words` over the bit lanes of integer words (``^ M``,
   ``&``, ``|``, ``^``, and-or mux) for the cycle and block functions
   of :mod:`repro.kernel.netlist_kernel`, which simulate many mutants
@@ -158,7 +159,6 @@ def compile_step(netlist: Netlist) -> StepFunction:
     ``(next_state, outputs)`` dicts of Python bools, with Mealy output
     semantics (outputs read the pre-edge state).
     """
-    netlist.validate()
     # Each bit gets a local-variable alias to avoid dict lookups in the
     # hot expressions.
     prologue = [
@@ -168,15 +168,36 @@ def compile_step(netlist: Netlist) -> StepFunction:
         f"    b{k} = state[{name!r}]"
         for k, name in enumerate(netlist.register_names, len(prologue))
     ]
+    nexts = {name: reg.next for name, reg in netlist.registers.items()}
+    return _compile_step(netlist, prologue, (nexts, netlist.outputs))
+
+
+def compile_positional_step(netlist: Netlist) -> Callable[..., Tuple[tuple, tuple]]:
+    """:func:`compile_step` on value tuples: register values in
+    ``register_names`` order and input values in ``inputs`` order in,
+    next-state and output (``output_names`` order) values out."""
+    n_in = len(netlist.inputs)
+    bits = [f"b{k}" for k in range(n_in + netlist.latch_count())]
+    prologue = [
+        f"    {', '.join(names)}, = {source}"
+        for names, source in ((bits[:n_in], "inputs"), (bits[n_in:], "state"))
+        if names
+    ]
+    nexts = [reg.next for reg in netlist.registers.values()]
+    outs = list(netlist.outputs.values())
+    return _compile_step(netlist, prologue, (nexts, outs))
+
+
+def _compile_step(netlist: Netlist, prologue: List[str], results: Any) -> Any:
+    """One-lane ``_step(state, inputs)`` returning ``results``, once
+    ``prologue`` binds the inputs, then the registers, to ``b0, ...``."""
+    netlist.validate()
     bits = (*netlist.inputs, *netlist.register_names)
     return _compile_function(
         "def _step(state, inputs):",
         prologue,
         {name: f"b{k}" for k, name in enumerate(bits)},
-        (
-            {name: reg.next for name, reg in netlist.registers.items()},
-            netlist.outputs,
-        ),
+        results,
         netlist.name,
         _one_lane,
     )

@@ -26,6 +26,7 @@ from repro.dlx.testmodel import (
     valid_opcodes,
 )
 from repro.rtl import evaluate
+from repro.rtl.extract import ExtractionError
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +195,19 @@ class TestTourModel:
     def test_unknown_opcode_rejected(self):
         with pytest.raises(ValueError):
             tour_model_inputs(opcodes=(Op.SLL,))
+
+    def test_max_states_admits_exactly_its_bound(self):
+        opcodes = (Op.BEQZ, Op.NOP)
+        model = build_tour_model(opcodes=opcodes, max_states=488)
+        assert len(model.machine) == 488
+        with pytest.raises(ExtractionError, match="more than 487"):
+            build_tour_model(opcodes=opcodes, max_states=487)
+
+    def test_output_values_are_bools_in_output_order(self, tiny_model):
+        width = len(tour_netlist().output_names)
+        for values in tiny_model.output_values.values():
+            assert len(values) == width
+            assert all(isinstance(v, bool) for v in values)
 
     def test_tiny_model_properties(self, tiny_model):
         machine = tiny_model.machine

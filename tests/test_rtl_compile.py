@@ -1,9 +1,10 @@
 """Compiled-code simulation vs the interpreting simulator.
 
-The compiled step function must be bit-identical to
-:meth:`Netlist.step` on every netlist and input stream -- checked on
-the hand-built netlists, on the DLX control model, and
-property-style on randomly generated netlists.
+The compiled step functions -- the dict form and the positional
+(tuple) form -- must be bit-identical to :meth:`Netlist.step` on every
+netlist and input stream -- checked on the hand-built netlists, on the
+DLX control and tour models, and property-style on randomly generated
+netlists.
 """
 
 import random
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rtl import Netlist, and_, mux, not_, or_, var, xor_
-from repro.rtl.compile import compile_step
+from repro.rtl.compile import compile_positional_step, compile_step
 from tests.test_rtl_netlist import counter_netlist, toggle_netlist
 from tests.test_rtl_transform import onehot_fsm, pipeline_netlist
 
@@ -60,12 +61,39 @@ def same_operand_gates():
     return net
 
 
+def free_running():
+    """No inputs, one register, one output."""
+    net = Netlist("free-running")
+    q = net.add_register("q", init=True)
+    net.set_next("q", not_(q))
+    net.add_output("o", q)
+    return net
+
+
+def combinational():
+    """One input, no registers, one output."""
+    net = Netlist("combinational")
+    net.add_output("o", not_(net.add_input("a")))
+    return net
+
+
+def silent():
+    """Two inputs, one register, no outputs."""
+    net = Netlist("silent")
+    a, b = net.add_input("a"), net.add_input("b")
+    net.add_register("q", init=False, next=xor_(a, b))
+    return net
+
+
 FIXED_NETLISTS = [
     counter_netlist(3),
     toggle_netlist(),
     pipeline_netlist(),
     onehot_fsm(),
     same_operand_gates(),
+    free_running(),
+    combinational(),
+    silent(),
 ]
 
 
@@ -83,6 +111,51 @@ def test_compiled_matches_interpreter_fixed(net):
         assert got_state == want_state
         assert got_out == want_out
         state = want_state
+
+
+def assert_positional_matches_interpreter(net, rng, cycles):
+    """Drive ``net`` with random vectors; the positional step must give
+    the interpreter's next state and outputs, in declaration order."""
+    step = compile_positional_step(net)
+    regs, ins, outs = net.register_names, net.inputs, net.output_names
+    state = net.reset_state()
+    for _cycle in range(cycles):
+        vec = {name: rng.random() < 0.5 for name in ins}
+        want_state, want_out = net.step(state, vec)
+        got_state, got_out = step(
+            tuple(state[n] for n in regs), tuple(vec[n] for n in ins)
+        )
+        assert got_state == tuple(want_state[n] for n in regs)
+        assert got_out == tuple(want_out[n] for n in outs)
+        state = want_state
+
+
+@pytest.mark.parametrize(
+    "net", FIXED_NETLISTS, ids=lambda n: n.name
+)
+def test_positional_matches_interpreter_fixed(net):
+    assert_positional_matches_interpreter(net, random.Random(5), 100)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_inputs=st.integers(0, 3),
+    n_regs=st.integers(1, 4),
+)
+def test_positional_matches_interpreter_random(seed, n_inputs, n_regs):
+    rng = random.Random(seed)
+    net = random_netlist(rng, n_inputs=n_inputs, n_regs=n_regs)
+    assert_positional_matches_interpreter(net, rng, 30)
+
+
+def test_positional_matches_on_dlx_models():
+    from repro.dlx.control import build_control_netlist
+    from repro.dlx.testmodel import tour_netlist
+
+    rng = random.Random(11)
+    for net in (build_control_netlist(), tour_netlist(1)):
+        assert_positional_matches_interpreter(net, rng, 50)
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,18 +4,32 @@ The pins fix what extraction returns on real netlists -- the bundled
 corpus BLIFs and the synthesized protocol models -- down to the order
 transitions were added in: ``machine_fingerprint`` keys the corpus
 result store, and tours walk ``_delta``/``_succ`` in insertion order.
+The packed (token-labelled) form must decode to the plain one, and
+``max_states`` must admit exactly the states it names in every entry
+point.
 """
 
 import hashlib
 import os
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus import PROTOCOL_MODELS
 from repro.corpus.synth import machine_to_netlist
 from repro.parallel import machine_fingerprint
+from repro.rtl import Netlist, mux, not_, xor_
 from repro.rtl.blif import load_blif
-from repro.rtl.extract import extract_mealy
+from repro.rtl.extract import (
+    ExtractionError,
+    PackedMachine,
+    assignment_key,
+    extract_mealy,
+    reachable_state_count,
+)
+from tests.test_rtl_compile import free_running, random_netlist
 from tests.test_rtl_netlist import counter_netlist
 
 CORPUS_DIR = os.path.join(
@@ -23,12 +37,27 @@ CORPUS_DIR = os.path.join(
 )
 
 
+def walk_order_netlist():
+    """Input ``x`` low steps (a, b) through 00 -> 11 -> 01 -> 10 -> 00,
+    high holds: the packed walk (states in value order) meets 01 before
+    any transition has numbered it, and its first successor is new."""
+    net = Netlist("walk-order")
+    x = net.add_input("x")
+    a = net.add_register("a")
+    b = net.add_register("b")
+    net.set_next("a", mux(x, a, not_(a)))
+    net.set_next("b", mux(x, b, not_(xor_(a, b))))
+    net.add_output("o", xor_(a, b))
+    return net
+
+
 def pinned_cases():
     """name -> (netlist, extract_mealy keyword arguments): the
     sequential BLIFs of the bundled corpus and the four protocol models
     encoded as netlists, over all their inputs, plus a counter driven
     by caller vectors with an extra key and a duplicate (input labels
-    are the callers' own vectors)."""
+    are the callers' own vectors), and one packed extraction whose
+    numbering depends on the order of the packed walk."""
     cases = {}
     for base in sorted(os.listdir(CORPUS_DIR)):
         if base.endswith(".blif"):
@@ -40,6 +69,7 @@ def pinned_cases():
         cases[name] = (net, {})
     vectors = [{"en": True, "tag": 1}, {"en": False}, {"en": True, "tag": 1}]
     cases["ctr3-vectors"] = (counter_netlist(3), {"inputs": vectors})
+    cases["walk-order-packed"] = (walk_order_netlist(), {"packed": True})
     return cases
 
 
@@ -92,6 +122,10 @@ PINNED = {
         "34339185c865697e504c224a1211a23daef40770cf3bf6de2fa8e1f8c8585c02",
         "18f085ae376b7345e9b7f45730a94605d83b09c7e5704b010a906d7485d756a4",
     ),
+    "walk-order-packed": (
+        "bec343c8a37c92a195b48a8d728cf733afdb541d6a4348ea6984011bf8aebb4e",
+        "75eb22868050a6b9329648788248af89893c770d823a5dadf90414a50072b1b6",
+    ),
 }
 
 
@@ -111,3 +145,81 @@ def test_extraction_is_pinned(cases, name):
     assert (
         machine_fingerprint(machine), insertion_digest(machine)
     ) == PINNED[name]
+
+
+def assert_packed_decodes_to_plain(net):
+    """The packed machine, decoded through its tables, is the plain
+    machine: walk both from their initial states in lockstep."""
+    plain = extract_mealy(net)
+    packed = extract_mealy(net, packed=True)
+    assert isinstance(packed, PackedMachine)
+    assert packed.initial == 0
+    assert sorted(packed.states) == list(range(len(plain)))
+    assert packed.num_transitions() == plain.num_transitions()
+    assert sorted(packed.output_values) == list(
+        range(len(packed.output_values))
+    )
+    image = {packed.initial: plain.initial}
+    walk = [packed.initial]
+    for state in walk:  # grows as the walk reaches new states
+        for t in packed.transitions_from(state):
+            key = assignment_key(packed.input_vectors[t.inp])
+            want = plain.transition(image[state], key)
+            outs = dict(zip(net.output_names, packed.output_values[t.out]))
+            assert dict(want.out) == outs
+            if t.dst not in image:
+                image[t.dst] = want.dst
+                walk.append(t.dst)
+            assert image[t.dst] == want.dst
+    assert len(set(image.values())) == len(image) == len(plain)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_inputs=st.integers(0, 3),
+    n_regs=st.integers(1, 5),
+)
+def test_count_and_packed_agree_with_extraction(seed, n_inputs, n_regs):
+    net = random_netlist(random.Random(seed), n_inputs=n_inputs, n_regs=n_regs)
+    assert reachable_state_count(net) == len(extract_mealy(net))
+    assert_packed_decodes_to_plain(net)
+
+
+def test_packed_decodes_on_pinned_netlists(cases):
+    for name, (net, kwargs) in cases.items():
+        if not kwargs:
+            assert_packed_decodes_to_plain(net)
+
+
+def test_packed_decode_tables_are_pinned():
+    machine = extract_mealy(walk_order_netlist(), packed=True)
+    assert machine.input_vectors == {"i0": {"x": False}, "i1": {"x": True}}
+    assert machine.output_values == {0: (False,), 1: (True,)}
+
+
+def test_input_free_netlist_extracts():
+    net = free_running()
+    machine = extract_mealy(net)
+    assert (len(machine), machine.num_transitions()) == (2, 2)
+    assert machine.inputs == {()}
+
+
+ENTRY_POINTS = {
+    "plain": lambda net, bound: len(extract_mealy(net, max_states=bound)),
+    "packed": lambda net, bound: len(
+        extract_mealy(net, max_states=bound, packed=True)
+    ),
+    "count": lambda net, bound: reachable_state_count(net, max_states=bound),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_max_states_admits_exactly_its_bound(entry):
+    """A netlist with N reachable states passes at ``max_states=N`` and
+    raises at N - 1, with one message for every entry point."""
+    extract = ENTRY_POINTS[entry]
+    net = counter_netlist(3)
+    assert extract(net, 8) == 8
+    with pytest.raises(ExtractionError, match="more than 7 reachable states"):
+        extract(net, 7)
