@@ -513,9 +513,9 @@ class PipelinedDLX:
             always halts).
         """
         for _cycle in range(max_cycles):
+            self.cycle()
             if self.halted:
                 return self.checkpoints
-            self.cycle()
         raise ExecutionError(
             f"pipeline did not halt within {max_cycles} cycles"
         )

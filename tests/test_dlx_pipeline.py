@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dlx.assembler import assemble
-from repro.dlx.behavioral import BehavioralDLX
+from repro.dlx.behavioral import BehavioralDLX, ExecutionError
 from repro.dlx.buggy import BUG_CATALOG, catalog_by_mechanism, catalog_by_name
 from repro.dlx.pipeline import PipelineBugs, PipelinedDLX
 from repro.dlx.programs import (
@@ -92,6 +92,17 @@ class TestCorrectDesign:
         )
         _e, _o, impl = cosim(program)
         assert impl.regs[2] == 9
+
+    def test_halting_on_the_last_allowed_cycle_is_a_halt(self):
+        """A lone HALT retires on cycle 5, so five cycles suffice, as
+        one step suffices for the behavioral model; four do not."""
+        program = assemble("halt")
+        assert len(BehavioralDLX(program).run(max_steps=1)) == 1
+        impl = PipelinedDLX(program)
+        assert len(impl.run(max_cycles=5)) == 1
+        assert impl.cycle_count == 5
+        with pytest.raises(ExecutionError, match="within 4 cycles"):
+            PipelinedDLX(program).run(max_cycles=4)
 
 
 class TestBugObservability:
