@@ -20,15 +20,9 @@ canonical text, which the round-trip tests rely on.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .isa import (
-    ALU_IMM_OPS,
-    BRANCH_OPS,
-    R_TYPE_OPS,
-    Instruction,
-    Op,
-)
+from .isa import Instruction, Op
 
 
 class AssemblerError(Exception):
@@ -111,103 +105,38 @@ def assemble(text: str) -> List[Instruction]:
             raise AssemblerError(line_no, f"unknown mnemonic {mnemonic!r}")
         operand_text = parts[1] if len(parts) > 1 else ""
         operands = [tok.strip() for tok in operand_text.split(",") if tok.strip()]
-
-        def offset_of(token: str) -> int:
-            """Label or literal -> relative word offset from address+1."""
-            if token in labels:
-                return labels[token] - (address + 1)
-            return _parse_int(token, line_no)
-
-        if op in R_TYPE_OPS:
-            if len(operands) != 3:
-                raise AssemblerError(line_no, f"{mnemonic} needs rd, rs1, rs2")
-            program.append(
-                Instruction(
-                    op,
-                    rd=_parse_reg(operands[0], line_no),
-                    rs1=_parse_reg(operands[1], line_no),
-                    rs2=_parse_reg(operands[2], line_no),
-                )
-            )
-        elif op in ALU_IMM_OPS and op != Op.LHI:
-            if len(operands) != 3:
-                raise AssemblerError(line_no, f"{mnemonic} needs rd, rs1, imm")
-            program.append(
-                Instruction(
-                    op,
-                    rd=_parse_reg(operands[0], line_no),
-                    rs1=_parse_reg(operands[1], line_no),
-                    imm=_parse_int(operands[2], line_no),
-                )
-            )
-        elif op == Op.LHI:
-            if len(operands) != 2:
-                raise AssemblerError(line_no, "lhi needs rd, imm")
-            program.append(
-                Instruction(
-                    op,
-                    rd=_parse_reg(operands[0], line_no),
-                    imm=_parse_int(operands[1], line_no),
-                )
-            )
-        elif op == Op.LW:
-            if len(operands) != 2:
-                raise AssemblerError(line_no, "lw needs rd, imm(rs1)")
-            match = _MEM_RE.match(operands[1])
-            if not match:
-                raise AssemblerError(
-                    line_no, f"bad memory operand {operands[1]!r}"
-                )
-            program.append(
-                Instruction(
-                    op,
-                    rd=_parse_reg(operands[0], line_no),
-                    rs1=_parse_reg(match.group(2), line_no),
-                    imm=_parse_int(match.group(1), line_no),
-                )
-            )
-        elif op == Op.SW:
-            if len(operands) != 2:
-                raise AssemblerError(line_no, "sw needs rs2, imm(rs1)")
-            match = _MEM_RE.match(operands[1])
-            if not match:
-                raise AssemblerError(
-                    line_no, f"bad memory operand {operands[1]!r}"
-                )
-            program.append(
-                Instruction(
-                    op,
-                    rs2=_parse_reg(operands[0], line_no),
-                    rs1=_parse_reg(match.group(2), line_no),
-                    imm=_parse_int(match.group(1), line_no),
-                )
-            )
-        elif op in BRANCH_OPS:
-            if len(operands) != 2:
-                raise AssemblerError(line_no, f"{mnemonic} needs rs1, target")
-            program.append(
-                Instruction(
-                    op,
-                    rs1=_parse_reg(operands[0], line_no),
-                    imm=offset_of(operands[1]),
-                )
-            )
-        elif op in (Op.J, Op.JAL):
-            if len(operands) != 1:
-                raise AssemblerError(line_no, f"{mnemonic} needs a target")
-            program.append(Instruction(op, imm=offset_of(operands[0])))
-        elif op in (Op.JR, Op.JALR):
-            if len(operands) != 1:
-                raise AssemblerError(line_no, f"{mnemonic} needs rs1")
-            program.append(
-                Instruction(op, rs1=_parse_reg(operands[0], line_no))
-            )
-        elif op in (Op.NOP, Op.HALT):
-            if operands:
-                raise AssemblerError(line_no, f"{mnemonic} takes no operands")
-            program.append(Instruction(op))
-        else:  # pragma: no cover - Op enum is closed
-            raise AssemblerError(line_no, f"unhandled op {op.value}")
+        shape = op.operands
+        if len(operands) != len(shape):
+            if not shape:
+                wants = "takes no operands"
+            elif shape == ("target",):
+                wants = "needs a target"
+            else:
+                wants = "needs " + ", ".join(shape)
+            raise AssemblerError(line_no, f"{mnemonic} {wants}")
+        # A memory operand splits into base and offset before any token
+        # is parsed, so a malformed one is the error its line reports.
+        tokens: List[Tuple[str, str]] = []
+        for kind, token in zip(shape, operands):
+            if kind == "imm(rs1)":
+                match = _MEM_RE.match(token)
+                if not match:
+                    raise AssemblerError(
+                        line_no, f"bad memory operand {token!r}"
+                    )
+                tokens += [("rs1", match.group(2)), ("imm", match.group(1))]
+            else:
+                tokens.append((kind, token))
+        fields: Dict[str, int] = {}
+        for kind, token in tokens:
+            if kind == "target" and token in labels:
+                # A label becomes the offset from the next instruction.
+                fields["imm"] = labels[token] - (address + 1)
+            elif kind in ("imm", "target"):
+                fields["imm"] = _parse_int(token, line_no)
+            else:
+                fields[kind] = _parse_reg(token, line_no)
+        program.append(Instruction(op, **fields))
     return program
 
 

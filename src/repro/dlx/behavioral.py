@@ -27,15 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .isa import (
-    ALU_IMM_OPS,
-    NUM_REGS,
-    PSW_OPS,
-    R_TYPE_OPS,
-    WORD_MASK,
-    Instruction,
-    Op,
-)
+from .isa import NUM_REGS, WORD_MASK, Format, Instruction, Op
 
 
 class ExecutionError(Exception):
@@ -205,45 +197,40 @@ class BehavioralDLX:
         next_pc = self.pc + 1
         mem_write: Optional[Tuple[int, int]] = None
 
-        if op in R_TYPE_OPS:
-            result = alu(op, self.read_reg(instr.rs1), self.read_reg(instr.rs2))
+        if op.is_alu:
+            if op.format is Format.R:
+                b = self.read_reg(instr.rs2)
+            else:
+                b = instr.imm
+            result = alu(op, self.read_reg(instr.rs1), b)
             self.write_reg(instr.rd, result)
             self.psw = PSW.of(result)
-        elif op in ALU_IMM_OPS:
-            result = alu(op, self.read_reg(instr.rs1), instr.imm)
-            self.write_reg(instr.rd, result)
-            self.psw = PSW.of(result)
-        elif op == Op.LW:
+        elif op.is_load:
             address = (self.read_reg(instr.rs1) + instr.imm) & WORD_MASK
             self.write_reg(instr.rd, self.load(address))
-        elif op == Op.SW:
+        elif op.is_store:
             address = (self.read_reg(instr.rs1) + instr.imm) & WORD_MASK
             value = self.read_reg(instr.rs2)
             self.store(address, value)
             mem_write = (address, value)
-        elif op == Op.BEQZ:
-            if self._branch_zero(self.read_reg(instr.rs1)):
+        elif op.is_branch:
+            taken = self._branch_zero(self.read_reg(instr.rs1))
+            if not op.taken_if_zero:
+                taken = not taken
+            if taken:
                 next_pc = self.pc + 1 + instr.imm
-        elif op == Op.BNEZ:
-            if not self._branch_zero(self.read_reg(instr.rs1)):
+        elif op.is_jump:
+            # JR/JALR go where the register they read points (read
+            # before JALR links, which may overwrite it); J/JAL jump by
+            # their offset.
+            if op.reads:
+                next_pc = self.read_reg(instr.rs1)
+            else:
                 next_pc = self.pc + 1 + instr.imm
-        elif op == Op.J:
-            next_pc = self.pc + 1 + instr.imm
-        elif op == Op.JAL:
-            self.write_reg(31, self.pc + 1)
-            next_pc = self.pc + 1 + instr.imm
-        elif op == Op.JR:
-            next_pc = self.read_reg(instr.rs1)
-        elif op == Op.JALR:
-            target = self.read_reg(instr.rs1)
-            self.write_reg(31, self.pc + 1)
-            next_pc = target
-        elif op == Op.NOP:
-            pass
-        elif op == Op.HALT:
+            if op.is_link:
+                self.write_reg(31, self.pc + 1)
+        elif op.halts:
             self.halted = True
-        else:  # pragma: no cover - enum is closed
-            raise ExecutionError(f"unimplemented op {op.value}")
 
         self.pc = next_pc
         checkpoint = Checkpoint(

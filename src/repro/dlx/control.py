@@ -55,7 +55,7 @@ from ..rtl.expr import (
     or_,
 )
 from ..rtl.netlist import Netlist
-from .isa import OPCODES, Op
+from .isa import ALU_IMM_OPS, OPCODES, Op
 
 # Opcode constants used by the decoders.
 OP_RTYPE = 0x00
@@ -68,17 +68,7 @@ OP_JAL = OPCODES[Op.JAL]
 OP_JR = OPCODES[Op.JR]
 OP_JALR = OPCODES[Op.JALR]
 OP_LHI = OPCODES[Op.LHI]
-IMM_OPCODES = tuple(
-    sorted(
-        {
-            OPCODES[op]
-            for op in (
-                Op.ADDI, Op.SUBI, Op.ANDI, Op.ORI, Op.XORI,
-                Op.SLTI, Op.SEQI, Op.SGTI, Op.LHI,
-            )
-        }
-    )
-)
+IMM_OPCODES = tuple(sorted(OPCODES[op] for op in ALU_IMM_OPS))
 
 STAGES = ("id", "ex", "mem", "wb")
 

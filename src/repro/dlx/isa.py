@@ -9,21 +9,27 @@ encode/decode.
 Formats (fields in machine-word order, MSB first):
 
 * **R-type** (``opcode == 0``): ``op(6) rs1(5) rs2(5) rd(5) func(11)``
-* **I-type**: ``op(6) rs1(5) rd(5) imm(16)`` (imm is sign-extended
-  except for logical immediates and LHI)
-* **J-type**: ``op(6) offset(26)`` (sign-extended)
+* **I-type**: ``op(6) rs1(5) rd(5) imm(16)``
+* **J-type**: ``op(6) offset(26)``
 
-Branch/jump offsets are in *words* relative to the sequentially next
-instruction (the usual DLX convention scaled to our word-addressed
-program memory -- a documented simplification that affects no control
-behaviour).
+Every immediate and offset is sign-extended, the 16-bit immediates of
+the logical operations and LHI included: ``andi r1, r2, 0xFFFF`` does
+not encode, and the field ``0xFFFF`` decodes to ``-1``, which ANDs
+with ``0xFFFFFFFF``.  Branch/jump offsets are in *words* relative to
+the sequentially next instruction (the usual DLX convention scaled to
+our word-addressed program memory).  Both are simplifications that no
+control decision depends on.
+
+:data:`OPERANDS` is the one description of what each operation names,
+reads and writes; the facts derived from it are attributes of the
+:class:`Op` members.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 WORD_MASK = 0xFFFFFFFF
 NUM_REGS = 32
@@ -38,7 +44,13 @@ class Format(enum.Enum):
 
 
 class Op(enum.Enum):
-    """The implemented DLX operations (integer subset, no FP/traps)."""
+    """The implemented DLX operations (integer subset, no FP/traps).
+
+    A member's value is its mnemonic.  The attributes annotated below
+    are derived once, when this module loads, from the member's row of
+    :data:`OPERANDS` and from the operation classes (``R_TYPE_OPS`` ...
+    ``PSW_OPS``), so readers never re-test a class or hash a member.
+    """
 
     # R-type ALU (opcode 0x00, distinguished by func)
     ADD = "add"
@@ -75,6 +87,28 @@ class Op(enum.Enum):
     NOP = "nop"
     HALT = "halt"
 
+    #: The operands in assembly order (the row of :data:`OPERANDS`).
+    operands: Tuple[str, ...]
+    #: The register fields read, ``rs1`` first.
+    reads: Tuple[str, ...]
+    #: True when the destination is ``rd`` (a link writes r31).
+    writes_rd: bool
+    is_load: bool
+    is_store: bool
+    is_branch: bool
+    is_jump: bool
+    #: JAL and JALR, which write the return address to r31.
+    is_link: bool
+    #: R-type and immediate ALU operations, whose results set the PSW.
+    is_alu: bool
+    #: BEQZ: a conditional branch taken when its register is zero.
+    taken_if_zero: bool
+    halts: bool
+    format: Format
+    #: The text form, a :meth:`str.format_map` template over the
+    #: fields of an :class:`Instruction`.
+    text: str
+
 
 # Opcode assignments (6 bits).  R-type ALU shares opcode 0.
 OPCODES: Dict[Op, int] = {
@@ -102,11 +136,31 @@ _OPCODE_TO_OP = {
     code: op for op, code in OPCODES.items() if code != 0x00
 }
 
+#: Each operation's operands in assembly order: the registers ``rd``,
+#: ``rs1`` and ``rs2``, an immediate ``imm``, a memory operand
+#: ``imm(rs1)`` (an offset from a base register) or a branch or jump
+#: ``target`` (a label, or a word offset).  This is the one description
+#: of the operands: the assembler, the disassembler, the encoder,
+#: :class:`Instruction` and both simulators read it, through the
+#: attributes it gives each :class:`Op`.
+OPERANDS: Dict[Op, Tuple[str, ...]] = {
+    **dict.fromkeys(FUNCS, ("rd", "rs1", "rs2")),
+    **dict.fromkeys(
+        (Op.ADDI, Op.SUBI, Op.ANDI, Op.ORI, Op.XORI, Op.SLTI, Op.SEQI,
+         Op.SGTI),
+        ("rd", "rs1", "imm"),
+    ),
+    Op.LHI: ("rd", "imm"),
+    Op.LW: ("rd", "imm(rs1)"),
+    Op.SW: ("rs2", "imm(rs1)"),
+    **dict.fromkeys((Op.BEQZ, Op.BNEZ), ("rs1", "target")),
+    **dict.fromkeys((Op.J, Op.JAL), ("target",)),
+    **dict.fromkeys((Op.JR, Op.JALR), ("rs1",)),
+    **dict.fromkeys((Op.NOP, Op.HALT), ()),
+}
+
 R_TYPE_OPS = frozenset(FUNCS)
-ALU_IMM_OPS = frozenset(
-    {Op.ADDI, Op.SUBI, Op.ANDI, Op.ORI, Op.XORI, Op.SLTI, Op.SEQI,
-     Op.SGTI, Op.LHI}
-)
+ALU_IMM_OPS = frozenset(op for op, row in OPERANDS.items() if "imm" in row)
 BRANCH_OPS = frozenset({Op.BEQZ, Op.BNEZ})
 JUMP_OPS = frozenset({Op.J, Op.JAL, Op.JR, Op.JALR})
 LOAD_OPS = frozenset({Op.LW})
@@ -114,14 +168,45 @@ STORE_OPS = frozenset({Op.SW})
 # Operations whose retirement updates the PSW condition flags.
 PSW_OPS = R_TYPE_OPS | ALU_IMM_OPS
 
+_OPERAND_TEXT = {
+    "rd": "r{rd}", "rs1": "r{rs1}", "rs2": "r{rs2}", "imm": "{imm}",
+    "imm(rs1)": "{imm}(r{rs1})", "target": "{imm}",
+}
+
+
+def _derive_facts() -> None:
+    """Give every operation the attributes :class:`Op` annotates, from
+    its row of :data:`OPERANDS` and its classes."""
+    for op, operands in OPERANDS.items():
+        # A memory operand reads its base register.
+        registers = {"rs1" if o == "imm(rs1)" else o for o in operands}
+        op.operands = operands
+        op.reads = tuple(sorted(registers & {"rs1", "rs2"}))
+        op.writes_rd = "rd" in registers
+        op.is_load = op in LOAD_OPS
+        op.is_store = op in STORE_OPS
+        op.is_branch = op in BRANCH_OPS
+        op.is_jump = op in JUMP_OPS
+        op.is_link = op in (Op.JAL, Op.JALR)
+        op.is_alu = op in PSW_OPS
+        op.taken_if_zero = op is Op.BEQZ
+        op.halts = op is Op.HALT
+        if operands == ("rd", "rs1", "rs2"):
+            op.format = Format.R
+        elif operands == ("target",):
+            op.format = Format.J
+        else:
+            op.format = Format.I
+        spelled = ", ".join(_OPERAND_TEXT[o] for o in operands)
+        op.text = f"{op.value} {spelled}" if operands else op.value
+
+
+_derive_facts()
+
 
 def format_of(op: Op) -> Format:
     """The encoding format of an operation."""
-    if op in R_TYPE_OPS:
-        return Format.R
-    if op in (Op.J, Op.JAL):
-        return Format.J
-    return Format.I
+    return op.format
 
 
 @dataclass(frozen=True)
@@ -150,78 +235,45 @@ class Instruction:
     # -- classification -------------------------------------------------
     @property
     def is_load(self) -> bool:
-        return self.op in LOAD_OPS
+        return self.op.is_load
 
     @property
     def is_store(self) -> bool:
-        return self.op in STORE_OPS
+        return self.op.is_store
 
     @property
     def is_branch(self) -> bool:
-        return self.op in BRANCH_OPS
+        return self.op.is_branch
 
     @property
     def is_jump(self) -> bool:
-        return self.op in JUMP_OPS
+        return self.op.is_jump
 
     @property
     def is_control(self) -> bool:
-        return self.is_branch or self.is_jump
+        return self.op.is_branch or self.op.is_jump
 
     @property
     def writes_reg(self) -> bool:
         """Does this instruction write a register?"""
-        if self.op in R_TYPE_OPS or self.op in ALU_IMM_OPS or self.is_load:
-            return self.dest != 0
-        if self.op in (Op.JAL, Op.JALR):
-            return True
-        return False
+        if self.op.writes_rd:
+            return self.rd != 0
+        return self.op.is_link
 
     @property
     def dest(self) -> int:
         """Destination register number (0 when none)."""
-        if self.op in R_TYPE_OPS or self.op in ALU_IMM_OPS or self.is_load:
+        if self.op.writes_rd:
             return self.rd
-        if self.op in (Op.JAL, Op.JALR):
-            return 31
-        return 0
+        return 31 if self.op.is_link else 0
 
     @property
     def sources(self) -> Tuple[int, ...]:
-        """Register numbers read by this instruction."""
-        if self.op in R_TYPE_OPS:
-            return (self.rs1, self.rs2)
-        if self.op in ALU_IMM_OPS and self.op != Op.LHI:
-            return (self.rs1,)
-        if self.is_load:
-            return (self.rs1,)
-        if self.is_store:
-            return (self.rs1, self.rs2)  # address base, store data
-        if self.is_branch:
-            return (self.rs1,)
-        if self.op in (Op.JR, Op.JALR):
-            return (self.rs1,)
-        return ()
+        """Register numbers read by this instruction, rs1 first."""
+        return tuple([getattr(self, name) for name in self.op.reads])
 
     def __str__(self) -> str:
-        op = self.op
-        if op in R_TYPE_OPS:
-            return f"{op.value} r{self.rd}, r{self.rs1}, r{self.rs2}"
-        if op in ALU_IMM_OPS and op != Op.LHI:
-            return f"{op.value} r{self.rd}, r{self.rs1}, {self.imm}"
-        if op == Op.LHI:
-            return f"lhi r{self.rd}, {self.imm}"
-        if op == Op.LW:
-            return f"lw r{self.rd}, {self.imm}(r{self.rs1})"
-        if op == Op.SW:
-            return f"sw r{self.rs2}, {self.imm}(r{self.rs1})"
-        if op in BRANCH_OPS:
-            return f"{op.value} r{self.rs1}, {self.imm}"
-        if op in (Op.J, Op.JAL):
-            return f"{op.value} {self.imm}"
-        if op in (Op.JR, Op.JALR):
-            return f"{op.value} r{self.rs1}"
-        return op.value
+        return self.op.text.format_map(vars(self))
 
 
 NOP = Instruction(Op.NOP)
@@ -256,7 +308,7 @@ def encode(instr: Instruction) -> int:
     """Encode an instruction as a 32-bit word."""
     op = instr.op
     opcode = OPCODES[op]
-    fmt = format_of(op)
+    fmt = op.format
     if fmt is Format.R:
         return (
             (opcode << 26)
@@ -269,10 +321,7 @@ def encode(instr: Instruction) -> int:
         return (opcode << 26) | _fit_signed(instr.imm, 26, "jump offset")
     # I-type.  SW keeps its store-data register in the rd slot per the
     # DLX convention (rd field carries rs2 for stores).
-    if op == Op.SW:
-        reg_field = instr.rs2
-    else:
-        reg_field = instr.rd
+    reg_field = instr.rs2 if op.is_store else instr.rd
     imm = _fit_signed(instr.imm, 16, f"{op.value} immediate")
     return (opcode << 26) | (instr.rs1 << 21) | (reg_field << 16) | imm
 
@@ -303,15 +352,15 @@ def decode(word: int) -> Instruction:
     op = _OPCODE_TO_OP.get(opcode)
     if op is None:
         raise EncodingError(f"unknown opcode 0x{opcode:02x}")
-    if format_of(op) is Format.J:
+    if op.format is Format.J:
         return Instruction(op, imm=_signed(word, 26))
+    if not op.operands:
+        return Instruction(op)
     rs1 = (word >> 21) & 0x1F
     reg = (word >> 16) & 0x1F
     imm = _signed(word, 16)
-    if op == Op.SW:
+    if op.is_store:
         return Instruction(op, rs1=rs1, rs2=reg, imm=imm)
-    if op in (Op.NOP, Op.HALT):
-        return Instruction(op)
     return Instruction(op, rd=reg, rs1=rs1, imm=imm)
 
 

@@ -44,15 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .behavioral import PSW, Checkpoint, ExecutionError, alu
-from .isa import (
-    ALU_IMM_OPS,
-    NUM_REGS,
-    PSW_OPS,
-    R_TYPE_OPS,
-    WORD_MASK,
-    Instruction,
-    Op,
-)
+from .isa import NUM_REGS, WORD_MASK, Format, Instruction
 
 
 @dataclass(frozen=True)
@@ -306,11 +298,12 @@ class PipelinedDLX:
         wb = self.mem_wb
         if wb is not None:
             instr = wb.instr
+            op = instr.op
             if instr.writes_reg:
                 self.write_reg(instr.dest, wb.value)
-            immediate = instr.op in ALU_IMM_OPS
+            immediate = op.is_alu and op.format is Format.I
             skips = self._bug("psw_skips_immediates", immediate)
-            if instr.op in PSW_OPS and not (skips and immediate):
+            if op.is_alu and not (skips and immediate):
                 self.psw = PSW.of(wb.value)
             self.checkpoints.append(
                 Checkpoint(
@@ -327,7 +320,7 @@ class PipelinedDLX:
             self.latencies.append(
                 (instr, self.cycle_count - self.issue_cycle.get(wb.seq, 0))
             )
-            if instr.op == Op.HALT:
+            if op.halts:
                 self.halted = True
 
         # ---------------- MEM -----------------------------------------
@@ -362,22 +355,21 @@ class PipelinedDLX:
             stage = self.id_ex
             instr = stage.instr
             op = instr.op
-            a, fwd_a = self._forward(
-                instr.rs1 if instr.sources else 0, stage.a
-            )
+            a, fwd_a = self._forward(instr.rs1 if op.reads else 0, stage.a)
             ex_a_zero = a == 0
             next_pc = stage.pc + 1
             value = 0
             store_data = stage.store_data
             taken = False
-            if op in R_TYPE_OPS:
-                b, fwd_b = self._forward(instr.rs2, stage.b)
+            if op.is_alu:
+                if op.format is Format.R:
+                    b, fwd_b = self._forward(instr.rs2, stage.b)
+                else:
+                    b = instr.imm
                 value = alu(op, a, b)
-            elif op in ALU_IMM_OPS:
-                value = alu(op, a, instr.imm)
-            elif op == Op.LW:
+            elif op.is_load:
                 value = (a + instr.imm) & WORD_MASK  # effective address
-            elif op == Op.SW:
+            elif op.is_store:
                 value = (a + instr.imm) & WORD_MASK
                 forwarded, source = self._forward(
                     instr.rs2, stage.store_data
@@ -386,22 +378,19 @@ class PipelinedDLX:
                 # network would have supplied it.
                 if not self._bug("no_store_data_forward", source != "none"):
                     store_data, fwd_store = forwarded, source
-            elif op == Op.BEQZ:
+            elif op.is_branch:
                 taken = self._branch_zero(a)
+                if not op.taken_if_zero:
+                    taken = not taken
                 if taken:
                     next_pc = stage.pc + 1 + instr.imm
-            elif op == Op.BNEZ:
-                taken = not self._branch_zero(a)
-                if taken:
-                    next_pc = stage.pc + 1 + instr.imm
-            elif op in (Op.J, Op.JAL):
+            elif op.is_jump:
                 taken = True
-                next_pc = stage.pc + 1 + instr.imm
-            elif op in (Op.JR, Op.JALR):
-                taken = True
-                next_pc = a
+                # JR/JALR go where the register they read points; J/JAL
+                # jump by their offset.
+                next_pc = a if op.reads else stage.pc + 1 + instr.imm
             # NOP/HALT: nothing to compute.
-            if op in (Op.JAL, Op.JALR):
+            if op.is_link:
                 # A wrong link PC changes every link value.
                 wrong = self._bug("jal_links_wrong_pc", True)
                 value = stage.pc + (2 if wrong else 1)
@@ -446,7 +435,7 @@ class PipelinedDLX:
         fetch_pc = self.pc
         new_pc = self.pc
         halt_inflight = any(
-            latch is not None and latch.instr.op == Op.HALT
+            latch is not None and latch.instr.op.halts
             for latch in (self.if_id, self.id_ex, self.ex_mem, self.mem_wb)
         )
         if stall:

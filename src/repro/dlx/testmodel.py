@@ -274,20 +274,17 @@ TOUR_OPCODES: Tuple[Op, ...] = (
 )
 
 
-# Operand fields each tour opcode actually exercises: enumerating only
-# these (zeroing the rest) is itself an input don't-care reduction --
-# vectors differing in an unused field drive identical control
-# behaviour and need not be separately visited.
+# Operand fields each tour opcode actually exercises -- the registers
+# it reads, then rd if it writes rd, then the branch-test result for a
+# conditional branch: enumerating only these (zeroing the rest) is
+# itself an input don't-care reduction -- vectors differing in an
+# unused field drive identical control behaviour and need not be
+# separately visited.
 _TOUR_FIELDS: Dict[Op, Tuple[str, ...]] = {
-    Op.ADD: ("rs1", "rs2", "rd"),
-    Op.ADDI: ("rs1", "rd"),
-    Op.LW: ("rs1", "rd"),
-    Op.SW: ("rs1", "rs2"),
-    Op.BEQZ: ("rs1", "dz"),
-    Op.BNEZ: ("rs1", "dz"),
-    Op.J: (),
-    Op.JAL: (),
-    Op.NOP: (),
+    op: op.reads
+    + (("rd",) if op.writes_rd else ())
+    + (("dz",) if op.is_branch else ())
+    for op in (*TOUR_OPCODES, Op.BNEZ)
 }
 
 
