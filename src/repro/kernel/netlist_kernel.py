@@ -1,8 +1,8 @@
 """Word-parallel compiled netlist simulation.
 
 The one code generator, :mod:`repro.rtl.compile`, removes the
-tree-walking overhead: :func:`~repro.rtl.compile.compile_step` spells
-a netlist on Python bools for a *single* simulation.  This module has
+tree-walking overhead: :func:`~repro.rtl.compile.compile_positional_step`
+spells a netlist on Python bools for a *single* simulation.  This module has
 the same generator spell it on lane words, which removes the
 per-mutant overhead as well.  The netlist is levelized once into a
 flat SSA sequence of machine-word bitwise operations over *bit

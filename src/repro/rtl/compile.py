@@ -11,9 +11,9 @@ and ``exec``-s a single straight-line function.  A *render* spells
 each gate:
 
 * :func:`_one_lane` over Python bools (``not``, ``and``, ``or``,
-  ``!=``, ``t if s else f``) for the step functions over dicts
-  (:func:`compile_step`, for the stuck-at interpreter) and over tuples
-  (:func:`compile_positional_step`, for explicit extraction);
+  ``!=``, ``t if s else f``) for :func:`compile_positional_step`, the
+  one-simulation step function of explicit extraction and of the
+  stuck-at interpreter oracle;
 * :func:`_lane_words` over the bit lanes of integer words (``^ M``,
   ``&``, ``|``, ``^``, and-or mux) for the cycle and block functions
   of :mod:`repro.kernel.netlist_kernel`, which simulate many mutants
@@ -27,7 +27,7 @@ gets its own render because the word form is slower on one lane
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .expr import And, Const, Expr, Mux, Not, Or, Var, Xor, _children
 from .netlist import Netlist
@@ -36,11 +36,6 @@ from .netlist import Netlist
 class CompileError(Exception):
     """Raised on unknown expression nodes and unbound bits."""
 
-
-StepFunction = Callable[
-    [Mapping[str, bool], Mapping[str, bool]],
-    Tuple[Dict[str, bool], Dict[str, bool]],
-]
 
 #: How a gate is spelled: its Python right-hand side over the locals
 #: of its children (a constant has no children and no line of its own).
@@ -84,12 +79,7 @@ def _lane_words(node: Expr, kids: Sequence[str]) -> str:
     raise CompileError(f"unknown expression node {type(node).__name__}")
 
 
-def _result_source(
-    roots: Union[Sequence[Expr], Mapping[str, Expr]], names: Dict[int, str]
-) -> str:
-    if isinstance(roots, Mapping):
-        items = ", ".join(f"{k!r}: {names[id(e)]}" for k, e in roots.items())
-        return f"{{{items}}}"
+def _result_source(roots: Sequence[Expr], names: Dict[int, str]) -> str:
     inner = ", ".join(names[id(e)] for e in roots)
     return f"({inner},)" if len(roots) == 1 else f"({inner})"
 
@@ -98,7 +88,7 @@ def _compile_function(
     header: str,
     prologue: Sequence[str],
     bound: Mapping[str, str],
-    results: Sequence[Union[Sequence[Expr], Mapping[str, Expr]]],
+    results: Sequence[Sequence[Expr]],
     label: str,
     render: Render,
 ) -> Callable[..., Any]:
@@ -107,8 +97,7 @@ def _compile_function(
     ``header`` and ``prologue`` bind those locals; every gate the
     ``results`` reach is emitted once, spelled by ``render``, and the
     function returns one value per entry of ``results``: a tuple of
-    its roots' values, or for a mapping a dict of them under the same
-    keys.  Structurally equal gates share one local: a gate is keyed
+    its roots' values.  Structurally equal gates share one local: a gate is keyed
     by its type and its children's locals, which by induction are
     equal exactly when the subtrees are, so no subtree is ever hashed.
     """
@@ -116,7 +105,7 @@ def _compile_function(
     shapes: Dict[Tuple[type, Tuple[str, ...]], str] = {}
     lines: List[str] = [header, *prologue]
     for roots in results:
-        for root in roots.values() if isinstance(roots, Mapping) else roots:
+        for root in roots:
             stack: List[Tuple[Expr, bool]] = [(root, False)]
             while stack:
                 node, emitted = stack.pop()
@@ -151,31 +140,16 @@ def _compile_function(
     return namespace[header[4:header.index("(")]]
 
 
-def compile_step(netlist: Netlist) -> StepFunction:
+def compile_positional_step(netlist: Netlist) -> Callable[..., Tuple[tuple, tuple]]:
     """Compile a netlist into a fast ``step(state, inputs)`` function.
 
-    The generated function has the same contract as
-    :meth:`~repro.rtl.netlist.Netlist.step`: it returns
-    ``(next_state, outputs)`` dicts of Python bools, with Mealy output
-    semantics (outputs read the pre-edge state).
+    It has the semantics of :meth:`~repro.rtl.netlist.Netlist.step` on
+    value tuples: register values in ``register_names`` order and input
+    values in ``inputs`` order in, next-state and output
+    (``output_names`` order) values out, with Mealy output semantics
+    (outputs read the pre-edge state).
     """
-    # Each bit gets a local-variable alias to avoid dict lookups in the
-    # hot expressions.
-    prologue = [
-        f"    b{k} = inputs[{name!r}]" for k, name in enumerate(netlist.inputs)
-    ]
-    prologue += [
-        f"    b{k} = state[{name!r}]"
-        for k, name in enumerate(netlist.register_names, len(prologue))
-    ]
-    nexts = {name: reg.next for name, reg in netlist.registers.items()}
-    return _compile_step(netlist, prologue, (nexts, netlist.outputs))
-
-
-def compile_positional_step(netlist: Netlist) -> Callable[..., Tuple[tuple, tuple]]:
-    """:func:`compile_step` on value tuples: register values in
-    ``register_names`` order and input values in ``inputs`` order in,
-    next-state and output (``output_names`` order) values out."""
+    netlist.validate()
     n_in = len(netlist.inputs)
     bits = [f"b{k}" for k in range(n_in + netlist.latch_count())]
     prologue = [
@@ -185,19 +159,11 @@ def compile_positional_step(netlist: Netlist) -> Callable[..., Tuple[tuple, tupl
     ]
     nexts = [reg.next for reg in netlist.registers.values()]
     outs = list(netlist.outputs.values())
-    return _compile_step(netlist, prologue, (nexts, outs))
-
-
-def _compile_step(netlist: Netlist, prologue: List[str], results: Any) -> Any:
-    """One-lane ``_step(state, inputs)`` returning ``results``, once
-    ``prologue`` binds the inputs, then the registers, to ``b0, ...``."""
-    netlist.validate()
-    bits = (*netlist.inputs, *netlist.register_names)
     return _compile_function(
         "def _step(state, inputs):",
         prologue,
-        {name: f"b{k}" for k, name in enumerate(bits)},
-        results,
+        dict(zip((*netlist.inputs, *netlist.register_names), bits)),
+        (nexts, outs),
         netlist.name,
         _one_lane,
     )

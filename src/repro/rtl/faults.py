@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..campaign import Campaign, check_kernel, per_item, settle
 from ..parallel import batch_unit, parallel_map_batched
+from .compile import compile_positional_step
 from .expr import _substituter, const
 from .netlist import Netlist
 from .transform import _rebuild
@@ -126,52 +127,58 @@ def _stuck_detect_task(shared: _Shared, fault: StuckAt) -> Optional[int]:
 class _GoldenOutputs:
     """The golden netlist's outputs per vector, compiled once and
     stepped lazily: only as far as some fault of the batch needs, so a
-    malformed vector raises for exactly the faults that reach it."""
+    malformed vector raises for exactly the faults that reach it.
+    Each vector stepped becomes one input tuple in ``inputs``, in the
+    golden input order, which every mutant keeps and steps on too."""
 
     def __init__(
         self, golden: Netlist, vectors: Sequence[Mapping[str, bool]]
     ) -> None:
         self.golden = golden
         self.vectors = vectors
+        self.inputs: List[Tuple[bool, ...]] = []
         self._step: Any = None
         self._state: Any = None
-        self._outputs: List[Dict[str, bool]] = []
+        self._outputs: List[Tuple[bool, ...]] = []
 
     def compile(self) -> None:
-        from .compile import compile_step
-
         if self._step is None:
-            self._step = compile_step(self.golden)
-            self._state = self.golden.reset_state()
+            self._step = compile_positional_step(self.golden)
+            self._state = _reset_values(self.golden)
 
-    def output(self, index: int) -> Dict[str, bool]:
-        """The golden outputs under vector ``index`` (0-based)."""
+    def output(self, index: int) -> Tuple[bool, ...]:
+        """The golden outputs under vector ``index`` (0-based), stepped
+        on the input tuple ``inputs[index]``."""
         outputs = self._outputs
+        names = self.golden.inputs
         while len(outputs) <= index:
-            self._state, out = self._step(
-                self._state, self.vectors[len(outputs)]
-            )
+            vector = self.vectors[len(outputs)]
+            inputs = tuple([vector[name] for name in names])
+            self._state, out = self._step(self._state, inputs)
+            self.inputs.append(inputs)
             outputs.append(out)
         return outputs[index]
+
+
+def _reset_values(netlist: Netlist) -> Tuple[bool, ...]:
+    return tuple(reg.init for reg in netlist.registers.values())
 
 
 def _detect_against(trace: _GoldenOutputs, fault: StuckAt) -> Optional[int]:
     """The one stuck-at interpreter loop: the fault's first divergence,
     with the golden side read from ``trace``.  The mutant is built and
     both netlists compiled before any vector is read; then each vector
-    steps the golden netlist before the mutant, so a malformed vector
-    raises from the golden step."""
-    from .compile import compile_step
-
+    becomes the golden input tuple before the mutant steps on it, so a
+    malformed vector raises from the golden side."""
     faulty = fault.apply(trace.golden)
     trace.compile()
-    step_f = compile_step(faulty)
-    state_f = faulty.reset_state()
-    for idx, vec in enumerate(trace.vectors, start=1):
-        out_g = trace.output(idx - 1)
-        state_f, out_f = step_f(state_f, vec)
+    step_f = compile_positional_step(faulty)
+    state_f = _reset_values(faulty)
+    for index in range(len(trace.vectors)):
+        out_g = trace.output(index)
+        state_f, out_f = step_f(state_f, trace.inputs[index])
         if out_g != out_f:
-            return idx
+            return index + 1
     return None
 
 

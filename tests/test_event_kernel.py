@@ -107,7 +107,7 @@ def plain_trace(netlist: Netlist, vectors):
     """Per base slot (inputs, then registers), the bitmask of cycles
     on which the slot's golden value is 1, from the interpreter
     (``Netlist.step``: the kernel under test shares its code generator
-    with ``compile_step``, so the reference must not)."""
+    with ``compile_positional_step``, so the reference must not)."""
     step = netlist.step
     state = netlist.reset_state()
     names = list(netlist.inputs) + list(netlist.register_names)

@@ -1,10 +1,10 @@
 """Compiled-code simulation vs the interpreting simulator.
 
-The compiled step functions -- the dict form and the positional
-(tuple) form -- must be bit-identical to :meth:`Netlist.step` on every
-netlist and input stream -- checked on the hand-built netlists, on the
-DLX control and tour models, and property-style on randomly generated
-netlists.
+The compiled (positional) step function must be bit-identical to
+:meth:`Netlist.step` on every netlist and input stream, both stepped
+from the interpreter's state each cycle and run on its own state --
+checked on the hand-built netlists, on the DLX control and tour
+models, and property-style on randomly generated netlists.
 """
 
 import random
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rtl import Netlist, and_, mux, not_, or_, var, xor_
-from repro.rtl.compile import compile_positional_step, compile_step
+from repro.rtl.compile import compile_positional_step
 from tests.test_rtl_netlist import counter_netlist, toggle_netlist
 from tests.test_rtl_transform import onehot_fsm, pipeline_netlist
 
@@ -97,20 +97,26 @@ FIXED_NETLISTS = [
 ]
 
 
+def assert_run_matches_interpreter(net, rng, cycles):
+    """Run the compiled step on its own state and the interpreter on
+    its own: every cycle's next state and outputs must agree."""
+    step = compile_positional_step(net)
+    regs, ins, outs = net.register_names, net.inputs, net.output_names
+    state = net.reset_state()
+    got_state = tuple(state[n] for n in regs)
+    for _cycle in range(cycles):
+        vec = {name: rng.random() < 0.5 for name in ins}
+        state, want_out = net.step(state, vec)
+        got_state, got_out = step(got_state, tuple(vec[n] for n in ins))
+        assert got_state == tuple(state[n] for n in regs)
+        assert got_out == tuple(want_out[n] for n in outs)
+
+
 @pytest.mark.parametrize(
     "net", FIXED_NETLISTS, ids=lambda n: n.name
 )
 def test_compiled_matches_interpreter_fixed(net):
-    rng = random.Random(5)
-    step = compile_step(net)
-    state = net.reset_state()
-    for _cycle in range(100):
-        vec = {name: rng.random() < 0.5 for name in net.inputs}
-        want_state, want_out = net.step(state, vec)
-        got_state, got_out = step(state, vec)
-        assert got_state == want_state
-        assert got_out == want_out
-        state = want_state
+    assert_run_matches_interpreter(net, random.Random(5), 100)
 
 
 def assert_positional_matches_interpreter(net, rng, cycles):
@@ -162,35 +168,22 @@ def test_positional_matches_on_dlx_models():
 @given(seed=st.integers(0, 10**6))
 def test_compiled_matches_interpreter_random(seed):
     rng = random.Random(seed)
-    net = random_netlist(rng)
-    step = compile_step(net)
-    state = net.reset_state()
-    for _cycle in range(30):
-        vec = {name: rng.random() < 0.5 for name in net.inputs}
-        assert step(state, vec) == net.step(state, vec)
-        state, _out = net.step(state, vec)
+    assert_run_matches_interpreter(random_netlist(rng), rng, 30)
 
 
 def test_compiled_matches_on_dlx_control():
     from repro.dlx.control import build_control_netlist
 
-    net = build_control_netlist()
-    step = compile_step(net)
-    rng = random.Random(11)
-    state = net.reset_state()
-    for _cycle in range(50):
-        vec = {name: rng.random() < 0.5 for name in net.inputs}
-        want = net.step(state, vec)
-        got = step(state, vec)
-        assert got == want
-        state = want[0]
+    assert_run_matches_interpreter(
+        build_control_netlist(), random.Random(11), 50
+    )
 
 
 def test_compiled_validates_netlist():
     net = Netlist("broken")
     net.add_register("q")  # undriven
     with pytest.raises(Exception):
-        compile_step(net)
+        compile_positional_step(net)
 
 
 def test_compiled_is_faster_than_interpreter():
@@ -198,13 +191,15 @@ def test_compiled_is_faster_than_interpreter():
     import time
 
     net = pipeline_netlist()
-    step = compile_step(net)
+    step = compile_positional_step(net)
     state = net.reset_state()
     vec = {name: False for name in net.inputs}
+    values = tuple(state[n] for n in net.register_names)
+    inputs = tuple(vec[n] for n in net.inputs)
     n = 3000
     t0 = time.perf_counter()
     for _ in range(n):
-        step(state, vec)
+        step(values, inputs)
     compiled = time.perf_counter() - t0
     t0 = time.perf_counter()
     for _ in range(n):
@@ -229,6 +224,6 @@ def test_shared_tower_compiles_each_gate_once():
     net.set_next("q", e)
     net.add_output("o", Var("q"))
     t0 = time.perf_counter()
-    step = compile_step(net)
+    step = compile_positional_step(net)
     assert time.perf_counter() - t0 < 1.0
-    assert step({"q": True}, {}) == ({"q": False}, {"o": True})
+    assert step((True,), ()) == ((False,), (True,))
