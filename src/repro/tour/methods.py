@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.mealy import Input, MealyMachine
+from ..core.mealy import Input, MealyMachine, State
 from ..core.minimize import minimize
 from ..obs import get_registry, span
 from ..obs.events import emit_event
@@ -302,6 +302,27 @@ def _extension_set(
     return tuple(ext)
 
 
+def _identified(
+    machine: MealyMachine,
+    prefixes: Iterable[Sequence_],
+    ext: Sequence[Sequence_],
+    families: Mapping[State, Sequence[Sequence_]],
+) -> List[Sequence_]:
+    """``prefixes . ext``, each followed by every identifier of the
+    state it reaches (``families[state]``); one that reaches a state
+    with no identifiers is kept alone."""
+    raw: List[Sequence_] = []
+    for p in prefixes:
+        for x in ext:
+            _outs, dst = machine.run(p + x)
+            family = families[dst]
+            if family:
+                raw.extend(p + x + w for w in family)
+            else:
+                raw.append(p + x)
+    return raw
+
+
 def _finish(
     machine_name: str,
     method: str,
@@ -346,13 +367,9 @@ def w_method(
         cover = transition_cover(mini)
         ext = _extension_set(mini, m - n)
         w_set = characterization_set(mini)
-        raw: List[Sequence_] = []
-        for p in cover:
-            for x in ext:
-                if w_set:
-                    raw.extend(p + x + w for w in w_set)
-                else:
-                    raw.append(p + x)
+        raw = _identified(
+            mini, cover, ext, dict.fromkeys(mini.states, w_set)
+        )
         suite = _finish(machine.name, "w", m, n, raw)
         sp.set(sequences=suite.num_sequences, steps=suite.total_steps)
     return suite
@@ -379,24 +396,13 @@ def wp_method(
         ext = _extension_set(mini, m - n)
         w_set = characterization_set(mini)
         idents = state_identifiers(mini, charset=w_set)
-        raw: List[Sequence_] = []
-        for q in q_cover:
-            for x in ext:
-                if w_set:
-                    raw.extend(q + x + w for w in w_set)
-                else:
-                    raw.append(q + x)
+        raw = _identified(
+            mini, q_cover, ext, dict.fromkeys(mini.states, w_set)
+        )
         q_set = set(q_cover)
-        for r in p_cover:
-            if r in q_set:
-                continue
-            for x in ext:
-                _outs, dst = mini.run(r + x)
-                ident = idents[dst]
-                if ident:
-                    raw.extend(r + x + w for w in ident)
-                else:
-                    raw.append(r + x)
+        raw += _identified(
+            mini, [r for r in p_cover if r not in q_set], ext, idents
+        )
         suite = _finish(machine.name, "wp", m, n, raw)
         sp.set(sequences=suite.num_sequences, steps=suite.total_steps)
     return suite
@@ -429,16 +435,9 @@ def hsi_method(
         m = domain.resolve(n)
         p_cover = transition_cover(mini)
         ext = _extension_set(mini, m - n)
-        fams = harmonized_state_identifiers(mini)
-        raw: List[Sequence_] = []
-        for p in p_cover:
-            for x in ext:
-                _outs, dst = mini.run(p + x)
-                fam = fams[dst]
-                if fam:
-                    raw.extend(p + x + h for h in fam)
-                else:
-                    raw.append(p + x)
+        raw = _identified(
+            mini, p_cover, ext, harmonized_state_identifiers(mini)
+        )
         suite = _finish(machine.name, "hsi", m, n, raw)
         sp.set(sequences=suite.num_sequences, steps=suite.total_steps)
     return suite
