@@ -274,12 +274,11 @@ TOUR_OPCODES: Tuple[Op, ...] = (
 )
 
 
-# Operand fields each tour opcode actually exercises -- the registers
-# it reads, then rd if it writes rd, then the branch-test result for a
-# conditional branch: enumerating only these (zeroing the rest) is
-# itself an input don't-care reduction -- vectors differing in an
-# unused field drive identical control behaviour and need not be
-# separately visited.
+# Operand fields each tour opcode actually exercises (the registers it
+# reads, rd if it writes rd, and a conditional branch's test result):
+# enumerating only these (zeroing the rest) is itself an input
+# don't-care reduction -- vectors differing in an unused field drive
+# identical control behaviour and need not be separately visited.
 _TOUR_FIELDS: Dict[Op, Tuple[str, ...]] = {
     op: op.reads
     + (("rd",) if op.writes_rd else ())
