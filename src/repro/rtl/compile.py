@@ -96,9 +96,9 @@ def _compile_function(
 
     ``header`` and ``prologue`` bind those locals; every gate the
     ``results`` reach is emitted once, spelled by ``render``, and the
-    function returns one value per entry of ``results``: a tuple of
-    its roots' values.  Structurally equal gates share one local: a gate is keyed
-    by its type and its children's locals, which by induction are
+    function returns one tuple of its roots' values per entry of
+    ``results``.  Structurally equal gates share one local: a gate is
+    keyed by its type and its children's locals, which by induction are
     equal exactly when the subtrees are, so no subtree is ever hashed.
     """
     names: Dict[int, str] = {}  # id(node) -> local; the roots keep nodes alive
