@@ -416,6 +416,22 @@ class TestLeaseLifecycle:
             coordinator.campaign_view(view["campaign"])["filled"] == 0
         )
 
+    def test_boolean_index_is_dropped(self, tmp_path):
+        """A JSON ``true`` does not fill slot 1."""
+        coordinator, _clock, view = self.setup_coordinator(tmp_path)
+        lease = coordinator.lease("liar")
+        reply = coordinator.report_shard({
+            "lease": lease["lease"],
+            "campaign": lease["campaign"],
+            "shard": lease["shard"],
+            "worker": "liar",
+            "records": [{"i": True, "detected": False}],
+        })
+        assert reply["accepted"] is False
+        assert (
+            coordinator.campaign_view(view["campaign"])["filled"] == 0
+        )
+
 
 class TestQuarantineAndBisect:
     def fail_until(self, coordinator, clock, predicate, limit=500):
