@@ -365,8 +365,9 @@ def _run_circuit(
     degraded = False
     hit = None
     if store is not None:
-        # Hashing the campaign identity costs a pass over every fault;
-        # only the store reads it (a journaled run pins its own).
+        # The identity prints every fault once (fault_digest), so a
+        # store hit still pays that pass besides building the test.
+        # Only the store reads it (a journaled run pins its own).
         identity = fsm_campaign_identity(
             run_machine, test, population, kernel, timeout
         )
