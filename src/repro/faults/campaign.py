@@ -34,7 +34,7 @@ from ..kernel import DEFAULT_LANES
 from ..kernel.mealy_kernel import (
     detection_latency_compiled as detection_latency,
 )
-from ..parallel import batch_unit, parallel_map_batched
+from ..parallel import batch_spans, batch_unit, parallel_map_batched
 from .inject import Fault, all_single_faults
 from .simulate import Detection, detect_fault, pad_inputs
 
@@ -59,6 +59,11 @@ class FaultVerdict:
     detected: bool
     timed_out: bool = False
     degraded: bool = False
+
+
+#: The verdicts of a clean sweep, shared by every slot they fill
+#: (``_CLEAN[detected]``): verdicts are frozen.
+_CLEAN = (FaultVerdict(detected=False), FaultVerdict(detected=True))
 
 
 @dataclass(frozen=True)
@@ -206,13 +211,11 @@ def sweep_verdicts(
         timeout=timeout, retries=retries,
         batch_size=batch_unit(len(faults), jobs, DEFAULT_LANES - 1),
     )
-    wall = get_registry().histogram(
-        "campaign.fault_wall_seconds", buckets=SECONDS_BUCKETS
-    )
     verdicts = settle(
         outcomes, faults,
-        make=lambda value, degraded: FaultVerdict(
-            detected=bool(value), degraded=degraded
+        make=lambda value, degraded: (
+            FaultVerdict(detected=bool(value), degraded=True) if degraded
+            else _CLEAN[bool(value)]
         ),
         timed_out=lambda: FaultVerdict(detected=True, timed_out=True),
         oracle=_detect_task,
@@ -222,9 +225,18 @@ def sweep_verdicts(
             f"fault {fault} failed to simulate: {error}"
         ),
     )
-    for outcome, verdict in zip(outcomes, verdicts):
-        if not verdict.degraded:
-            wall.observe(outcome.elapsed)
+    reg = get_registry()
+    if reg.enabled:
+        # One observation per fault that was not re-run on the oracle:
+        # its share of its batch's wall time.
+        wall = reg.histogram(
+            "campaign.fault_wall_seconds", buckets=SECONDS_BUCKETS
+        )
+        for outcome, start, end in batch_spans(outcomes, len(faults)):
+            share = outcome.elapsed / (end - start)
+            for verdict in verdicts[start:end]:
+                if not verdict.degraded:
+                    wall.observe(share)
     return verdicts
 
 

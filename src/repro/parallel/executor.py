@@ -31,7 +31,7 @@ import threading
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -45,7 +45,8 @@ class TaskTimeout(Exception):
 
 @dataclass(frozen=True)
 class TaskOutcome:
-    """The outcome of one task, tagged with its submission index.
+    """The outcome of one task, tagged with its submission index (for
+    :func:`parallel_map_batched`, the index of the batch's first item).
 
     Exactly one of the following holds: ``ok`` (``value`` is valid),
     ``timed_out`` (the task hit the wall-clock limit), or ``error``
@@ -404,16 +405,22 @@ def parallel_map_batched(
     retries: int = 0,
     batch_size: int,
 ) -> List[TaskOutcome]:
-    """Run a *batched* ``fn`` over ``items``; per-item outcomes in
+    """Run a *batched* ``fn`` over ``items``; one outcome per batch, in
     submission order.
 
     ``fn`` is called as ``fn(batch)`` (or ``fn(shared, batch)``) where
     ``batch`` is a tuple of up to ``batch_size`` consecutive items, and
-    must return exactly one result per batch item.  Batching amortizes
+    must return exactly one result per batch item; a batch that returns
+    anything else raises :class:`ValueError`.  Batching amortizes
     per-task dispatch and lets word-parallel kernels simulate a whole
-    batch in one pass; the flattened outcome list is indistinguishable
-    from ``parallel_map`` over the individual items (identical values
-    in identical order), so callers stay byte-identical.
+    batch in one pass.
+
+    A batch's outcome stands for all of its items: its ``index`` is the
+    position of the batch's first item in ``items`` (the batch runs up
+    to the next outcome's ``index``, see :func:`batch_spans`), an ``ok``
+    outcome's ``value`` holds the batch's results in item order, and a
+    batch that raised or timed out failed for every item.  Callers
+    expand a batch item by item only where they need to.
 
     The per-task ``timeout`` budget necessarily covers a whole batch:
     one slow item would both steal its batchmates' budget and mark all
@@ -426,43 +433,39 @@ def parallel_map_batched(
     if timeout is not None:
         batch_size = 1
     batch_size = max(1, int(batch_size))
-    batches = [
-        tuple(work[lo:lo + batch_size])
-        for lo in range(0, len(work), batch_size)
-    ]
-    batch_outcomes = parallel_map(
+    starts = range(0, len(work), batch_size)
+    batches = [tuple(work[lo:lo + batch_size]) for lo in starts]
+    outcomes = parallel_map(
         fn, batches, shared=shared, jobs=jobs, timeout=timeout,
         retries=retries,
     )
-    outcomes: List[TaskOutcome] = []
-    for batch, outcome in zip(batches, batch_outcomes):
-        n = len(batch)
-        elapsed = outcome.elapsed / n
-        if outcome.ok:
-            values = outcome.value
-            if not isinstance(values, (list, tuple)) or len(values) != n:
-                raise ValueError(
-                    f"batched task returned "
-                    f"{len(values) if isinstance(values, (list, tuple)) else type(values).__name__} "
-                    f"results for a {n}-item batch"
-                )
-            for value in values:
-                outcomes.append(TaskOutcome(
-                    index=len(outcomes), value=value,
-                    attempts=outcome.attempts, elapsed=elapsed,
-                    worker=outcome.worker,
-                ))
-        else:
-            # A batch-level failure (the task itself raised or timed
-            # out) is attributed to every item in the batch.
-            for _ in range(n):
-                outcomes.append(TaskOutcome(
-                    index=len(outcomes), error=outcome.error,
-                    timed_out=outcome.timed_out,
-                    attempts=outcome.attempts, elapsed=elapsed,
-                    worker=outcome.worker,
-                ))
-    return outcomes
+    for batch, outcome in zip(batches, outcomes):
+        values = outcome.value
+        if outcome.ok and (
+            not isinstance(values, (list, tuple)) or len(values) != len(batch)
+        ):
+            raise ValueError(
+                f"batched task returned "
+                f"{len(values) if isinstance(values, (list, tuple)) else type(values).__name__} "
+                f"results for a {len(batch)}-item batch"
+            )
+    return [
+        replace(outcome, index=lo) for lo, outcome in zip(starts, outcomes)
+    ]
+
+
+def batch_spans(
+    outcomes: Sequence[TaskOutcome], total: int
+) -> List[Tuple[TaskOutcome, int, int]]:
+    """``(outcome, start, end)`` for each batch outcome that
+    :func:`parallel_map_batched` returned for ``total`` items: the batch
+    holds items ``start`` up to, not including, ``end``."""
+    ends = [outcome.index for outcome in outcomes[1:]]
+    ends.append(total)
+    return [
+        (outcome, outcome.index, end)
+        for outcome, end in zip(outcomes, ends)
+    ]
 
 
 def _record_pool_metrics(
