@@ -298,6 +298,10 @@ class TestPinnedDerivation:
     SMALL_TOUR_DIGEST = (
         "4328045bb71aca7324d42f416ed2fef6d002464e9877737bba7cc4c12445fa02"
     )
+    #: ``tour_model_digest`` of ``minimize_tour_model(tiny_model)``.
+    MINI_TOUR_DIGEST = (
+        "44836c6135ac0a646e9b72edc2d5e2d248a15bca3d17a781d1abae76e5277233"
+    )
 
     def test_trail_is_pinned(self, trail):
         parts = []
@@ -324,3 +328,9 @@ class TestPinnedDerivation:
             4164, 29148
         )
         assert tour_model_digest(model) == self.SMALL_TOUR_DIGEST
+
+    def test_minimized_tour_model_is_pinned_in_creation_order(
+        self, tiny_model
+    ):
+        mini = minimize_tour_model(tiny_model)
+        assert tour_model_digest(mini) == self.MINI_TOUR_DIGEST
