@@ -35,7 +35,7 @@ validates the fixed point in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .mealy import Input, MealyMachine, State, sequences
 
@@ -209,56 +209,130 @@ def analyze_forall_k(
     return ForallKReport(k=None, residual_pairs=frozenset(current), rounds=rounds)
 
 
+def _pair_distances(dense) -> Dict[int, int]:
+    """Shortest exists-distinguishing length of every distinguishable
+    pair of states of the :class:`~repro.kernel.mealy_kernel
+    .DenseMealy` table ``dense``, keyed ``a * n + b`` for dense indices
+    ``a < b`` of ``n`` states; equivalent pairs are absent, so no
+    ``n``-squared list is allocated.
+
+    One layered fixpoint prices the whole triangle: layer 1 holds
+    pairs split immediately by some (mutually defined) input; layer
+    ``d`` adds pairs with an identical-output move into an earlier
+    layer.
+    """
+    nxt, out, width = dense.nxt, dense.out, dense.n_inputs
+    n = len(dense.states)
+    dist: Dict[int, int] = {}
+    pending: Iterable[Tuple[int, int]] = (
+        (a, b) for a in range(n) for b in range(a + 1, n)
+    )
+    d = 1
+    while True:
+        settled = len(dist)
+        waiting: List[Tuple[int, int]] = []
+        for a, b in pending:
+            ra, rb = a * width, b * width
+            for i in range(width):
+                da, db = nxt[ra + i], nxt[rb + i]
+                if da < 0 or db < 0:
+                    continue
+                # Outputs differ only at layer 1: a pair still pending
+                # after it agrees on every mutually defined input.
+                if out[ra + i] != out[rb + i] or (
+                    da != db
+                    and dist.get(da * n + db if da < db else db * n + da, d)
+                    < d
+                ):
+                    dist[a * n + b] = d
+                    break
+            else:
+                waiting.append((a, b))
+        if not waiting or len(dist) == settled:
+            return dist
+        pending = waiting
+        d += 1
+
+
 def _pair_distance_table(machine: MealyMachine) -> Dict[Pair, Optional[int]]:
     """Shortest exists-distinguishing length for *every* unordered
-    distinct state pair, computed in one shared layered fixpoint.
+    distinct state pair (None when equivalent), keyed by the
+    ``repr``-ordered pair, pairs in ``repr`` order.
 
-    Layer 1 holds pairs split immediately by some (mutually defined)
-    input; layer ``d`` adds pairs with an identical-output move into an
-    earlier layer.  One sweep prices the whole triangle -- the
-    per-query BFS this replaces re-explored the same pair graph from
-    scratch for each of the ``n(n-1)/2`` queries.  The one
-    implementation of the pair distances: the W/Wp/HSI suite
-    generators, :func:`shortest_distinguishing_sequence` and
-    :func:`distinguishability_matrix` all read this table.
+    The one implementation of the pair distances is
+    :func:`_pair_distances` over the Mealy kernel's dense table: the
+    W/Wp/HSI suite generators read it directly,
+    :func:`shortest_distinguishing_sequence` and
+    :func:`distinguishability_matrix` through this table.
     """
-    states = sorted(machine.states, key=repr)
-    inputs = sorted(machine.inputs, key=repr)
-    table: Dict[Pair, Optional[int]] = {
-        _canonical(a, b): None
-        for idx, a in enumerate(states)
-        for b in states[idx + 1:]
+    from ..kernel.mealy_kernel import dense_mealy
+
+    dense = dense_mealy(machine)
+    states = dense.states
+    n = len(states)
+    dist = _pair_distances(dense)
+    return {
+        (states[a], states[b]): dist.get(a * n + b)
+        for a in range(n)
+        for b in range(a + 1, n)
     }
-    for pair in table:
-        a, b = pair
-        for inp in inputs:
-            ta = machine.transition(a, inp)
-            tb = machine.transition(b, inp)
-            if ta is not None and tb is not None and ta.out != tb.out:
-                table[pair] = 1
-                break
-    d = 2
-    changed = True
-    while changed:
-        changed = False
-        for pair, known in table.items():
-            if known is not None:
+
+
+def _pair_distance(
+    dense, table: Optional[Dict[Pair, Optional[int]]] = None
+) -> Callable[[int, int], Optional[int]]:
+    """``distance(a, b)`` for dense state indices: read from ``table``
+    (a :func:`_pair_distance_table`) when one is given, else from one
+    :func:`_pair_distances` fixpoint."""
+    states = dense.states
+    if table is not None:
+        return lambda a, b: table.get(_canonical(states[a], states[b]))
+    dist = _pair_distances(dense)
+    n = len(states)
+    return lambda a, b: dist.get(a * n + b if a < b else b * n + a)
+
+
+def _distinguishing_walk(
+    dense,
+    a: int,
+    b: int,
+    distance: Callable[[int, int], Optional[int]],
+    name: str,
+) -> Optional[Tuple[Input, ...]]:
+    """The lexicographically-least shortest sequence separating dense
+    states ``a`` and ``b`` (None when ``distance`` has them
+    equivalent): from each pair, the first input (in ``repr`` order)
+    that steps one layer closer."""
+    remaining = distance(a, b)
+    if remaining is None:
+        return None
+    nxt, out, width, inputs = dense.nxt, dense.out, dense.n_inputs, dense.inputs
+    sequence: List[Input] = []
+    while remaining:
+        ra, rb = a * width, b * width
+        for i in range(width):
+            da, db = nxt[ra + i], nxt[rb + i]
+            if da < 0 or db < 0:
                 continue
-            a, b = pair
-            for inp in inputs:
-                ta = machine.transition(a, inp)
-                tb = machine.transition(b, inp)
-                if ta is None or tb is None or ta.out != tb.out:
-                    continue
-                if ta.dst == tb.dst:
-                    continue
-                succ = table[_canonical(ta.dst, tb.dst)]
-                if succ is not None and succ < d:
-                    table[pair] = d
-                    changed = True
-                    break
-        d += 1
-    return table
+            if remaining == 1:
+                if out[ra + i] != out[rb + i]:
+                    sequence.append(inputs[i])
+                    return tuple(sequence)
+                continue
+            if out[ra + i] != out[rb + i] or da == db:
+                continue
+            succ = distance(da, db)
+            if succ == remaining - 1:
+                sequence.append(inputs[i])
+                a, b = da, db
+                remaining = succ
+                break
+        else:  # pragma: no cover - table invariant: a step always exists
+            raise AssertionError(
+                f"{name}: pair distance table inconsistent at "
+                f"({dense.states[a]!r}, {dense.states[b]!r})"
+            )
+    return tuple(sequence)
 
 
 def shortest_distinguishing_sequence(
@@ -271,8 +345,8 @@ def shortest_distinguishing_sequence(
     which ``s1`` and ``s2`` produce different outputs, or None if the
     states are output-equivalent.
 
-    Walks the shared pair-distance table greedily (first input, in
-    sorted order, that steps one layer closer), which reconstructs the
+    Walks the shared pair distances greedily (first input, in sorted
+    order, that steps one layer closer), which reconstructs the
     lexicographically-least shortest sequence -- the same sequence the
     per-pair BFS this replaces returned.  Pass ``table`` (from
     :func:`_pair_distance_table`) to amortize the fixpoint across many
@@ -281,41 +355,17 @@ def shortest_distinguishing_sequence(
     computation); note the contrast with Definition 5's *forall*
     flavour above.
     """
+    from ..kernel.mealy_kernel import dense_mealy
+
     if s1 == s2:
         return None
-    if table is None:
-        table = _pair_distance_table(machine)
-    remaining = table.get(_canonical(s1, s2))
-    if remaining is None:
+    dense = dense_mealy(machine)
+    a, b = dense.state_index.get(s1), dense.state_index.get(s2)
+    if a is None or b is None:
         return None
-    inputs = sorted(machine.inputs, key=repr)
-    a, b = s1, s2
-    sequence: List[Input] = []
-    while remaining:
-        for inp in inputs:
-            ta = machine.transition(a, inp)
-            tb = machine.transition(b, inp)
-            if ta is None or tb is None:
-                continue
-            if remaining == 1:
-                if ta.out != tb.out:
-                    sequence.append(inp)
-                    return tuple(sequence)
-                continue
-            if ta.out != tb.out or ta.dst == tb.dst:
-                continue
-            succ = table[_canonical(ta.dst, tb.dst)]
-            if succ == remaining - 1:
-                sequence.append(inp)
-                a, b = ta.dst, tb.dst
-                remaining = succ
-                break
-        else:  # pragma: no cover - table invariant: a step always exists
-            raise AssertionError(
-                f"{machine.name}: pair distance table inconsistent at "
-                f"({a!r}, {b!r})"
-            )
-    return tuple(sequence)
+    return _distinguishing_walk(
+        dense, a, b, _pair_distance(dense, table), machine.name
+    )
 
 
 def distinguishability_matrix(
@@ -326,8 +376,8 @@ def distinguishability_matrix(
 
     A diagnostic / reporting helper: the max over the matrix is the
     classical distinguishing bound, a lower bound on any usable
-    forall-k horizon.  This is :func:`_pair_distance_table`, the table
-    the W/Wp/HSI suite generators build their sequences from.
+    forall-k horizon.  This is :func:`_pair_distance_table`: the pair
+    distances the W/Wp/HSI suite generators build their sequences from.
     """
     return _pair_distance_table(machine)
 

@@ -367,7 +367,10 @@ def _run_circuit(
     if store is not None:
         # The identity prints every fault once (fault_digest), so a
         # store hit still pays that pass besides building the test.
-        # Only the store reads it (a journaled run pins its own).
+        # Both passes are cheap (the suite is generated on the Mealy
+        # kernel's dense table, the digest prints one head per fault
+        # site), but only a recipe identity would skip them.  Only
+        # the store reads the identity (a journaled run pins its own).
         identity = fsm_campaign_identity(
             run_machine, test, population, kernel, timeout
         )

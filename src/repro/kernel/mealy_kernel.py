@@ -4,7 +4,13 @@ A :class:`MealyMachine` pays a dict lookup on a ``(state, input)``
 tuple key per step.  :class:`DenseMealy` interns states and inputs to
 dense integer indices (sorted by ``repr``, the library's canonical
 order) and flattens ``delta``/``lambda`` into plain lists indexed by
-``state * n_inputs + input`` -- a step becomes array indexing.
+``state * n_inputs + input`` -- a step becomes array indexing.  The
+compile fills each slot once, straight from the delta map, so it
+does not depend on the order transitions are visited in.
+:func:`dense_mealy` memoizes it weakly per machine, and the same
+table also serves minimization (:mod:`repro.core.minimize`), the pair
+distances (:mod:`repro.core.distinguish`) and W/Wp/HSI suite
+generation (:mod:`repro.tour.charset`, :mod:`repro.tour.methods`).
 
 On top of that sits the campaign kernel: the specification trajectory
 for one test set is computed *once* (state indices, outputs, per-site
@@ -62,17 +68,20 @@ class DenseMealy:
         self.input_index: Dict[Input, int] = {
             x: i for i, x in enumerate(self.inputs)
         }
-        self.n_inputs = len(self.inputs)
-        size = len(self.states) * self.n_inputs
+        n_inputs = self.n_inputs = len(self.inputs)
+        size = len(self.states) * n_inputs
         # -1 = undefined (state, input) pair.
-        self.nxt: List[int] = [-1] * size
-        self.out: List[Optional[Output]] = [None] * size
-        for s, si in self.state_index.items():
-            row = si * self.n_inputs
-            for t in machine.transitions_from(s):
-                k = row + self.input_index[t.inp]
-                self.nxt[k] = self.state_index[t.dst]
-                self.out[k] = t.out
+        nxt: List[int] = [-1] * size
+        out: List[Optional[Output]] = [None] * size
+        state_index, input_index = self.state_index, self.input_index
+        # Each slot is written once, so the delta map's own order will
+        # do: no per-state sort of the transitions.
+        for t in machine._delta.values():
+            k = state_index[t.src] * n_inputs + input_index[t.inp]
+            nxt[k] = state_index[t.dst]
+            out[k] = t.out
+        self.nxt = nxt
+        self.out = out
         self.initial = self.state_index[machine.initial]
         self.signature = _machine_signature(machine)
         # One-slot trajectory cache: campaigns replay one test set

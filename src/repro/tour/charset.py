@@ -27,19 +27,25 @@ share:
 
 All constructions are deterministic: states, inputs and candidate
 sequences are always visited in ``repr``-sorted order, so two runs
-(or two worker processes) derive byte-identical suites.
+(or two worker processes) derive byte-identical suites.  The
+identification sets are computed on the Mealy kernel's dense table
+(:func:`~repro.kernel.mealy_kernel.dense_mealy`, memoized per
+machine), whose indices are in that order: whether the sequences
+collected so far separate a pair is read from one response vector per
+sequence (its output tuple from every state), and distinguishing
+sequences are walked off the shared pair distances of
+:mod:`repro.core.distinguish`.  One breadth-first search yields both
+covers.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.distinguish import (
-    _pair_distance_table,
-    shortest_distinguishing_sequence,
-)
-from ..core.mealy import Input, MealyMachine, State
+from ..core.distinguish import _distinguishing_walk, _pair_distance
+from ..core.mealy import Input, MealyError, MealyMachine, State
+from ..kernel.mealy_kernel import DenseMealy, dense_mealy
 
 Sequence_ = Tuple[Input, ...]
 
@@ -53,16 +59,23 @@ class SuiteError(Exception):
     """
 
 
-def require_complete(machine: MealyMachine) -> None:
-    """Raise :class:`SuiteError` unless ``machine`` is input-complete."""
-    missing = machine.undefined_pairs()
+def _require_complete(
+    name: str, missing: Sequence[Tuple[State, Input]]
+) -> None:
+    """Raise :class:`SuiteError` naming the ``missing`` (state, input)
+    pairs, if any."""
     if missing:
         raise SuiteError(
-            f"{machine.name}: suite generation needs an input-complete "
+            f"{name}: suite generation needs an input-complete "
             f"machine (over its valid-input alphabet); {len(missing)} "
             f"undefined (state, input) pairs, e.g. {missing[0]!r}.  "
             f"Wrap with make_complete() or restrict the alphabet."
         )
+
+
+def require_complete(machine: MealyMachine) -> None:
+    """Raise :class:`SuiteError` unless ``machine`` is input-complete."""
+    _require_complete(machine.name, machine.undefined_pairs())
 
 
 def distinguishes(
@@ -78,6 +91,12 @@ def distinguishes(
     )
 
 
+def _by_length(seqs: Iterable[Sequence_]) -> List[Sequence_]:
+    """``seqs`` sorted by (length, repr): a stable sort by length of a
+    sort by ``repr``, with no Python key call per sequence."""
+    return sorted(sorted(seqs, key=repr), key=len)
+
+
 def drop_prefixes(seqs: Iterable[Sequence_]) -> Tuple[Sequence_, ...]:
     """Deduplicate and drop sequences that are proper prefixes of others.
 
@@ -87,7 +106,7 @@ def drop_prefixes(seqs: Iterable[Sequence_]) -> Tuple[Sequence_, ...]:
     lossless suite reduction.  The result is sorted by (length, repr)
     for determinism.
     """
-    uniq = sorted(set(seqs), key=lambda s: (len(s), repr(s)))
+    uniq = _by_length(set(seqs))
     proper_prefixes = set()
     for s in uniq:
         for i in range(len(s)):
@@ -117,13 +136,12 @@ def access_sequences(
     return acc
 
 
-def state_cover(machine: MealyMachine) -> Tuple[Sequence_, ...]:
-    """The set ``Q``: one access sequence per reachable state.
-
-    Raises :class:`SuiteError` if some state is unreachable -- an
-    unreachable specification state can never be identified by any
-    black-box suite.
-    """
+def _covers(
+    machine: MealyMachine,
+) -> Tuple[Tuple[Sequence_, ...], Tuple[Sequence_, ...]]:
+    """``(Q, P)``, the state and transition covers, from one
+    breadth-first search (see :func:`state_cover` and
+    :func:`transition_cover`)."""
     acc = access_sequences(machine)
     missing = sorted(
         (s for s in machine.states if s not in acc), key=repr
@@ -133,9 +151,21 @@ def state_cover(machine: MealyMachine) -> Tuple[Sequence_, ...]:
             f"{machine.name}: states {missing} are unreachable from "
             f"{machine.initial!r}; restrict_to_reachable() first"
         )
-    return tuple(
-        sorted(acc.values(), key=lambda s: (len(s), repr(s)))
-    )
+    q_cover = tuple(_by_length(acc.values()))
+    p_cover = set(q_cover)
+    for s, seq in acc.items():
+        p_cover.update(seq + (inp,) for inp in machine.defined_inputs(s))
+    return q_cover, tuple(_by_length(p_cover))
+
+
+def state_cover(machine: MealyMachine) -> Tuple[Sequence_, ...]:
+    """The set ``Q``: one access sequence per reachable state.
+
+    Raises :class:`SuiteError` if some state is unreachable -- an
+    unreachable specification state can never be identified by any
+    black-box suite.
+    """
+    return _covers(machine)[0]
 
 
 def transition_cover(machine: MealyMachine) -> Tuple[Sequence_, ...]:
@@ -146,14 +176,34 @@ def transition_cover(machine: MealyMachine) -> Tuple[Sequence_, ...]:
     ``P`` exercise (and then identify the destination of) every
     transition.  Includes ``Q`` itself, so ``P`` is prefix-closed.
     """
-    acc = access_sequences(machine)
-    cover: List[Sequence_] = list(state_cover(machine))
-    for s in sorted(acc, key=repr):
-        for inp in sorted(machine.defined_inputs(s), key=repr):
-            cover.append(acc[s] + (inp,))
-    return tuple(
-        sorted(set(cover), key=lambda s: (len(s), repr(s)))
-    )
+    return _covers(machine)[1]
+
+
+def _responses(
+    dense: DenseMealy, seq: Sequence_
+) -> Tuple[List[int], Dict[int, str]]:
+    """Every state's response to ``seq``: one label per dense state,
+    equal for two states exactly when their output tuples compare
+    equal (as :func:`distinguishes` compares them), and the
+    :class:`MealyError` message of each state whose walk reaches an
+    undefined step (its label is then meaningless)."""
+    nxt, out, width = dense.nxt, dense.out, dense.n_inputs
+    codes = [dense.input_index.get(x, -1) for x in seq]
+    ids: Dict[tuple, int] = {}
+    labels: List[int] = []
+    errors: Dict[int, str] = {}
+    for start in range(len(dense.states)):
+        outs: List[Any] = []
+        s = start
+        for x, i in zip(seq, codes):
+            k = s * width + i
+            if i < 0 or nxt[k] < 0:
+                errors[start] = str(dense._undefined(s, x))
+                break
+            outs.append(out[k])
+            s = nxt[k]
+        labels.append(ids.setdefault(tuple(outs), len(ids)))
+    return labels, errors
 
 
 def characterization_set(
@@ -163,11 +213,12 @@ def characterization_set(
     """A characterization set ``W``: sequences jointly distinguishing
     every pair of distinct states.
 
-    Greedy construction over the shared pair-distance table: pairs are
+    Greedy construction over the shared pair distances: pairs are
     visited in sorted order, and a pair not yet separated by the
     sequences collected so far contributes its (lexicographically
-    least) shortest distinguishing sequence.  The result is
-    prefix-reduced.
+    least) shortest distinguishing sequence.  Whether a pair is
+    separated is read from one response vector per collected
+    sequence, not walked per pair.  The result is prefix-reduced.
 
     Raises
     ------
@@ -176,22 +227,29 @@ def characterization_set(
         not minimal, and no finite ``W`` exists.  Minimize first.
     """
     require_complete(machine)
-    if table is None:
-        table = _pair_distance_table(machine)
-    states = sorted(machine.states, key=repr)
+    dense = dense_mealy(machine)
+    states = dense.states
+    distance = _pair_distance(dense, table)
     w_set: List[Sequence_] = []
-    for i, a in enumerate(states):
-        for b in states[i + 1:]:
-            if any(distinguishes(machine, a, b, w) for w in w_set):
+    # States sharing a label are not yet separated by ``w_set``.
+    label = [0] * len(states)
+    for a in range(len(states)):
+        for b in range(a + 1, len(states)):
+            if label[a] != label[b]:
                 continue
-            seq = shortest_distinguishing_sequence(machine, a, b, table=table)
+            seq = _distinguishing_walk(dense, a, b, distance, machine.name)
             if seq is None:
                 raise SuiteError(
-                    f"{machine.name}: states {a!r} and {b!r} are "
-                    f"equivalent; no characterization set exists.  "
-                    f"Minimize the machine first."
+                    f"{machine.name}: states {states[a]!r} and "
+                    f"{states[b]!r} are equivalent; no characterization "
+                    f"set exists.  Minimize the machine first."
                 )
             w_set.append(seq)
+            ids: Dict[Tuple[int, int], int] = {}
+            label = [
+                ids.setdefault(pair, len(ids))
+                for pair in zip(label, _responses(dense, seq)[0])
+            ]
     return drop_prefixes(w_set)
 
 
@@ -206,29 +264,42 @@ def state_identifiers(
     after reaching a transition's destination is cheaper than applying
     all of ``W`` -- the Wp method's saving -- while still identifying
     the destination among all specification states.
+
+    Each member of ``W`` is walked once from every state, when first
+    needed.  A ``charset`` whose walk from ``s`` or from a state not
+    yet separated from ``s`` reaches an undefined step raises that
+    step's :class:`MealyError`.
     """
     w_set = characterization_set(machine) if charset is None else charset
-    states = sorted(machine.states, key=repr)
+    dense = dense_mealy(machine)
+    states = dense.states
+    n = len(states)
+    responses: Dict[int, Tuple[List[int], Dict[int, str]]] = {}
     idents: Dict[State, Tuple[Sequence_, ...]] = {}
-    for s in states:
-        remaining = {t for t in states if t != s}
+    for s in range(n):
+        remaining = [t for t in range(n) if t != s]
         chosen: List[Sequence_] = []
-        for w in w_set:
+        for j, w in enumerate(w_set):
             if not remaining:
                 break
-            killed = {
-                t for t in remaining if distinguishes(machine, s, t, w)
-            }
-            if killed:
+            if j not in responses:
+                responses[j] = _responses(dense, w)
+            labels, errors = responses[j]
+            if errors:
+                for t in [s] + remaining:
+                    if t in errors:
+                        raise MealyError(errors[t])
+            kept = [t for t in remaining if labels[t] == labels[s]]
+            if len(kept) < len(remaining):
                 chosen.append(w)
-                remaining -= killed
+                remaining = kept
         if remaining:
             raise SuiteError(
                 f"{machine.name}: characterization set cannot separate "
-                f"{s!r} from {sorted(remaining, key=repr)}; "
+                f"{states[s]!r} from {[states[t] for t in remaining]}; "
                 f"machine is not minimal"
             )
-        idents[s] = tuple(chosen)
+        idents[states[s]] = tuple(chosen)
     return idents
 
 
@@ -245,18 +316,19 @@ def harmonized_state_identifiers(
     an extension of a separating sequence still separates.
     """
     require_complete(machine)
-    table = _pair_distance_table(machine)
-    states = sorted(machine.states, key=repr)
+    dense = dense_mealy(machine)
+    states = dense.states
+    distance = _pair_distance(dense)
     fam: Dict[State, List[Sequence_]] = {s: [] for s in states}
-    for i, a in enumerate(states):
-        for b in states[i + 1:]:
-            seq = shortest_distinguishing_sequence(machine, a, b, table=table)
+    for a in range(len(states)):
+        for b in range(a + 1, len(states)):
+            seq = _distinguishing_walk(dense, a, b, distance, machine.name)
             if seq is None:
                 raise SuiteError(
-                    f"{machine.name}: states {a!r} and {b!r} are "
-                    f"equivalent; no harmonized identifiers exist.  "
-                    f"Minimize the machine first."
+                    f"{machine.name}: states {states[a]!r} and "
+                    f"{states[b]!r} are equivalent; no harmonized "
+                    f"identifiers exist.  Minimize the machine first."
                 )
-            fam[a].append(seq)
-            fam[b].append(seq)
+            fam[states[a]].append(seq)
+            fam[states[b]].append(seq)
     return {s: drop_prefixes(seqs) for s, seqs in fam.items()}
