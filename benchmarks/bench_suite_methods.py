@@ -4,31 +4,23 @@ The paper validates with transition tours, which Theorem 1 certifies
 against output errors -- but transfer errors can escape a bare tour.
 The classical protocol-testing constructions (W, Wp, HSI) buy full
 fault-domain completeness at the price of longer tests.  This
-benchmark quantifies the trade on the seed machines (exhaustive
-single-fault populations) and on a DLX instruction-class model
-(sampled population), reporting suite size, error coverage and
-coverage per test step.
+benchmark quantifies the trade on the seed machines and on a DLX
+instruction-class model, each against its whole single-fault
+population, reporting suite size, error coverage and coverage per
+test step.
 
 Suites execute through the reset harness on the very same campaign
 executor as tours, so the comparison is apples-to-apples: identical
 fault populations, identical detection oracle.
 """
 
-import random
-
 from conftest import emit
 
 from repro.dlx.isa import Op
 from repro.dlx.testmodel import build_tour_model, minimize_tour_model
-from repro.faults import all_single_faults, run_campaign, sample_faults
+from repro.faults import all_single_faults, run_campaign
 from repro.models import counter, shift_register, traffic_light, vending_machine
 from repro.tour import generate_suite, transition_tour
-
-#: Fault sample size for the DLX-scale model (the exhaustive
-#: population is ~37k mutants; sampling keeps the benchmark minutes-
-#: scale and is logged in the emitted table -- no silent caps).
-DLX_FAULT_SAMPLE = 300
-DLX_SAMPLE_SEED = 2026
 
 SEED_MODELS = (
     ("vending", vending_machine),
@@ -123,30 +115,21 @@ def test_suite_method_head_to_head(benchmark):
 
 
 def test_suite_methods_dlx_scale(benchmark):
-    """The same head-to-head at DLX instruction-class scale.
-
-    The fault population is sampled (seeded, size logged) because the
-    exhaustive single-fault population of the 76-state branch model is
-    ~37k mutants x 4 methods.
-    """
+    """The same head-to-head at DLX instruction-class scale, against
+    the whole single-fault population of the 76-state branch model
+    (40,128 mutants per method): completeness is a property of the
+    whole fault domain, so no sample stands in for it."""
     machine = _dlx_branch_machine()
-    rng = random.Random(DLX_SAMPLE_SEED)
-    faults = sample_faults(machine, DLX_FAULT_SAMPLE, rng)
-    population = len(all_single_faults(machine))
+    faults = all_single_faults(machine)
     data = {}
-    rows = [
-        f"fault population {population}, sampled {len(faults)} "
-        f"(seed {DLX_SAMPLE_SEED})"
-    ]
+    rows = [f"fault population {len(faults)}, every fault campaigned"]
     rows.extend(_table_rows("dlx_branch", machine, faults, data))
     emit(
-        "SUITE: tour vs W/Wp/HSI (DLX branch-class model, sampled)",
+        "SUITE: tour vs W/Wp/HSI (DLX branch-class model, every fault)",
         rows,
         name="suite_methods_dlx",
         data={
-            "population": population,
-            "sampled": len(faults),
-            "sample_seed": DLX_SAMPLE_SEED,
+            "population": len(faults),
             "dlx_branch": data["dlx_branch"],
         },
     )
