@@ -482,22 +482,15 @@ def minimize_tour_model(model: TourModel) -> TourModel:
     machine keeps the original input labels, so
     :func:`repro.validation.testgen.fill_inputs` applies unchanged.
     """
-    from ..core.minimize import equivalence_classes
+    from ..core.minimize import _classes, _quotient
+    from ..kernel.mealy_kernel import dense_mealy
 
     machine = model.machine
-    blocks = equivalence_classes(machine)
-    class_of: Dict = {}
-    for idx, block in enumerate(blocks):
-        for s in block:
-            class_of[s] = idx
-    mini = MealyMachine(
-        class_of[machine.initial], name=machine.name + "-min"
+    dense = dense_mealy(machine)
+    blocks = _classes(dense)
+    mini = _quotient(
+        dense, blocks, range(len(blocks)), machine.name + "-min"
     )
-    for t in machine.transitions:
-        src = class_of[t.src]
-        dst = class_of[t.dst]
-        if mini.transition(src, t.inp) is None:
-            mini.add_transition(src, t.inp, t.out, dst)
     return TourModel(
         machine=mini,
         input_vectors=dict(model.input_vectors),
