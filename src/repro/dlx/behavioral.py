@@ -24,8 +24,7 @@ Semantics notes (shared with the pipelined implementation):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .isa import NUM_REGS, WORD_MASK, Format, Instruction, Op
 
@@ -74,9 +73,12 @@ def alu(op: Op, a: int, b: int) -> int:
     raise ExecutionError(f"alu cannot execute {op.value}")
 
 
-@dataclass(frozen=True)
-class PSW:
-    """Processor status word: the condition flags of the case study."""
+class PSW(NamedTuple):
+    """Processor status word: the condition flags of the case study.
+
+    A named tuple, built on every ALU retirement: it compares and
+    hashes as the tuple of its fields.
+    """
 
     zero: bool = False
     negative: bool = False
@@ -87,15 +89,18 @@ class PSW:
         return cls(zero=result == 0, negative=bool(result & 0x80000000))
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     """The observable architectural state at one instruction's
     completion -- the unit of spec-vs-impl comparison (Section 2).
+
+    A named tuple, built on every retirement of either simulator: it
+    compares and hashes as the tuple of its fields.
 
     Attributes
     ----------
     index:
-        Retirement sequence number (0-based).
+        Retirement sequence number (0-based); the field shadows
+        ``tuple.index``.
     instruction:
         The retired instruction.
     pc_after:
@@ -237,7 +242,8 @@ class BehavioralDLX:
             index=self.retired,
             instruction=instr,
             pc_after=self.pc,
-            regs=tuple(0 if i == 0 else self.regs[i] for i in range(NUM_REGS)),
+            # r0 stays 0: write_reg never writes it.
+            regs=tuple(self.regs),
             psw=self.psw,
             mem_write=mem_write,
         )

@@ -41,7 +41,7 @@ leave the correct one's run (METHODOLOGY §7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .behavioral import PSW, Checkpoint, ExecutionError, alu
 from .isa import NUM_REGS, WORD_MASK, Format, Instruction
@@ -93,9 +93,11 @@ class PipelineBugs:
         return any(getattr(self, f) for f in self.__dataclass_fields__)
 
 
-@dataclass(frozen=True)
-class _InFlight:
-    """An instruction travelling down the pipe with its bookkeeping."""
+class _InFlight(NamedTuple):
+    """An instruction travelling down the pipe with its bookkeeping.
+
+    A named tuple: a cycle builds up to four of these latches.
+    """
 
     instr: Instruction
     pc: int
@@ -109,12 +111,12 @@ class _InFlight:
     mem_write: Optional[Tuple[int, int]] = None
 
 
-@dataclass(frozen=True)
-class ControlTrace:
+class ControlTrace(NamedTuple):
     """The control decisions of one clock cycle.
 
     This is the implementation-side ground truth the control netlist
-    (:mod:`repro.dlx.control`) must agree with.
+    (:mod:`repro.dlx.control`) must agree with.  A named tuple, built
+    on every cycle: it compares and hashes as the tuple of its fields.
     """
 
     cycle: int
@@ -325,8 +327,8 @@ class PipelinedDLX:
 
         # ---------------- MEM -----------------------------------------
         # Each stage spells out every field of the latch it passes on:
-        # dataclasses.replace would walk the fields on every call, and
-        # a run makes two or three latches a cycle.
+        # _replace would walk the fields on every call, and a run makes
+        # two or three latches a cycle.
         mem_out: Optional[_InFlight] = None
         if self.ex_mem is not None:
             stage = self.ex_mem

@@ -41,10 +41,11 @@ def compare_checkpoint(
         )
     if expected.pc_after != observed.pc_after:
         return Mismatch(index, "pc_after", expected.pc_after, observed.pc_after)
-    reg_diff = _diff_regs(expected.regs, observed.regs)
-    if reg_diff is not None:
-        reg, want, got = reg_diff
-        return Mismatch(index, "regs", f"r{reg}={want}", f"r{reg}={got}")
+    if expected.regs != observed.regs:
+        reg_diff = _diff_regs(expected.regs, observed.regs)
+        if reg_diff is not None:
+            reg, want, got = reg_diff
+            return Mismatch(index, "regs", f"r{reg}={want}", f"r{reg}={got}")
     if expected.psw != observed.psw:
         return Mismatch(index, "psw", expected.psw, observed.psw)
     if expected.mem_write != observed.mem_write:
