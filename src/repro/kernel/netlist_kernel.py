@@ -28,7 +28,8 @@ A stuck-at fault is a pair of per-slot masks: before every cycle the
 faulted slot is rewritten as ``(v & and_mask) | or_mask``, clearing or
 setting only the mutant's lane -- every *reader* of the bit sees the
 stuck value while the register itself still clocks, exactly the
-semantics of :meth:`repro.rtl.faults.StuckAt.apply`.
+semantics of :meth:`repro.rtl.faults.StuckAt.apply`.  A slot's patch
+is dropped once every lane it forces has diverged.
 
 Detection uses **drop-on-detect masking**: a ``live`` word tracks the
 not-yet-detected mutant lanes; each cycle the outputs are xor-compared
@@ -159,6 +160,18 @@ def _input_columns(
                 raw = bytes(map(truth, bits))
             columns[k] |= int(raw[::-1].translate(_BIT_DIGITS), 2) << lo
         lo += len(chunk)
+
+
+def _forcing(
+    patches: Tuple[Tuple[int, int, int], ...], live: int
+) -> Tuple[Tuple[int, int, int], ...]:
+    """The ``(slot, and_mask, or_mask)`` patches that still force a
+    live lane.  A patch's lanes are the bits its AND mask clears (its
+    OR mask sets only bits the AND mask cleared), and stuck-at-0 and
+    stuck-at-1 of one bit share a patch, so it goes only once all of
+    its lanes have diverged.  No operation mixes lanes, so a dead
+    lane's value never reaches a live lane or a compare."""
+    return tuple(p for p in patches if ~p[1] & live)
 
 
 def _toggle_rate(columns: Sequence[int], n_cycles: int) -> Optional[float]:
@@ -455,6 +468,7 @@ class CompiledNetlist:
                     diff ^= low
                 if not live:
                     break
+                patches = _forcing(patches, live)
             state = list(nxt)
         return first
 
@@ -575,6 +589,7 @@ class CompiledNetlist:
             act = ~gbits[slot] if value else gbits[slot]
             sites.append((slot, act & all_cycles, lanes_word))
             live |= lanes_word
+        patches = _forcing(patches, live)
         reg_cone = self._reg_cone
         out_cone = self._out_cone
 
@@ -645,6 +660,7 @@ class CompiledNetlist:
                 if not live:
                     break
                 any_active, site_cone_r, site_cone_o = union_live_sites()
+                patches = _forcing(patches, live)
             dirty_regs = 0
             pending = cone_r
             while pending:

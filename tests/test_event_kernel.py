@@ -199,6 +199,27 @@ class TestEventGoldenTrace:
             dirty=True,
         ) == ref
 
+    def test_patch_stays_while_a_lane_it_forces_is_live(self):
+        """Stuck-at-0 and stuck-at-1 of one bit share their slot's
+        patch.  Here each bit's stuck-at-0 lane diverges ten cycles
+        before its stuck-at-1 lane, so a pass that dropped the patch
+        with the first dead lane would let the stuck-at-1 lane
+        escape."""
+        nl = Netlist("late")
+        nl.add_input("a")
+        nl.add_register("q", init=True, next=Var("a"))
+        nl.set_output("y", Var("q"))
+        vectors = [{"a": t < 10} for t in range(16)]
+        faults = all_stuck_at_faults(nl, include_inputs=True)
+        ref = [detects_stuck_at(nl, f, vectors) for f in faults]
+        first = {(f.bit, f.value): at for f, at in zip(faults, ref)}
+        for bit in ("a", "q"):
+            assert first[bit, True] - first[bit, False] >= 10, first
+        for dirty in (False, True):
+            assert stuck_at_first_divergences(
+                nl, vectors, faults, dirty=dirty
+            ) == ref, f"dirty={dirty}"
+
 
 def _stuck_at_spans(run):
     with scoped_bus() as bus:
