@@ -28,10 +28,10 @@ abstracted out" (Section 4.3).  This module performs that conversion:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from ..dlx.isa import HALT, Instruction, NOP, Op, OPCODES
+from ..dlx.isa import HALT, Instruction, NOP, OPCODES
 
 _OP_BY_CODE = {}
 for _op, _code in OPCODES.items():
@@ -117,21 +117,16 @@ def fill_inputs(
     """Convert an abstract test sequence into a concrete program.
 
     ``abstract_inputs`` is the tour's input sequence over the test
-    model (dicts or canonical tuples).  Register fields are used
-    directly (the reduced model's registers r0..r{registers-1} are the
-    machine's registers of the same numbers; the model's link
-    destination corresponds to r31).
+    model (dicts or canonical tuples).  Each vector's operation is
+    realized from its row of :data:`repro.dlx.isa.OPERANDS`.  Register
+    fields are used directly (the reduced model's registers
+    r0..r{registers-1} are the machine's registers of the same
+    numbers; the model's link destination corresponds to r31).
     """
     program: List[Instruction] = []
     oracle: List[bool] = []
     idle = 0
     unique = 0  # Requirement 3 data picker
-
-    def next_imm() -> int:
-        nonlocal unique
-        unique += 1
-        # Non-zero, non-repeating within 15 bits (sign-safe).
-        return 1 + (unique % 30000)
 
     for vector in abstract_inputs:
         fields = _vector_fields(_as_mapping(vector))
@@ -149,55 +144,43 @@ def fill_inputs(
                 f"vector register field exceeds the {registers}-register "
                 f"reduction"
             )
-        if op in (Op.ADD,):
-            program.append(Instruction(op, rd=rd, rs1=rs1, rs2=rs2))
-        elif op in (Op.ADDI,):
-            # Alternate the immediate's sign: negative results drive
-            # the PSW negative flag through both values, so flag-update
-            # errors become visible at checkpoints (Requirement 3's
-            # "appropriately picking data values that distinguish the
-            # outputs" applied to the condition flags).
-            magnitude = next_imm()
-            program.append(
-                Instruction(
-                    op,
-                    rd=rd,
-                    rs1=rs1,
-                    imm=magnitude if magnitude % 2 else -magnitude,
-                )
-            )
-        elif op == Op.LW:
-            program.append(
-                Instruction(op, rd=rd, rs1=rs1, imm=next_imm())
-            )
-        elif op == Op.SW:
-            program.append(
-                Instruction(op, rs1=rs1, rs2=rs2, imm=next_imm())
-            )
-        elif op == Op.BEQZ:
-            # Target +2: resume right after the two-slot squash window,
-            # so taken and untaken branches both keep the fetch stream
-            # equal to the program order -- see the module docstring.
-            program.append(Instruction(op, rs1=rs1, imm=2))
-            oracle.append(bool(fields["data_zero"]))
-        elif op == Op.BNEZ:
-            # The oracle stores zero-ness; BNEZ takes when it is False.
-            program.append(Instruction(op, rs1=rs1, imm=2))
-            oracle.append(bool(fields["data_zero"]))
-        elif op == Op.J:
-            program.append(Instruction(op, imm=2))
-        elif op == Op.JAL:
-            program.append(Instruction(op, imm=2))
-        elif op == Op.NOP:
-            program.append(NOP)
-        elif op == Op.HALT:
-            # HALT mid-test would stop the run; realize as NOP and let
-            # the appended terminal HALT end the program.
-            program.append(NOP)
-        else:
+        if op.is_jump and "target" not in op.operands:
             raise ConversionError(
                 f"no concrete realization for {op.value} vectors"
             )
+        if not op.operands:
+            # NOP, and HALT: HALT mid-test would stop the run, so the
+            # appended terminal HALT ends the program instead.
+            program.append(NOP)
+            continue
+        operands: Dict[str, int] = {}
+        for operand in op.operands:
+            if operand in ("rd", "rs1", "rs2"):
+                operands[operand] = fields[operand]
+            elif operand == "target":
+                # Target +2: resume right after the two-slot squash
+                # window, so taken and untaken branches both keep the
+                # fetch stream equal to the program order -- see the
+                # module docstring.
+                operands["imm"] = 2
+            else:
+                # Non-zero, non-repeating within 15 bits (sign-safe).
+                unique += 1
+                magnitude = 1 + (unique % 30000)
+                if operand == "imm(rs1)":
+                    operands.update(rs1=rs1, imm=magnitude)
+                else:
+                    # Alternate the immediate's sign: negative results
+                    # drive the PSW negative flag through both values,
+                    # so flag-update errors become visible at
+                    # checkpoints (Requirement 3's "appropriately
+                    # picking data values that distinguish the outputs"
+                    # applied to the condition flags).
+                    operands["imm"] = magnitude if magnitude % 2 else -magnitude
+        program.append(Instruction(op, **operands))
+        if op.is_branch:
+            # The oracle stores zero-ness; BNEZ takes when it is False.
+            oracle.append(bool(fields["data_zero"]))
     # Terminal padding: room for the last branch's squash window, then
     # HALT.
     program.extend([NOP, NOP, HALT])
