@@ -12,12 +12,14 @@ each gate:
 
 * :func:`_one_lane` over Python bools (``not``, ``and``, ``or``,
   ``!=``, ``t if s else f``) for :func:`compile_positional_step`, the
-  one-simulation step function of explicit extraction and of the
-  stuck-at interpreter oracle;
+  one-simulation step function of the stuck-at interpreter oracle and
+  of explicit extraction while its queue is narrow;
 * :func:`_lane_words` over the bit lanes of integer words (``^ M``,
-  ``&``, ``|``, ``^``, and-or mux) for the cycle and block functions
-  of :mod:`repro.kernel.netlist_kernel`, which simulate many mutants
-  at once.
+  ``&``, ``|``, ``^``, and-or mux) for :func:`compile_positional_words`,
+  which steps a wide extraction queue's (state, vector) pairs in one
+  call, and for the cycle and block functions of
+  :mod:`repro.kernel.netlist_kernel`, which simulate many mutants at
+  once.
 
 Both are bit-identical to :meth:`~repro.rtl.netlist.Netlist.step`,
 the oracle the test suite cross-checks them against.  One simulation
@@ -149,6 +151,24 @@ def compile_positional_step(netlist: Netlist) -> Callable[..., Tuple[tuple, tupl
     (``output_names`` order) values out, with Mealy output semantics
     (outputs read the pre-edge state).
     """
+    return _positional(netlist, "def _step(state, inputs):", _one_lane)
+
+
+def compile_positional_words(
+    netlist: Netlist,
+) -> Callable[..., Tuple[tuple, tuple]]:
+    """:func:`compile_positional_step` on lane words:
+    ``step(state, inputs, M)`` takes one integer word per register and
+    per input, in the same orders, and the all-lanes mask ``M``, and
+    returns one word per next state and per output.  Bit lane ``k`` of
+    every word is one simulation, so one call steps every lane's
+    (state, input vector) pair."""
+    return _positional(netlist, "def _words(state, inputs, M):", _lane_words)
+
+
+def _positional(netlist: Netlist, header: str, render: Render) -> Callable:
+    """The step function whose ``header`` binds the input bits from
+    ``inputs`` and the register bits from ``state`` by position."""
     netlist.validate()
     n_in = len(netlist.inputs)
     bits = [f"b{k}" for k in range(n_in + netlist.latch_count())]
@@ -160,10 +180,10 @@ def compile_positional_step(netlist: Netlist) -> Callable[..., Tuple[tuple, tupl
     nexts = [reg.next for reg in netlist.registers.values()]
     outs = list(netlist.outputs.values())
     return _compile_function(
-        "def _step(state, inputs):",
+        header,
         prologue,
         dict(zip((*netlist.inputs, *netlist.register_names), bits)),
         (nexts, outs),
         netlist.name,
-        _one_lane,
+        render,
     )

@@ -4,7 +4,8 @@ The compiled (positional) step function must be bit-identical to
 :meth:`Netlist.step` on every netlist and input stream, both stepped
 from the interpreter's state each cycle and run on its own state --
 checked on the hand-built netlists, on the DLX control and tour
-models, and property-style on randomly generated netlists.
+models, and property-style on randomly generated netlists.  Its
+lane-word form must give the interpreter's step on every lane.
 """
 
 import random
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rtl import Netlist, and_, mux, not_, or_, var, xor_
-from repro.rtl.compile import compile_positional_step
+from repro.rtl import Netlist, NetlistError, and_, mux, not_, or_, var, xor_
+from repro.rtl.compile import compile_positional_step, compile_positional_words
 from tests.test_rtl_netlist import counter_netlist, toggle_netlist
 from tests.test_rtl_transform import onehot_fsm, pipeline_netlist
 
@@ -179,11 +180,66 @@ def test_compiled_matches_on_dlx_control():
     )
 
 
+def assert_words_match_interpreter(net, rng, lanes):
+    """Step ``lanes`` random (state, vector) pairs in one call of the
+    lane-word step: every lane must give the interpreter's next state
+    and outputs for its pair."""
+    words = compile_positional_words(net)
+    regs, ins, outs = net.register_names, net.inputs, net.output_names
+    pairs = [
+        (
+            {name: rng.random() < 0.5 for name in regs},
+            {name: rng.random() < 0.5 for name in ins},
+        )
+        for _lane in range(lanes)
+    ]
+
+    def word(bits):
+        return sum(bit << lane for lane, bit in enumerate(bits))
+
+    nexts, outputs = words(
+        [word(state[n] for state, _ in pairs) for n in regs],
+        [word(vec[n] for _, vec in pairs) for n in ins],
+        (1 << lanes) - 1,
+    )
+    for lane, (state, vec) in enumerate(pairs):
+        want_state, want_out = net.step(state, vec)
+        assert [w >> lane & 1 for w in nexts] == [want_state[n] for n in regs]
+        assert [w >> lane & 1 for w in outputs] == [want_out[n] for n in outs]
+
+
+@pytest.mark.parametrize(
+    "net", FIXED_NETLISTS, ids=lambda n: n.name
+)
+def test_positional_words_match_interpreter_fixed(net):
+    assert_words_match_interpreter(net, random.Random(5), 100)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_inputs=st.integers(0, 3),
+    n_regs=st.integers(1, 4),
+    lanes=st.integers(1, 80),
+)
+def test_positional_words_match_interpreter_random(seed, n_inputs, n_regs, lanes):
+    rng = random.Random(seed)
+    net = random_netlist(rng, n_inputs=n_inputs, n_regs=n_regs)
+    assert_words_match_interpreter(net, rng, lanes)
+
+
 def test_compiled_validates_netlist():
     net = Netlist("broken")
     net.add_register("q")  # undriven
     with pytest.raises(Exception):
         compile_positional_step(net)
+
+
+def test_positional_words_validate_netlist():
+    net = Netlist("broken")
+    net.add_register("q")  # undriven
+    with pytest.raises(NetlistError):
+        compile_positional_words(net)
 
 
 def test_compiled_is_faster_than_interpreter():

@@ -7,29 +7,45 @@ result store, and tours walk ``_delta``/``_succ`` in insertion order.
 The packed (token-labelled) form must decode to the plain one, and
 ``max_states`` must admit exactly the states it names in every entry
 point.
+
+The search steps a narrow queue one state at a time and a wide one on
+lane words.  Each regime, forced, must give what a breadth-first
+search over the interpreting :meth:`~repro.rtl.netlist.Netlist.step`
+gives, in the same order, and hold every pin.
 """
 
+import contextlib
 import hashlib
 import os
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.mealy import MealyMachine
 from repro.corpus import PROTOCOL_MODELS
 from repro.corpus.synth import machine_to_netlist
 from repro.parallel import machine_fingerprint
-from repro.rtl import Netlist, mux, not_, xor_
+from repro.rtl import Netlist, mux, not_, remove_outputs, xor_
+from repro.rtl import extract as extract_module
 from repro.rtl.blif import load_blif
 from repro.rtl.extract import (
     ExtractionError,
     PackedMachine,
     assignment_key,
     extract_mealy,
+    input_assignments,
     reachable_state_count,
+    state_key,
 )
-from tests.test_rtl_compile import free_running, random_netlist
+from tests.test_rtl_compile import (
+    combinational,
+    free_running,
+    random_netlist,
+    silent,
+)
 from tests.test_rtl_netlist import counter_netlist
 
 CORPUS_DIR = os.path.join(
@@ -223,3 +239,209 @@ def test_max_states_admits_exactly_its_bound(entry):
     assert extract(net, 8) == 8
     with pytest.raises(ExtractionError, match="more than 7 reachable states"):
         extract(net, 7)
+
+
+#: name -> (``_WIDE_PAIRS``, ``_WORD_LANES``): the search's two regimes,
+#: each forced, the wide one on words of at most three lanes, and both
+#: in turn as the queue widens and narrows.
+REGIMES = {
+    "narrow": (sys.maxsize, extract_module._WORD_LANES),
+    "wide": (1, extract_module._WORD_LANES),
+    "tiny-words": (1, 3),
+    "mixed": (4, 4),
+}
+
+
+@contextlib.contextmanager
+def regime(name):
+    """Force a regime of the search; yields the lane count of every
+    word pass made meanwhile."""
+    pairs, lanes = REGIMES[name]
+    passes = []
+    word_pass = extract_module._word_pass
+
+    def counted(words, chunk, vectors, n_inputs):
+        passes.append(len(chunk) * len(vectors))
+        return word_pass(words, chunk, vectors, n_inputs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extract_module, "_WIDE_PAIRS", pairs)
+        patch.setattr(extract_module, "_WORD_LANES", lanes)
+        patch.setattr(extract_module, "_word_pass", counted)
+        yield passes
+
+
+def interpreted(net, vectors):
+    """The reachable machine by a breadth-first search over the
+    interpreter, labelled and built in the order ``extract_mealy``
+    documents: states in order of discovery, each with its inputs in
+    the caller's order (duplicates once)."""
+    keys = list(dict.fromkeys(map(assignment_key, vectors)))
+    reset = {name: reg.init for name, reg in net.registers.items()}
+    machine = MealyMachine(state_key(reset), name=net.name + "-fsm")
+    queue, seen = [reset], {state_key(reset)}
+    for state in queue:  # grows as the search discovers states
+        for key in keys:
+            nxt, out = net.step(state, dict(key))
+            if state_key(nxt) not in seen:
+                seen.add(state_key(nxt))
+                queue.append(nxt)
+            machine.add_transition(
+                state_key(state), key, assignment_key(out), state_key(nxt)
+            )
+    return machine
+
+
+def numbered(plain, net):
+    """``plain`` numbered as ``packed=True`` documents: the reset state
+    0, then each transition's state, input, output and successor on
+    first appearance, over the transitions in ``repr`` order of their
+    (register-value tuple, input key).  Returns the machine and its two
+    decode tables."""
+    def values(state):
+        return tuple(dict(state)[name] for name in net.register_names)
+
+    order = sorted(
+        plain._delta.values(), key=lambda t: repr((values(t.src), t.inp))
+    )
+    states, inputs, outputs = {plain.initial: 0}, {}, {}
+    machine = MealyMachine(0)
+    for t in order:
+        machine.add_transition(
+            states.setdefault(t.src, len(states)),
+            inputs.setdefault(t.inp, f"i{len(inputs)}"),
+            outputs.setdefault(t.out, len(outputs)),
+            states.setdefault(t.dst, len(states)),
+        )
+    input_vectors = {label: dict(key) for key, label in inputs.items()}
+    output_values = {
+        token: tuple(dict(out)[name] for name in net.output_names)
+        for out, token in outputs.items()
+    }
+    return machine, input_vectors, output_values
+
+
+def assert_regime_matches_interpreter(net, vectors, name):
+    """Plain and packed extraction and the state count, in regime
+    ``name``, against the interpreter's search; ``vectors`` None means
+    every input assignment.  The forced regime must have run."""
+    want = interpreted(net, input_assignments(net) if vectors is None else vectors)
+    machine, input_vectors, output_values = numbered(want, net)
+    with regime(name) as passes:
+        plain = extract_mealy(net, inputs=vectors)
+        packed = extract_mealy(net, inputs=vectors, packed=True)
+        count = reachable_state_count(net, inputs=vectors)
+        reachable_state_count(net, inputs=vectors, max_states=len(want))
+        if len(want) > 1:
+            with pytest.raises(ExtractionError):
+                reachable_state_count(
+                    net, inputs=vectors, max_states=len(want) - 1
+                )
+    assert plain == want
+    assert insertion_digest(plain) == insertion_digest(want)
+    assert repr(plain.transitions) == repr(want.transitions)
+    assert insertion_digest(packed) == insertion_digest(machine)
+    assert packed.states == machine.states
+    assert packed.inputs == machine.inputs
+    assert packed.outputs == machine.outputs
+    assert repr(packed.input_vectors) == repr(input_vectors)
+    assert repr(packed.output_values) == repr(output_values)
+    assert count == len(want)
+    if name == "narrow" or not want.num_transitions():
+        assert passes == []
+    elif name != "mixed":
+        assert passes
+    if name in ("tiny-words", "mixed"):
+        assert max(passes, default=0) <= max(4, len(want.inputs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_inputs=st.integers(0, 3),
+    n_regs=st.integers(0, 4),
+    n_outputs=st.integers(0, 2),
+    data=st.data(),
+)
+def test_every_regime_matches_the_interpreter(
+    seed, n_inputs, n_regs, n_outputs, data
+):
+    """Random netlists under random subsets of their input cube, in
+    random order with repeats, as bools or as 0 and 1 -- or the whole
+    cube."""
+    assume(n_inputs + n_regs)
+    net = random_netlist(random.Random(seed), n_inputs=n_inputs, n_regs=n_regs)
+    net = remove_outputs(net, net.output_names[n_outputs:])
+    cube = input_assignments(net)
+    picks = data.draw(
+        st.none() | st.lists(st.sampled_from(cube), max_size=2 * len(cube))
+    )
+    vectors = picks
+    if picks is not None and data.draw(st.booleans()):
+        vectors = [{k: int(v) for k, v in vec.items()} for vec in picks]
+    for name in sorted(REGIMES):
+        assert_regime_matches_interpreter(net, vectors, name)
+
+
+FIXED = {
+    "no-inputs": free_running,
+    "no-registers": combinational,
+    "no-outputs": silent,
+    "ctr3": lambda: counter_netlist(3),
+    "walk-order": walk_order_netlist,
+}
+
+
+@pytest.mark.parametrize("vectors", ["all", "empty"])
+@pytest.mark.parametrize("net", sorted(FIXED))
+@pytest.mark.parametrize("name", sorted(REGIMES))
+def test_fixed_netlists_match_the_interpreter(name, net, vectors):
+    """Every input assignment, and ``inputs=[]``, which leaves the
+    reset state alone, with no transition."""
+    assert_regime_matches_interpreter(
+        FIXED[net](), None if vectors == "all" else [], name
+    )
+
+
+@pytest.mark.parametrize("name", sorted(REGIMES))
+def test_pins_hold_in_each_regime(cases, name):
+    for case, (net, kwargs) in sorted(cases.items()):
+        with regime(name):
+            machine = extract_mealy(net, **kwargs)
+        assert (
+            machine_fingerprint(machine), insertion_digest(machine)
+        ) == PINNED[case], case
+
+
+@pytest.mark.parametrize("name", sorted(REGIMES))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_max_states_bound_holds_in_each_regime(entry, name):
+    with regime(name) as passes:
+        test_max_states_admits_exactly_its_bound(entry)
+    assert bool(passes) == (name not in ("narrow", "mixed"))
+
+
+@pytest.mark.parametrize("name", sorted(REGIMES))
+def test_labels_are_bools_whatever_the_vectors_hold(name):
+    """As :meth:`Netlist.step` reads its inputs: a register and an
+    output that follow input ``x`` hold bools, while the input labels
+    keep the caller's values."""
+    net = Netlist("follow")
+    x = net.add_input("x")
+    net.add_register("r", next=x)
+    net.add_output("o", x)
+    vectors = [{"x": 1}, {"x": 0}, {"x": 2}]
+    with regime(name):
+        plain = extract_mealy(net, inputs=vectors)
+        packed = extract_mealy(net, inputs=vectors, packed=True)
+    assert sorted(map(repr, plain.states)) == [
+        "(('r', False),)", "(('r', True),)"
+    ]
+    assert sorted(map(repr, plain.outputs)) == [
+        "(('o', False),)", "(('o', True),)"
+    ]
+    assert sorted(map(repr, plain.inputs)) == [
+        "(('x', 0),)", "(('x', 1),)", "(('x', 2),)"
+    ]
+    assert packed.output_values == {0: (False,), 1: (True,)}
+    assert repr(packed.output_values) == "{0: (False,), 1: (True,)}"
