@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import islice
-from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..core.errors import OutputError, TransferError
 
@@ -42,33 +41,10 @@ def _digest(parts: Iterable[str]) -> str:
 
 
 def machine_fingerprint(machine: Any) -> str:
-    """Structural fingerprint of a Mealy machine (initial + delta):
-    ``_digest`` over ``repr(machine.initial)`` and the ``repr`` of each
-    of ``machine.transitions``, byte for byte, without the dataclass
-    ``__repr__`` wrapper of every transition.
-
-    As in :func:`fault_digest`, each state, input and output object is
-    printed once per call, memoized by identity.  The delta map is
-    sorted by the printed ``(state, input)`` pairs, which is ``repr``
-    order of its keys, ties kept in insertion order.  Its values are
-    :class:`~repro.core.mealy.Transition` objects, printed in their
-    dataclass form."""
-    return _digest(_machine_reprs(machine))
-
-
-def _machine_reprs(machine: Any) -> Iterator[str]:
-    show = _printer()
-    yield repr(machine.initial)
-    rows = [
-        (f"({show(src)}, {show(inp)})", t)
-        for (src, inp), t in machine._delta.items()
-    ]
-    rows.sort(key=itemgetter(0))
-    for _key, t in rows:
-        yield (
-            f"Transition(src={show(t.src)}, inp={show(t.inp)}, "
-            f"out={show(t.out)}, dst={show(t.dst)})"
-        )
+    """Structural fingerprint of a Mealy machine (initial + delta)."""
+    return _digest(
+        [repr(machine.initial)] + [repr(t) for t in machine.transitions]
+    )
 
 
 def inputs_fingerprint(inputs: Sequence[Any]) -> str:
@@ -105,10 +81,7 @@ def fault_digest(population: Iterable[Any]) -> str:
     return _digest(_fault_reprs(population))
 
 
-def _printer() -> Callable[[Any], str]:
-    """``repr`` memoized by object identity for one digest: it keeps
-    every object it printed alive, so no identity is reused while the
-    digest runs."""
+def _fault_reprs(population: Iterable[Any]) -> Iterator[str]:
     memo: Dict[int, str] = {}
     printed: List[Any] = []
 
@@ -119,11 +92,6 @@ def _printer() -> Callable[[Any], str]:
             printed.append(value)
         return text
 
-    return show
-
-
-def _fault_reprs(population: Iterable[Any]) -> Iterator[str]:
-    show = _printer()
     # The head ``Name(src=..., inp=..., field=`` is printed once per run
     # of faults of one type at one (identical) site.
     site: Tuple[Any, Any, Any] = (None, None, None)

@@ -39,7 +39,7 @@ from typing import (
     Union,
 )
 
-from ..core.mealy import MealyMachine, Transition
+from ..core.mealy import MealyMachine
 from .expr import Expr, evaluate
 from .netlist import Netlist
 
@@ -174,10 +174,11 @@ def reachable_state_count(
 
 #: The search steps one state at a time on the bool render while fewer
 #: than this many (state, input vector) pairs wait in its queue, and
-#: steps the queued states on lane words once as many wait.  A deep,
-#: narrow search never gets there: a counter's queue holds one state,
-#: and word passes would cost it several times the time and a second
-#: compile (METHODOLOGY section 11 has the measurements).
+#: steps the queued states on lane words from the first time as many
+#: wait to its end.  A deep, narrow search never gets there: a
+#: counter's queue holds one state, and word passes would cost it
+#: several times the time and a second compile (METHODOLOGY section 11
+#: has the measurements).
 _WIDE_PAIRS = 1024
 
 #: Most lanes in one word of the wide regime.  Past a few thousand the
@@ -200,13 +201,13 @@ def _search(
 
     While fewer than :data:`_WIDE_PAIRS` (state, vector) pairs wait,
     each state steps through the bool render, one vector at a time.
-    Once as many wait, each chunk of queued states times every vector
-    steps as one lane word.  A chunk holds only states already queued
-    and numbers what it finds in (state, vector) order behind them, so
-    both regimes give the same search.  A state is its register values
-    in ``register_names`` order: a tuple of bools until the first word
-    pass, the ``bytes`` of its 0s and 1s from then on (both sort
-    alike)."""
+    From the first time as many wait, each chunk of queued states times
+    every vector steps as one lane word, to the end of the search.  A
+    chunk holds only states already queued and numbers what it finds in
+    (state, vector) order behind them, so both regimes give the same
+    search.  A state is its register values in ``register_names``
+    order: a tuple of bools in the narrow stretch, the ``bytes`` of its
+    0s and 1s once the search is wide (both sort alike)."""
     from .compile import compile_positional_step, compile_positional_words
 
     if inputs is None:
@@ -217,7 +218,6 @@ def _search(
         tuple(map(bool, map(dict(key).__getitem__, names))) for key in keys
     ]
     step = compile_positional_step(netlist)
-    words = None
     states: list = [tuple(reg.init for reg in netlist.registers.values())]
     state_ids = {states[0]: 0}
     output_ids: Dict[Any, int] = {}
@@ -225,51 +225,43 @@ def _search(
     dsts: List[int] = []
     n_vec = len(vectors)
     done = 0
-    while done < len(states):  # the queue grows as the search runs
-        if (len(states) - done) * n_vec < _WIDE_PAIRS:
-            state = states[done]
-            done += 1
-            for vector in vectors:
-                nxt, out = step(state, vector)
-                dst = state_ids.get(nxt)
-                if dst is None:
-                    if len(states) >= max_states:
-                        raise _too_many(netlist, max_states)
-                    dst = state_ids[nxt] = len(states)
-                    states.append(nxt)
-                dsts.append(dst)
-                outs.append(output_ids.setdefault(out, len(output_ids)))
-            continue
-        if words is None:
-            # Word passes read and write bytes: re-key what was found.
-            words = compile_positional_words(netlist)
-            states = list(map(bytes, states))
-            state_ids = dict(zip(states, range(len(states))))
-            output_ids = {bytes(out): n for out, n in output_ids.items()}
-            step = _keyed(step)
-        chunk = states[done:done + max(1, _WORD_LANES // n_vec)]
-        done += len(chunk)
-        nexts, found = _word_pass(words, chunk, vectors, len(names))
-        for nxt in nexts:
+    # The queue grows as the search runs.
+    while done < len(states) and (len(states) - done) * n_vec < _WIDE_PAIRS:
+        state = states[done]
+        done += 1
+        for vector in vectors:
+            nxt, out = step(state, vector)
             dst = state_ids.get(nxt)
             if dst is None:
+                if len(states) >= max_states:
+                    raise _too_many(netlist, max_states)
                 dst = state_ids[nxt] = len(states)
                 states.append(nxt)
             dsts.append(dst)
-        if len(states) > max_states:
-            raise _too_many(netlist, max_states)
-        outs.extend([output_ids.setdefault(out, len(output_ids)) for out in found])
+            outs.append(output_ids.setdefault(out, len(output_ids)))
+    if done < len(states):
+        # Wide: word passes read and write bytes, so re-key what was found.
+        words = compile_positional_words(netlist)
+        states = list(map(bytes, states))
+        state_ids = dict(zip(states, range(len(states))))
+        output_ids = {bytes(out): n for out, n in output_ids.items()}
+        per_chunk = max(1, _WORD_LANES // n_vec)
+        while done < len(states):
+            chunk = states[done:done + per_chunk]
+            done += len(chunk)
+            nexts, found = _word_pass(words, chunk, vectors, len(names))
+            for nxt in nexts:
+                dst = state_ids.get(nxt)
+                if dst is None:
+                    dst = state_ids[nxt] = len(states)
+                    states.append(nxt)
+                dsts.append(dst)
+            if len(states) > max_states:
+                raise _too_many(netlist, max_states)
+            outs.extend(
+                [output_ids.setdefault(out, len(output_ids)) for out in found]
+            )
     return keys, states, [tuple(map(bool, out)) for out in output_ids], outs, dsts
-
-
-def _keyed(step: Callable) -> Callable:
-    """``step`` with its next state and outputs as ``bytes``."""
-
-    def keyed(state, vector):
-        nxt, out = step(state, vector)
-        return bytes(nxt), bytes(out)
-
-    return keyed
 
 
 def _too_many(netlist: Netlist, max_states: int) -> ExtractionError:
@@ -331,36 +323,27 @@ def _numbered(keys, states, outputs, outs, dsts, name: str) -> PackedMachine:
     "True"``, after the same text.  So the walk is state-major.  The
     input keys of one netlist share their names, so they too first
     differ at a value, at the same offset: the first state walked
-    numbers every input, in ``repr`` order.
-
-    The walk fills the machine's tables as
-    :meth:`~repro.core.mealy.MealyMachine.add_transition` would, in the
-    same order, without its checks: every (state, input) pair comes
-    once."""
-    machine = PackedMachine(0, name=name)
+    numbers every input, in ``repr`` order.  The walk meets each
+    (state, input) pair once."""
     by_repr = sorted(range(len(keys)), key=lambda j: repr(keys[j]))
     labels = [f"i{n}" for n in range(len(keys))]
-    machine.input_vectors = {
-        label: dict(keys[j]) for label, j in zip(labels, by_repr)
-    }
     n_vec = len(keys)
     state_no = {0: 0}
     output_no: Dict[int, int] = {}
-    delta, succ = machine._delta, machine._succ
-    if n_vec:  # with no input, add_transition never runs: no successor map
-        for src in sorted(range(len(states)), key=states.__getitem__):
-            token = state_no.setdefault(src, len(state_no))
-            edges = succ[token] = {}
-            base = src * n_vec
-            for label, j in zip(labels, by_repr):
-                delta[token, label] = edges[label] = Transition(
-                    token,
-                    label,
-                    output_no.setdefault(outs[base + j], len(output_no)),
-                    state_no.setdefault(dsts[base + j], len(state_no)),
-                )
-        machine._inputs.update(labels)
-    machine._states.update(range(len(state_no)))
-    machine._outputs.update(output_no.values())
+    rows = []
+    for src in sorted(range(len(states)), key=states.__getitem__):
+        token = state_no.setdefault(src, len(state_no))
+        base = src * n_vec
+        for label, j in zip(labels, by_repr):
+            rows.append((
+                token,
+                label,
+                output_no.setdefault(outs[base + j], len(output_no)),
+                state_no.setdefault(dsts[base + j], len(state_no)),
+            ))
+    machine = PackedMachine.from_distinct_transitions(0, rows, name=name)
+    machine.input_vectors = {
+        label: dict(keys[j]) for label, j in zip(labels, by_repr)
+    }
     machine.output_values = {t: outputs[o] for o, t in output_no.items()}
     return machine

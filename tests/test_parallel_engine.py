@@ -3,10 +3,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.mealy import MealyError, MealyMachine
 from repro.models import counter, vending_machine
 from repro.parallel import (
     TaskOutcome,
@@ -15,7 +12,6 @@ from repro.parallel import (
     machine_fingerprint,
     parallel_map,
 )
-from repro.parallel.fingerprints import _digest
 
 
 def _square(x):
@@ -32,14 +28,6 @@ def _flaky(x):
 
 def _sleep_forever(_x):
     time.sleep(60)
-
-
-#: Values that compare equal in groups but print differently, a lone
-#: surrogate among them.  Sites draw from all of them; outputs and
-#: successors from two groups, so that a site drawn twice often re-adds
-#: an equal transition with fields that print differently.
-_VALUES = [1, True, 1.0, 0, False, -0.0, (1,), (True,), "\ud800", None]
-_TARGETS = [1, True, 0, -0.0]
 
 
 class TestParallelMap:
@@ -118,35 +106,6 @@ class TestCampaignCache:
         assert machine_fingerprint(a) == machine_fingerprint(b)
         assert machine_fingerprint(a) != machine_fingerprint(
             vending_machine()
-        )
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        initial=st.sampled_from(_VALUES),
-        rows=st.lists(
-            st.tuples(
-                st.sampled_from(_VALUES),
-                st.sampled_from(_VALUES),
-                st.sampled_from(_TARGETS),
-                st.sampled_from(_TARGETS),
-            ),
-            max_size=40,
-        ),
-    )
-    def test_machine_fingerprint_is_the_digest_of_reprs(self, initial, rows):
-        """Byte for byte the digest of ``repr`` of the initial state and
-        of every transition in ``transitions`` order, on states, inputs
-        and outputs that compare equal but print differently (an
-        identical transition re-added replaces the stored one, whose
-        fields then differ from its key's)."""
-        machine = MealyMachine(initial)
-        for row in rows:
-            try:
-                machine.add_transition(*row)
-            except MealyError:
-                pass
-        assert machine_fingerprint(machine) == _digest(
-            [repr(machine.initial)] + [repr(t) for t in machine.transitions]
         )
 
     def test_inputs_fingerprint_order_sensitive(self):

@@ -67,6 +67,19 @@ def walk_order_netlist():
     return net
 
 
+def shift_netlist():
+    """Input ``x`` through registers ``a`` then ``b`` to output ``o``:
+    the search's queue holds one state, then one, then two, so a search
+    that goes wide at four waiting pairs first steps two states one at
+    a time, and its word passes meet their states and outputs again."""
+    net = Netlist("shift")
+    x = net.add_input("x")
+    a = net.add_register("a", next=x)
+    b = net.add_register("b", next=a)
+    net.add_output("o", b)
+    return net
+
+
 def pinned_cases():
     """name -> (netlist, extract_mealy keyword arguments): the
     sequential BLIFs of the bundled corpus and the four protocol models
@@ -242,13 +255,14 @@ def test_max_states_admits_exactly_its_bound(entry):
 
 
 #: name -> (``_WIDE_PAIRS``, ``_WORD_LANES``): the search's two regimes,
-#: each forced, the wide one on words of at most three lanes, and both
-#: in turn as the queue widens and narrows.
+#: each forced, the wide one on words of at most three lanes, and a
+#: narrow stretch until four pairs wait, then word passes of at most
+#: four lanes.
 REGIMES = {
     "narrow": (sys.maxsize, extract_module._WORD_LANES),
     "wide": (1, extract_module._WORD_LANES),
     "tiny-words": (1, 3),
-    "mixed": (4, 4),
+    "switch": (4, 4),
 }
 
 
@@ -349,9 +363,9 @@ def assert_regime_matches_interpreter(net, vectors, name):
     assert count == len(want)
     if name == "narrow" or not want.num_transitions():
         assert passes == []
-    elif name != "mixed":
+    elif name != "switch":
         assert passes
-    if name in ("tiny-words", "mixed"):
+    if name in ("tiny-words", "switch"):
         assert max(passes, default=0) <= max(4, len(want.inputs))
 
 
@@ -389,6 +403,7 @@ FIXED = {
     "no-outputs": silent,
     "ctr3": lambda: counter_netlist(3),
     "walk-order": walk_order_netlist,
+    "shift": shift_netlist,
 }
 
 
@@ -401,6 +416,15 @@ def test_fixed_netlists_match_the_interpreter(name, net, vectors):
     assert_regime_matches_interpreter(
         FIXED[net](), None if vectors == "all" else [], name
     )
+
+
+def test_switch_steps_narrow_then_wide():
+    """The switch regime on the shift register runs both regimes, in
+    turn, as the differential above relies on."""
+    with regime("switch") as passes:
+        machine = extract_mealy(shift_netlist())
+    assert passes
+    assert sum(passes) < machine.num_transitions()
 
 
 @pytest.mark.parametrize("name", sorted(REGIMES))
@@ -418,7 +442,7 @@ def test_pins_hold_in_each_regime(cases, name):
 def test_max_states_bound_holds_in_each_regime(entry, name):
     with regime(name) as passes:
         test_max_states_admits_exactly_its_bound(entry)
-    assert bool(passes) == (name not in ("narrow", "mixed"))
+    assert bool(passes) == (name not in ("narrow", "switch"))
 
 
 @pytest.mark.parametrize("name", sorted(REGIMES))
