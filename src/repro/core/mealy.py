@@ -156,6 +156,30 @@ class MealyMachine:
             m.add_transition(src, inp, out, dst)
         return m
 
+    @classmethod
+    def from_distinct_transitions(
+        cls,
+        initial: State,
+        transitions: Iterable[Tuple[State, Input, Output, State]],
+        name: str = "mealy",
+    ) -> "MealyMachine":
+        """:meth:`from_transitions` for tuples whose ``(src, inp)``
+        pairs are known to be distinct: the same tables, filled in the
+        same order, without :meth:`add_transition`'s duplicate check."""
+        m = cls(initial, name=name)
+        delta, succ = m._delta, m._succ
+        add_state, add_input, add_output = (
+            m._states.add, m._inputs.add, m._outputs.add
+        )
+        for src, inp, out, dst in transitions:
+            t = delta[src, inp] = Transition(src, inp, out, dst)
+            succ.setdefault(src, {})[inp] = t
+            add_state(src)
+            add_state(dst)
+            add_input(inp)
+            add_output(out)
+        return m
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Unit tests for repro.core.mealy."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mealy import (
     MealyError,
@@ -10,6 +12,10 @@ from repro.core.mealy import (
     make_complete,
     sequences,
 )
+
+
+#: States, inputs and outputs, hashed and compared alike or not.
+_LABELS = st.sampled_from([0, 1, 2, 3, "a", "b", (0,), ("a", 1)])
 
 
 def two_state():
@@ -56,6 +62,32 @@ class TestConstruction:
         m = two_state()
         assert len(m) == 2
         assert m.num_transitions() == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        initial=_LABELS,
+        rows=st.lists(
+            st.tuples(_LABELS, _LABELS, _LABELS, _LABELS),
+            unique_by=lambda row: row[:2],
+            max_size=30,
+        ),
+    )
+    def test_from_distinct_transitions_fills_the_same_tables(
+        self, initial, rows
+    ):
+        """The tables ``from_transitions`` fills, each in the same
+        insertion order."""
+        want = MealyMachine.from_transitions(initial, rows, name="n")
+        got = MealyMachine.from_distinct_transitions(initial, rows, name="n")
+        assert list(got._delta.items()) == list(want._delta.items())
+        assert [(s, list(e.items())) for s, e in got._succ.items()] == [
+            (s, list(e.items())) for s, e in want._succ.items()
+        ]
+        assert list(got._states) == list(want._states)
+        assert list(got._inputs) == list(want._inputs)
+        assert list(got._outputs) == list(want._outputs)
+        assert got._succ_sorted == {}
+        assert (got.name, got.initial) == ("n", initial)
 
     def test_add_state_idempotent(self):
         m = MealyMachine("s0")
