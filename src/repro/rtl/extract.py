@@ -173,9 +173,9 @@ def reachable_state_count(
 
 
 #: The search steps one state at a time on the bool render while fewer
-#: than this many (state, input vector) pairs wait in its queue, and
-#: steps the queued states on lane words from the first time as many
-#: wait to its end.  A deep, narrow search never gets there: a
+#: than this many (state, input vector) pairs wait in its queue; from
+#: the first time as many wait, it steps the rest of its queue on lane
+#: words.  A deep, narrow search never gets there: a
 #: counter's queue holds one state, and word passes would cost it
 #: several times the time and a second compile (METHODOLOGY section 11
 #: has the measurements).
