@@ -7,9 +7,10 @@ input combinations, labelled as a
 :class:`~repro.core.mealy.MealyMachine` whose states are register
 valuations, inputs are primary-input valuations, and outputs are
 primary-output valuations -- or numbered (``packed``).  The search
-steps a narrow queue one (state, vector) pair at a time on bools, and
-a wide one as lane words, every queued pair at once; both regimes find
-the same states in the same order.
+steps its queue one (state, vector) pair at a time on bools while the
+queue is narrow and, from the first time it is wide, in chunks of
+queued pairs on lane words; both regimes find the same states in the
+same order.
 
 Input don't-cares (Section 7.2: "not all combinations are allowed due
 to invalid instructions and relationships between datapath outputs
@@ -175,10 +176,10 @@ def reachable_state_count(
 #: The search steps one state at a time on the bool render while fewer
 #: than this many (state, input vector) pairs wait in its queue; from
 #: the first time as many wait, it steps the rest of its queue on lane
-#: words.  A deep, narrow search never gets there: a
-#: counter's queue holds one state, and word passes would cost it
-#: several times the time and a second compile (METHODOLOGY section 11
-#: has the measurements).
+#: words.  A deep, narrow search never gets there: a counter's queue
+#: holds one state, and word passes would cost it several times the
+#: time and a second compile (METHODOLOGY section 11 has the
+#: measurements).
 _WIDE_PAIRS = 1024
 
 #: Most lanes in one word of the wide regime.  Past a few thousand the
